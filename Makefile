@@ -3,7 +3,7 @@
 # Make every target work from a plain checkout (no editable install).
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test lint figures-smoke obs-smoke bench bench-smoke bench-track bench-backends report experiments examples clean
+.PHONY: install test lint figures-smoke obs-smoke bench bench-smoke bench-e2e bench-track bench-backends report experiments examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -56,6 +56,14 @@ bench:
 # (import errors, solver regressions), without judging timings.
 bench-smoke:
 	pytest benchmarks/bench_fig10_tsp.py benchmarks/bench_runtime_policies.py -x -q --benchmark-only
+
+# The end-to-end benchmark (benchmarks/e2e, BENCHMARK.json): the
+# harness's own tests (~30 s), then one traced dsrem_mixes run that
+# prints every per-layer metric and checks the outputs against the
+# stored reference for seed 0.
+bench-e2e:
+	python -m pytest benchmarks/e2e -q
+	python3 benchmarks/e2e/run.py --workload dsrem_mixes --seed 0 --seconds 5 --trace 1
 
 # Timed + instrumented trajectory entry: runs the bench-smoke set with
 # the observability registry on, appends wall-clock and registry

@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import obs
+from repro.apps.operating_points import operating_points
 from repro.chip import Chip
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.units import F_GATED, is_gated
@@ -197,17 +198,10 @@ class ThermalSafePower:
                 )
             return cached
         budget = self.worst_case(m)
-        ladder = sorted(
-            frequencies
-            if frequencies is not None
-            else self._chip.node.frequency_ladder()
-        )
+        table = operating_points(app, self._chip.node, self._t_dtm, frequencies)
         chosen = F_GATED
-        for f in ladder:
-            power = app.core_power(
-                self._chip.node, threads, f, temperature=self._t_dtm
-            )
-            if power <= budget:
+        for f in table.frequencies:
+            if table.core_power(threads, f) <= budget:
                 chosen = f
         self._safe_frequencies[key] = chosen
         if is_gated(chosen):

@@ -24,15 +24,21 @@ This module implements that three-phase heuristic:
 
 Placement uses a dark-silicon-patterning placer by default, since DsRem
 builds on the DaSim insight that spreading active cores buys headroom.
+
+Every power and throughput figure comes from the applications'
+operating-point tables (:mod:`repro.apps.operating_points`) over the
+frequency grid, so instance frequencies are grid levels and the phases
+step between them by index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.apps.operating_points import OperatingPoints, operating_points
 from repro.apps.profile import AppProfile
 from repro.apps.workload import ApplicationInstance
 from repro.chip import Chip
@@ -61,12 +67,25 @@ class DsRemConfig:
     max_steps: int = 2000
 
 
+class _Config(NamedTuple):
+    """One candidate instance configuration of an application."""
+
+    table: OperatingPoints
+    threads: int
+    level: int
+    power: float  # whole instance, W
+    performance: float  # instructions per second
+
+
 class _State:
     """Mutable mapping state shared by the three phases."""
 
-    def __init__(self, chip: Chip, placer: Placer) -> None:
+    def __init__(
+        self, chip: Chip, placer: Placer, tables: dict[AppProfile, OperatingPoints]
+    ) -> None:
         self.chip = chip
         self.placer = placer
+        self.tables = tables
         self.placed: list[PlacedInstance] = []
 
     @property
@@ -85,22 +104,35 @@ class _State:
     def peak_temperature(self) -> float:
         return self.chip.solver.peak_temperature(self.core_powers())
 
-    def add(self, instance: ApplicationInstance) -> bool:
-        cores = self.placer.place(self.chip, instance.cores, self.occupied)
+    def point(self, index: int) -> tuple[OperatingPoints, int]:
+        """The table and grid level of placed instance ``index``."""
+        inst = self.placed[index].instance
+        table = self.tables[inst.app]
+        return table, table.level(inst.frequency)
+
+    def add(self, config: _Config) -> bool:
+        table, n, level = config.table, config.threads, config.level
+        cores = self.placer.place(self.chip, n, self.occupied)
         if cores is None:
             return False
-        per_core = instance.core_power(self.chip.node, temperature=self.chip.t_dtm)
+        instance = ApplicationInstance(
+            app=table.app, threads=n, frequency=table.frequencies[level]
+        )
         self.placed.append(
-            PlacedInstance(instance=instance, cores=tuple(cores), core_power=per_core)
+            PlacedInstance(
+                instance=instance, cores=tuple(cores), core_power=table.power[n - 1][level]
+            )
         )
         return True
 
-    def replace(self, index: int, frequency: float) -> None:
+    def replace(self, index: int, level: int) -> None:
         old = self.placed[index]
-        instance = old.instance.with_frequency(frequency)
-        per_core = instance.core_power(self.chip.node, temperature=self.chip.t_dtm)
+        table = self.tables[old.instance.app]
+        instance = old.instance.with_frequency(table.frequencies[level])
         self.placed[index] = PlacedInstance(
-            instance=instance, cores=old.cores, core_power=per_core
+            instance=instance,
+            cores=old.cores,
+            core_power=table.power[instance.threads - 1][level],
         )
 
     def remove(self, index: int) -> None:
@@ -155,107 +187,109 @@ def ds_rem(
     if tdp <= 0:
         raise ConfigurationError(f"tdp must be positive, got {tdp}")
     cfg = config or DsRemConfig()
-    frequencies = sorted(
-        cfg.frequencies if cfg.frequencies is not None else chip.node.frequency_ladder()
-    )
-    state = _State(chip, placer or ThermalSpreadPlacer())
+    tables = {
+        app: operating_points(app, chip.node, chip.t_dtm, cfg.frequencies)
+        for app in apps
+    }
+    configs = _candidate_configs(apps, tables, cfg)
+    state = _State(chip, placer or ThermalSpreadPlacer(), tables)
 
-    _budget_phase(state, apps, tdp, frequencies, cfg)
-    _repair_phase(state, frequencies, cfg)
-    _exploit_phase(state, apps, frequencies, cfg)
+    _budget_phase(state, configs, tdp, cfg)
+    _repair_phase(state, cfg)
+    _exploit_phase(state, configs, cfg)
     return state.result()
+
+
+def _candidate_configs(
+    apps: Sequence[AppProfile],
+    tables: dict[AppProfile, OperatingPoints],
+    cfg: DsRemConfig,
+) -> list[_Config]:
+    """Every (app, threads, level) candidate, in mix, thread and grid order."""
+    configs = []
+    for app in apps:
+        table = tables[app]
+        threads_options = (
+            cfg.threads_options
+            if cfg.threads_options is not None
+            else range(1, app.max_threads + 1)
+        )
+        for n in threads_options:
+            if n > app.max_threads:
+                continue
+            for level, f in enumerate(table.frequencies):
+                power = n * table.core_power(n, f)
+                configs.append(
+                    _Config(table, n, level, power, table.instance_performance(n, f))
+                )
+    return configs
 
 
 # -- phase 1: greedy knapsack under TDP -------------------------------
 
 
-def _candidate_configs(
-    app: AppProfile, chip: Chip, frequencies: Sequence[float], cfg: DsRemConfig
-) -> list[tuple[int, float, float, float]]:
-    """(threads, frequency, instance_power, instance_performance) tuples."""
-    threads_options = (
-        cfg.threads_options
-        if cfg.threads_options is not None
-        else range(1, app.max_threads + 1)
-    )
-    configs = []
-    for n in threads_options:
-        if n > app.max_threads:
-            continue
-        for f in frequencies:
-            power = n * app.core_power(chip.node, n, f, temperature=chip.t_dtm)
-            perf = app.instance_performance(n, f)
-            configs.append((n, f, power, perf))
-    return configs
-
-
 def _budget_phase(
-    state: _State,
-    apps: Sequence[AppProfile],
-    tdp: float,
-    frequencies: Sequence[float],
-    cfg: DsRemConfig,
+    state: _State, configs: list[_Config], tdp: float, cfg: DsRemConfig
 ) -> None:
-    chip = state.chip
-    configs = {app.name: _candidate_configs(app, chip, frequencies, cfg) for app in apps}
     remaining_power = tdp
-    free_cores = chip.n_cores
+    free_cores = state.chip.n_cores
 
-    # Density greedy: best performance per watt that still fits.
+    # Density greedy: best performance per watt that still fits.  The
+    # sort is stable, so equal densities keep candidate order.
+    by_density = sorted(configs, key=lambda c: c.performance / c.power, reverse=True)
     while True:
-        best = None
-        for app in apps:
-            for n, f, power, perf in configs[app.name]:
-                if n > free_cores or power > remaining_power:
-                    continue
-                density = perf / power
-                if best is None or density > best[0]:
-                    best = (density, app, n, f)
-        if best is None:
-            break
-        _, app, n, f = best
-        if not state.add(ApplicationInstance(app=app, threads=n, frequency=f)):
+        pick = next(
+            (
+                c for c in by_density
+                if c.threads <= free_cores and c.power <= remaining_power
+            ),
+            None,
+        )
+        if pick is None or not state.add(pick):
             break
         added = state.placed[-1]
         remaining_power -= added.core_power * len(added.cores)
         free_cores -= len(added.cores)
 
-    # Upgrade pass: spend leftover power on frequency increases, largest
-    # performance gain per extra watt first.
+    # Upgrade pass: spend leftover power on one-level frequency increases,
+    # largest performance gain per extra watt first.  Only the instance
+    # that moved changes its (extra W, gain, score) entry.
+    moves = [_upgrade_move(state, i) for i in range(len(state.placed))]
     for _ in range(cfg.max_steps):
         best = None
-        for i, placed in enumerate(state.placed):
-            inst = placed.instance
-            higher = [f for f in frequencies if f > inst.frequency]
-            if not higher:
+        for i, move in enumerate(moves):
+            if move is None or move[0] > remaining_power:
                 continue
-            f_next = higher[0]
-            new_power = inst.cores * inst.app.core_power(
-                chip.node, inst.threads, f_next, temperature=chip.t_dtm
-            )
-            old_power = placed.core_power * len(placed.cores)
-            extra = new_power - old_power
-            if extra > remaining_power:
-                continue
-            gain = inst.app.instance_performance(inst.threads, f_next) - inst.performance()
-            if gain <= 0:
-                continue
-            score = gain / max(extra, 1e-9)
-            if best is None or score > best[0]:
-                best = (score, i, f_next, extra)
+            if best is None or move[2] > moves[best][2]:
+                best = i
         if best is None:
             break
-        _, i, f_next, extra = best
-        state.replace(i, f_next)
+        extra = moves[best][0]
+        _, level = state.point(best)
+        state.replace(best, level + 1)
         remaining_power -= extra
+        moves[best] = _upgrade_move(state, best)
+
+
+def _upgrade_move(state: _State, index: int) -> Optional[tuple[float, float, float]]:
+    """(extra W, gain, score) of a one-level upgrade, or None if there is none."""
+    placed = state.placed[index]
+    table, level = state.point(index)
+    if level + 1 == len(table.frequencies):
+        return None
+    n = placed.instance.threads
+    new_power = n * table.power[n - 1][level + 1]
+    extra = new_power - placed.core_power * len(placed.cores)
+    gain = table.performance[n - 1][level + 1] - table.performance[n - 1][level]
+    if gain <= 0:
+        return None
+    return extra, gain, gain / max(extra, 1e-9)
 
 
 # -- phase 2: thermal repair ------------------------------------------
 
 
-def _repair_phase(
-    state: _State, frequencies: Sequence[float], cfg: DsRemConfig
-) -> None:
+def _repair_phase(state: _State, cfg: DsRemConfig) -> None:
     chip = state.chip
     for _ in range(cfg.max_steps):
         if state.peak_temperature() <= chip.t_dtm + 1e-6:
@@ -263,10 +297,9 @@ def _repair_phase(
         index = state.hottest_instance()
         if index is None:
             return
-        inst = state.placed[index].instance
-        lower = [f for f in frequencies if f < inst.frequency]
-        if lower:
-            state.replace(index, lower[-1])
+        _, level = state.point(index)
+        if level > 0:
+            state.replace(index, level - 1)
         else:
             state.remove(index)
 
@@ -274,64 +307,46 @@ def _repair_phase(
 # -- phase 3: exploit headroom ----------------------------------------
 
 
-def _exploit_phase(
-    state: _State,
-    apps: Sequence[AppProfile],
-    frequencies: Sequence[float],
-    cfg: DsRemConfig,
-) -> None:
+def _exploit_phase(state: _State, configs: list[_Config], cfg: DsRemConfig) -> None:
     chip = state.chip
+    # Highest performance first; the sort is stable, so ties keep
+    # candidate order.
+    by_performance = sorted(configs, key=lambda c: -c.performance)
     for _ in range(cfg.max_steps):
         peak = state.peak_temperature()
         if peak > chip.t_dtm - cfg.exploit_margin:
             return
-        if not _try_upgrade(state, frequencies) and not _try_add(
-            state, apps, frequencies, cfg
-        ):
+        if not _try_upgrade(state) and not _try_add(state, by_performance):
             return
 
 
-def _try_upgrade(state: _State, frequencies: Sequence[float]) -> bool:
+def _try_upgrade(state: _State) -> bool:
     """Apply the best admissible one-step frequency upgrade, if any."""
     chip = state.chip
     candidates = []
     for i, placed in enumerate(state.placed):
-        inst = placed.instance
-        higher = [f for f in frequencies if f > inst.frequency]
-        if not higher:
+        table, level = state.point(i)
+        if level + 1 == len(table.frequencies):
             continue
-        gain = (
-            inst.app.instance_performance(inst.threads, higher[0])
-            - inst.performance()
-        )
-        candidates.append((gain, i, higher[0]))
-    for gain, i, f_next in sorted(candidates, reverse=True):
-        old_f = state.placed[i].instance.frequency
-        state.replace(i, f_next)
+        n = placed.instance.threads
+        gain = table.performance[n - 1][level + 1] - table.performance[n - 1][level]
+        candidates.append((gain, i, level))
+    for gain, i, level in sorted(candidates, reverse=True):
+        state.replace(i, level + 1)
         if state.peak_temperature() <= chip.t_dtm + 1e-6:
             return True
-        state.replace(i, old_f)
+        state.replace(i, level)
     return False
 
 
-def _try_add(
-    state: _State,
-    apps: Sequence[AppProfile],
-    frequencies: Sequence[float],
-    cfg: DsRemConfig,
-) -> bool:
+def _try_add(state: _State, by_performance: list[_Config]) -> bool:
     """Add the best-performing instance that stays thermally safe."""
     chip = state.chip
     free = chip.n_cores - len(state.occupied)
     if free == 0:
         return False
-    candidates = []
-    for app in apps:
-        for n, f, power, perf in _candidate_configs(app, chip, frequencies, cfg):
-            if n <= free:
-                candidates.append((perf, app, n, f))
-    for perf, app, n, f in sorted(candidates, key=lambda c: -c[0]):
-        if not state.add(ApplicationInstance(app=app, threads=n, frequency=f)):
+    for config in by_performance:
+        if config.threads > free or not state.add(config):
             continue
         if state.peak_temperature() <= chip.t_dtm + 1e-6:
             return True

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.apps.operating_points import operating_points
 from repro.chip import Chip
 from repro.core.tsp import ThermalSafePower
 from repro.errors import ConfigurationError, InfeasibleError
@@ -55,25 +56,10 @@ class AdmissionPolicy(abc.ABC):
         if threads < 1:
             raise ConfigurationError(f"threads must be positive, got {threads}")
         self._threads = threads
-        # Eq. (1) power is a pure function of (app, node, threads, f) at
-        # the fixed T_DTM evaluation point; the event loop re-evaluates
-        # the same few job shapes thousands of times.
-        self._power_cache: dict[tuple, float] = {}
 
     def threads_for(self, job: Job) -> int:
         """Thread count this policy would grant ``job``."""
         return min(self._threads, job.max_threads)
-
-    def _core_power(self, job: Job, chip: Chip, threads: int, f: float) -> float:
-        """Memoised ``job.app.core_power`` at the chip's T_DTM."""
-        key = (job.app, chip.node.name, threads, f)
-        power = self._power_cache.get(key)
-        if power is None:
-            power = job.app.core_power(
-                chip.node, threads, f, temperature=chip.t_dtm
-            )
-            self._power_cache[key] = power
-        return power
 
     @abc.abstractmethod
     def admit(
@@ -122,7 +108,9 @@ class TdpFifoPolicy(AdmissionPolicy):
     ) -> Optional[AdmissionDecision]:
         threads = len(cores)
         frequency = self._frequency if self._frequency else chip.node.f_max
-        per_core = self._core_power(job, chip, threads, frequency)
+        per_core = operating_points(job.app, chip.node, chip.t_dtm).core_power(
+            threads, frequency
+        )
         if float(core_powers.sum()) + threads * per_core > self._tdp + 1e-9:
             return None
         return AdmissionDecision(threads=threads, frequency=frequency)
@@ -182,12 +170,13 @@ class TspAdaptivePolicy(AdmissionPolicy):
         # the direct path ("stop below the floor") is the suffix >= floor,
         # highest first; all tentative states are verified in one batched
         # engine evaluation instead of one LU solve per level.
-        candidates = [f for f in reversed(chip.node.frequency_ladder()) if f >= floor]
+        table = operating_points(job.app, chip.node, chip.t_dtm)
+        candidates = [f for f in reversed(table.frequencies) if f >= floor]
         if not candidates:
             return None
         tentative = np.tile(core_powers, (len(candidates), 1))
         for row, f in enumerate(candidates):
-            tentative[row, idx] += self._core_power(job, chip, threads, f)
+            tentative[row, idx] += table.core_power(threads, f)
         peaks = chip.engine.peak_temperatures(tentative)
         for f, peak in zip(candidates, peaks):
             if peak <= limit + 1e-9:

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import obs
+from repro.apps.operating_points import operating_points
 from repro.chip import Chip
 from repro.errors import ConfigurationError
 from repro.mapping.base import Placer
@@ -162,12 +163,9 @@ class OnlineSimulator:
                         f"{job.job_id} but {len(cores)} cores were placed; "
                         f"threads_for() and admit() must agree"
                     )
-                per_core = job.app.core_power(
-                    chip.node,
-                    decision.threads,
-                    decision.frequency,
-                    temperature=chip.t_dtm,
-                )
+                per_core = operating_points(
+                    job.app, chip.node, chip.t_dtm
+                ).core_power(decision.threads, decision.frequency)
                 queue.pop(0)
                 occupied.update(cores)
                 core_powers[list(cores)] += per_core

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import AppProfile
+from repro.apps.operating_points import operating_points
 from repro.chip import Chip
 from repro.mapping.base import Placer
 from repro.runtime import AdmissionDecision
@@ -111,9 +112,8 @@ class FixedFrequency(AdmissionPolicy):
         self._f = frequency
 
     def admit(self, chip, job, core_powers, cores):
-        p = job.app.core_power(
-            chip.node, len(cores), self._f, temperature=chip.t_dtm
-        )
+        table = operating_points(job.app, chip.node, chip.t_dtm)
+        p = table.core_power(len(cores), self._f)
         tentative = core_powers.copy()
         tentative[list(cores)] += p
         if chip.solver.peak_temperature(tentative) > chip.t_dtm:

@@ -1,9 +1,12 @@
 """The online runtime: jobs, policies, event loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.apps.parsec import PARSEC
+from repro.chip import Chip
 from repro.core.tsp import ThermalSafePower
 from repro.errors import ConfigurationError
 from repro.runtime import (
@@ -15,6 +18,7 @@ from repro.runtime import (
     TspAdaptivePolicy,
     deterministic_job_stream,
 )
+from repro.tech.library import NODE_11NM, NODE_16NM
 from repro.units import GIGA
 
 
@@ -94,6 +98,20 @@ class TestTdpFifoPolicy:
         policy = TdpFifoPolicy(tdp=100.0, threads=8)
         assert policy.threads_for(make_job(max_threads=2)) == 2
         assert policy.threads_for(make_job(max_threads=8)) == 8
+
+    def test_shared_policy_uses_each_chips_node(self, small_chip):
+        """Regression: per-core powers were memoised per node *name*, so a
+        policy that had seen the 16 nm chip reused its powers on another
+        node called "16nm" and wrongly deferred this admission."""
+        hybrid = Chip.grid_chip(
+            dataclasses.replace(NODE_16NM, factors=NODE_11NM.factors), 4, 4
+        )
+        cores = list(range(8))
+        shared = TdpFifoPolicy(tdp=15.0)
+        assert shared.admit(small_chip, make_job(), np.zeros(16), cores) is None
+        fresh = TdpFifoPolicy(tdp=15.0).admit(hybrid, make_job(), np.zeros(16), cores)
+        assert fresh is not None
+        assert shared.admit(hybrid, make_job(), np.zeros(16), cores) == fresh
 
     def test_invalid_tdp_rejected(self):
         with pytest.raises(ConfigurationError):
