@@ -58,12 +58,14 @@ bench-smoke:
 	pytest benchmarks/bench_fig10_tsp.py benchmarks/bench_runtime_policies.py -x -q --benchmark-only
 
 # The end-to-end benchmark (benchmarks/e2e, BENCHMARK.json): the
-# harness's own tests (~30 s), then one traced dsrem_mixes run that
-# prints every per-layer metric and checks the outputs against the
+# harness's own tests (~30 s), then one traced dsrem_mixes run and one
+# traced boost_transients run (the transient layer's smoke run) that
+# print every per-layer metric and check the outputs against the
 # stored reference for seed 0.
 bench-e2e:
 	python -m pytest benchmarks/e2e -q
 	python3 benchmarks/e2e/run.py --workload dsrem_mixes --seed 0 --seconds 5 --trace 1
+	python3 benchmarks/e2e/run.py --workload boost_transients --seed 0 --seconds 5 --trace 1
 
 # Timed + instrumented trajectory entry: runs the bench-smoke set with
 # the observability registry on, appends wall-clock and registry

@@ -9,17 +9,20 @@
   the highest DVFS level whose leakage-consistent steady state stays
   below the threshold.
 * :mod:`repro.boosting.simulation` — transient experiments producing the
-  Figure 11 traces and the Figure 12/13 sweeps.
+  Figure 11 traces and the Figure 12/13 sweeps, advanced in lockstep by
+  :func:`repro.boosting.simulation.run_transients`.
 """
 
 from repro.boosting.controller import BoostingController
 from repro.boosting.constant import best_constant_frequency
 from repro.boosting.simulation import (
     PlacedWorkload,
+    TransientRun,
     place_workload,
     run_boosting,
     run_constant,
     run_per_instance_boosting,
+    run_transients,
     BoostingRunResult,
     ConstantRunResult,
 )
@@ -28,10 +31,12 @@ __all__ = [
     "BoostingController",
     "best_constant_frequency",
     "PlacedWorkload",
+    "TransientRun",
     "place_workload",
     "run_boosting",
     "run_constant",
     "run_per_instance_boosting",
+    "run_transients",
     "BoostingRunResult",
     "ConstantRunResult",
 ]

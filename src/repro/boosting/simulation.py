@@ -8,9 +8,12 @@ loop is pure vector arithmetic:
 * leakage from the commanded voltage and each core's *current*
   temperature (the full Eq. (1) temperature feedback).
 
-:func:`run_boosting` couples the transient thermal solver with the
-closed-loop :class:`repro.boosting.controller.BoostingController`;
-:func:`run_constant` runs the same workload at one fixed frequency.
+:func:`run_transients` advances a batch of closed-loop runs
+(:class:`TransientRun`) in lockstep on one chip: one backward-Euler
+state block, one multi-RHS solve and one leakage evaluation per step.
+:func:`run_boosting` (the closed-loop
+:class:`repro.boosting.controller.BoostingController`) and
+:func:`run_constant` (one fixed frequency) are single-run calls into it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,12 @@ from repro.chip import Chip
 from repro.errors import ConfigurationError, MappingError
 from repro.mapping.base import Placer
 from repro.mapping.contiguous import ContiguousPlacer
-from repro.thermal.transient import TransientSimulator
-from repro.units import gips as to_gips, is_gated
+from repro.thermal.transient import (
+    TransientSimulator,
+    count_simulations,
+    step_plan,
+)
+from repro.units import Seconds, gips as to_gips, is_gated
 
 
 class PlacedWorkload:
@@ -82,6 +89,8 @@ class PlacedWorkload:
         if self.placements:
             self._curve = self.placements[0][0].app.power_model(chip.node).curve
         self._leak_shape = leak_shape
+        # frequency -> (base powers, leakage voltage prefactor)
+        self._points: dict[float, tuple[np.ndarray, float]] = {}
 
     @property
     def n_instances(self) -> int:
@@ -102,14 +111,34 @@ class PlacedWorkload:
         """Aggregate throughput (instructions/s) at chip frequency ``frequency``."""
         return self._perf_per_hz * frequency
 
+    def _operating_point(self, frequency: float) -> tuple[np.ndarray, float]:
+        """Memoised ``(base powers, leakage prefactor)`` at ``frequency``.
+
+        The base vector (read-only) is the per-core dynamic + independent
+        power; the prefactor is ``v * (v / vref) * exp(kv * (v - vref))``,
+        so the per-core leakage is ``i0 * (prefactor * exp(kt * (T - tref)))``.
+
+        Raises:
+            InfeasibleError: from ``VFCurve.voltage`` when ``frequency``
+                is above the curve's reachable limit (never memoised).
+        """
+        point = self._points.get(frequency)
+        if point is None:
+            if is_gated(frequency) or not self.placements:
+                base, prefactor = np.zeros(self.chip.n_cores), 0.0
+            else:
+                v = self._curve.voltage(frequency)
+                base = self._dyn_coeff * (v * v * frequency)
+                base[self._active] += self._pind[self._active]
+                shape = self._leak_shape
+                prefactor = v * (v / shape.vref) * np.exp(shape.kv * (v - shape.vref))
+            base.setflags(write=False)
+            point = self._points[frequency] = (base, prefactor)
+        return point
+
     def base_powers(self, frequency: float) -> np.ndarray:
         """Per-core dynamic + independent power at ``frequency``, W."""
-        if is_gated(frequency) or not self.placements:
-            return np.zeros(self.chip.n_cores)
-        v = self._curve.voltage(frequency)
-        powers = self._dyn_coeff * (v * v * frequency)
-        powers[self._active] += self._pind[self._active]
-        return powers
+        return self._operating_point(frequency)[0].copy()
 
     def leakage_powers(
         self, frequency: float, core_temperatures: np.ndarray
@@ -117,21 +146,17 @@ class PlacedWorkload:
         """Per-core leakage power at ``frequency`` and given temperatures, W."""
         if is_gated(frequency) or not self.placements:
             return np.zeros(self.chip.n_cores)
+        prefactor = self._operating_point(frequency)[1]
         shape = self._leak_shape
-        v = self._curve.voltage(frequency)
-        per_amp = (
-            v
-            * (v / shape.vref)
-            * np.exp(shape.kv * (v - shape.vref))
-            * np.exp(shape.kt * (core_temperatures - shape.tref))
+        return self._i0 * (
+            prefactor * np.exp(shape.kt * (core_temperatures - shape.tref))
         )
-        return self._i0 * per_amp
 
     def total_powers(
         self, frequency: float, core_temperatures: np.ndarray
     ) -> np.ndarray:
         """Full Eq. (1) per-core power vector, W."""
-        return self.base_powers(frequency) + self.leakage_powers(
+        return self._operating_point(frequency)[0] + self.leakage_powers(
             frequency, core_temperatures
         )
 
@@ -278,92 +303,247 @@ class ConstantRunResult:
     peak_temperature: float
 
 
+@dataclass(frozen=True)
+class TransientRun:
+    """One closed-loop transient simulation, for :func:`run_transients`.
+
+    Attributes:
+        placed: the pinned workload.
+        duration: simulated seconds, a whole number of ``dt`` steps.
+        controller: consulted every step (``dt`` is the control period,
+            1 ms in the paper), starting from its current frequency;
+            ``None`` makes a constant run that holds ``frequency``.
+        frequency: the held chip frequency of a constant run, Hz.
+        dt: integration step == control period, s.
+        record_interval: trace sampling interval, s (at least ``dt``).
+        warm_start_frequency: if given, the thermal state starts from the
+            steady state of running at this frequency with leakage taken
+            at T_DTM (avoids simulating a long heat-up from ambient);
+            otherwise from ambient.
+        power_cap: electrical power constraint, W (the paper's Section 6
+            uses 500 W): whenever the commanded frequency would exceed
+            it, the frequency is stepped back down before being applied.
+            Needs a controller.
+
+    Raises:
+        ConfigurationError: unless exactly one of ``controller`` and
+            ``frequency`` is given, or on a ``power_cap`` without a
+            controller.
+    """
+
+    placed: PlacedWorkload
+    duration: Seconds
+    controller: Optional[BoostingController] = None
+    frequency: Optional[float] = None
+    dt: Seconds = 1e-3
+    record_interval: Seconds = 0.1
+    warm_start_frequency: Optional[float] = None
+    power_cap: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if (self.controller is None) == (self.frequency is None):
+            raise ConfigurationError(
+                "a transient run needs exactly one of controller and frequency"
+            )
+        if self.power_cap is not None and self.controller is None:
+            raise ConfigurationError("power_cap needs a controller")
+
+
+def run_transients(runs: Sequence[TransientRun]) -> list[BoostingRunResult]:
+    """Advance every run in lockstep; one result per run, in order.
+
+    The ``k`` runs share one chip (so one thermal model), one ``dt`` and
+    one ``duration``.  Their thermal state is one ``(n_nodes, k)`` block
+    and every step is one multi-RHS solve against the model's cached
+    step factorization.  Each step evaluates the leakage temperature
+    term once for the whole batch, and each run's power vector from its
+    memoised operating point.  Each run's decisions are its own, so a
+    run's result is what it gives alone (bit for bit under the sparse
+    backend).
+
+    Raises:
+        ConfigurationError: on runs that do not share a chip, ``dt`` and
+            ``duration``, or on invalid timing (see
+            :func:`repro.thermal.transient.step_plan`).
+    """
+    runs = list(runs)
+    if not runs:
+        return []
+    chip, dt, duration = runs[0].placed.chip, runs[0].dt, runs[0].duration
+    for run in runs:
+        if run.placed.chip is not chip:
+            raise ConfigurationError("lockstep runs must share one chip")
+        if (run.dt, run.duration) != (dt, duration):
+            raise ConfigurationError(
+                f"lockstep runs must share one dt and duration; got "
+                f"dt={run.dt}, duration={run.duration} against "
+                f"dt={dt}, duration={duration}"
+            )
+    n_steps, _ = step_plan(duration, dt)
+    every = [step_plan(duration, dt, run.record_interval)[1] for run in runs]
+    k, n = len(runs), chip.n_cores
+    count_simulations(n_steps, k)
+
+    placed = [run.placed for run in runs]
+    controllers = [run.controller for run in runs]
+    capped = [j for j, run in enumerate(runs) if run.power_cap is not None]
+    shapes = [p._leak_shape for p in placed]
+    i0 = np.stack([p._i0 for p in placed])
+    kt = np.array([[s.kt if s else 0.0] for s in shapes])
+    tref = np.array([[s.tref if s else 0.0] for s in shapes])
+    perf_per_hz = np.array([p._perf_per_hz for p in placed])
+
+    sim = TransientSimulator(chip.thermal, dt=dt)
+    warm = np.zeros((k, n))
+    temps0 = np.full(n, chip.t_dtm)
+    for j, run in enumerate(runs):
+        if run.warm_start_frequency is not None:
+            warm[j] = run.placed.total_powers(run.warm_start_frequency, temps0)
+    sim.warm_start(warm)
+    temps = sim.core_temperatures
+    peaks = temps.max(axis=1)
+
+    freqs = [run.frequency for run in runs]
+    base = np.empty((k, n))
+    prefactor = np.empty((k, 1))
+    traces: list[list[tuple]] = [[] for _ in runs]
+    perf_sum = np.zeros(k)
+    power_sum = np.zeros(k)
+    max_power = np.zeros(k)
+    max_temp = np.full(k, -np.inf)
+
+    for step in range(n_steps):
+        for j, ctrl in enumerate(controllers):
+            if ctrl is not None:
+                freqs[j] = ctrl.update(float(peaks[j]))
+            base[j], prefactor[j, 0] = placed[j]._operating_point(freqs[j])
+        leak_t = np.exp(kt * (temps - tref))
+        powers = base + i0 * (prefactor * leak_t)
+        totals = powers.sum(axis=1)
+
+        if capped:
+            evaluated = list(freqs)
+
+            def evaluate(j: int) -> None:
+                row_base, row_prefactor = placed[j]._operating_point(freqs[j])
+                powers[j] = row_base + i0[j] * (row_prefactor * leak_t[j])
+                totals[j] = powers[j].sum()
+                evaluated[j] = freqs[j]
+
+            over = [
+                j for j in capped
+                if freqs[j] > controllers[j].f_min and totals[j] > runs[j].power_cap
+            ]
+            while over:
+                for j in over:
+                    freqs[j] -= controllers[j].step
+                over = [j for j in over if freqs[j] > controllers[j].f_min]
+                for j in over:
+                    evaluate(j)
+                over = [j for j in over if totals[j] > runs[j].power_cap]
+            for j in capped:
+                freqs[j] = max(freqs[j], controllers[j].f_min)
+                controllers[j].reset(freqs[j])
+                if freqs[j] != evaluated[j]:  # the cap loop stopped at f_min
+                    evaluate(j)
+
+        temps = sim.step(powers)
+        peaks = temps.max(axis=1)
+        perf = perf_per_hz * np.array(freqs)
+        perf_sum += perf
+        power_sum += totals
+        np.maximum(max_power, totals, out=max_power)
+        np.maximum(max_temp, peaks, out=max_temp)
+
+        for j, trace in enumerate(traces):
+            if (step + 1) % every[j] == 0 or step == n_steps - 1:
+                trace.append(
+                    (
+                        (step + 1) * dt,
+                        freqs[j],
+                        to_gips(float(perf[j])),
+                        float(peaks[j]),
+                        float(totals[j]),
+                    )
+                )
+
+    results = []
+    for j, trace in enumerate(traces):
+        times, fs, gips_trace, peak_trace, power_trace = zip(*trace)
+        avg_power = float(power_sum[j]) / n_steps
+        results.append(
+            BoostingRunResult(
+                times=np.array(times),
+                frequencies=np.array(fs),
+                gips=np.array(gips_trace),
+                peak_temperatures=np.array(peak_trace),
+                total_powers=np.array(power_trace),
+                average_gips=to_gips(float(perf_sum[j]) / n_steps),
+                average_power=avg_power,
+                max_power=float(max_power[j]),
+                max_temperature=float(max_temp[j]),
+                energy=avg_power * duration,
+            )
+        )
+    return results
+
+
 def run_boosting(
     placed: PlacedWorkload,
     controller: BoostingController,
-    duration: float,
-    dt: float = 1e-3,
-    record_interval: float = 0.1,
+    duration: Seconds,
+    dt: Seconds = 1e-3,
+    record_interval: Seconds = 0.1,
     warm_start_frequency: Optional[float] = None,
     power_cap: Optional[float] = None,
 ) -> BoostingRunResult:
     """Simulate closed-loop boosting for ``duration`` seconds.
 
-    The controller is consulted every integration step (``dt`` is the
-    control period, 1 ms in the paper).
-
-    Args:
-        placed: the pinned workload.
-        controller: the boosting controller (its current frequency is the
-            starting point).
-        duration: simulated seconds.
-        dt: integration step == control period, s.
-        record_interval: trace sampling interval, s.
-        warm_start_frequency: if given, the thermal state starts from the
-            leakage-free steady state of running at this frequency
-            (avoids simulating a long heat-up from ambient).
-        power_cap: electrical power constraint, W (the paper's Section 6
-            uses 500 W): whenever the commanded frequency would exceed
-            it, the frequency is stepped back down before being applied.
+    A single-run :func:`run_transients` call; the arguments are the
+    :class:`TransientRun` fields of the same names.
     """
-    sim = TransientSimulator(placed.chip.thermal, dt=dt)
-    if warm_start_frequency is not None:
-        temps0 = np.full(placed.chip.n_cores, placed.chip.t_dtm)
-        sim.warm_start(placed.total_powers(warm_start_frequency, temps0))
-
-    if power_cap is None:
-        policy = controller.update
-    else:
-
-        def policy(peak: float) -> float:
-            f = controller.update(peak)
-            temps = sim.core_temperatures
-            while (
-                f > controller.f_min
-                and placed.total_powers(f, temps).sum() > power_cap
-            ):
-                f -= controller.step
-            f = max(f, controller.f_min)
-            controller.reset(f)
-            return f
-
-    return _run_transient(
+    run = TransientRun(
         placed,
-        sim,
         duration,
-        record_interval,
-        frequency_policy=policy,
+        controller=controller,
+        dt=dt,
+        record_interval=record_interval,
+        warm_start_frequency=warm_start_frequency,
+        power_cap=power_cap,
     )
+    return run_transients([run])[0]
 
 
 def run_constant(
     placed: PlacedWorkload,
     frequency: float,
-    duration: float,
-    dt: float = 1e-3,
-    record_interval: float = 0.1,
+    duration: Seconds,
+    dt: Seconds = 1e-3,
+    record_interval: Seconds = 0.1,
     warm_start: bool = True,
 ) -> BoostingRunResult:
-    """Simulate constant-frequency operation for ``duration`` seconds."""
-    sim = TransientSimulator(placed.chip.thermal, dt=dt)
-    if warm_start:
-        temps0 = np.full(placed.chip.n_cores, placed.chip.t_dtm)
-        sim.warm_start(placed.total_powers(frequency, temps0))
-    return _run_transient(
+    """Simulate constant-frequency operation for ``duration`` seconds.
+
+    A single-run :func:`run_transients` call; ``warm_start`` starts from
+    the steady state at ``frequency`` instead of ambient.
+    """
+    run = TransientRun(
         placed,
-        sim,
         duration,
-        record_interval,
-        frequency_policy=lambda peak: frequency,
+        frequency=frequency,
+        dt=dt,
+        record_interval=record_interval,
+        warm_start_frequency=frequency if warm_start else None,
     )
+    return run_transients([run])[0]
 
 
 def run_per_instance_boosting(
     placed: PlacedWorkload,
     controllers: Sequence[BoostingController],
-    duration: float,
-    dt: float = 1e-3,
-    record_interval: float = 0.1,
+    duration: Seconds,
+    dt: Seconds = 1e-3,
+    record_interval: Seconds = 0.1,
     warm_start_frequencies: Optional[Sequence[float]] = None,
     power_cap: Optional[float] = None,
 ) -> BoostingRunResult:
@@ -378,9 +558,9 @@ def run_per_instance_boosting(
     Args:
         placed: the pinned workload.
         controllers: one controller per instance, in placement order.
-        duration: simulated seconds.
+        duration: simulated seconds, a whole number of ``dt`` steps.
         dt: integration step == control period, s.
-        record_interval: trace sampling interval, s.
+        record_interval: trace sampling interval, s (at least ``dt``).
         warm_start_frequencies: start the thermal state from the steady
             state of these per-instance frequencies.
         power_cap: electrical power constraint, W.
@@ -388,34 +568,36 @@ def run_per_instance_boosting(
     Returns:
         A :class:`BoostingRunResult`; the ``frequencies`` trace records
         the per-step mean of the instance frequencies.
+
+    Raises:
+        ConfigurationError: on a controller count that does not match the
+            instances, or on invalid timing (see
+            :func:`repro.thermal.transient.step_plan`).
     """
     if len(controllers) != placed.n_instances:
         raise ConfigurationError(
             f"need {placed.n_instances} controllers, got {len(controllers)}"
         )
-    if duration <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration}")
+    n_steps, every = step_plan(duration, dt, record_interval)
+    count_simulations(n_steps)
     sim = TransientSimulator(placed.chip.thermal, dt=dt)
     if warm_start_frequencies is not None:
         temps0 = np.full(placed.chip.n_cores, placed.chip.t_dtm)
         sim.warm_start(placed.instance_total_powers(warm_start_frequencies, temps0))
 
     core_lists = [list(cores) for _, cores in placed.placements]
-    n_steps = max(1, int(round(duration / dt)))
-    every = max(1, int(round(record_interval / dt)))
-
     times, freqs, gips_trace, peaks, powers = [], [], [], [], []
     perf_sum = power_sum = max_power = 0.0
     max_temp = -np.inf
 
+    temps = sim.core_temperatures
     for k in range(n_steps):
-        temps = sim.core_temperatures
         fs = [
             ctrl.update(float(temps[cores].max()) if cores else 0.0)
             for ctrl, cores in zip(controllers, core_lists)
         ]
+        p = placed.instance_total_powers(fs, temps)
         if power_cap is not None:
-            p = placed.instance_total_powers(fs, temps)
             while p.sum() > power_cap:
                 fastest = max(range(len(fs)), key=lambda i: fs[i])
                 ctrl = controllers[fastest]
@@ -424,80 +606,21 @@ def run_per_instance_boosting(
                 fs[fastest] = max(ctrl.f_min, fs[fastest] - ctrl.step)
                 ctrl.reset(fs[fastest])
                 p = placed.instance_total_powers(fs, temps)
-        p = placed.instance_total_powers(fs, temps)
         total_p = float(p.sum())
-        sim.step(p)
+        temps = sim.step(p)
+        peak = float(np.max(temps))
 
         perf = placed.instance_performance(fs)
         perf_sum += perf
         power_sum += total_p
         max_power = max(max_power, total_p)
-        max_temp = max(max_temp, sim.peak_temperature)
+        max_temp = max(max_temp, peak)
 
         if (k + 1) % every == 0 or k == n_steps - 1:
             times.append((k + 1) * dt)
             freqs.append(float(np.mean(fs)) if fs else 0.0)
             gips_trace.append(to_gips(perf))
-            peaks.append(sim.peak_temperature)
-            powers.append(total_p)
-
-    avg_power = power_sum / n_steps
-    return BoostingRunResult(
-        times=np.array(times),
-        frequencies=np.array(freqs),
-        gips=np.array(gips_trace),
-        peak_temperatures=np.array(peaks),
-        total_powers=np.array(powers),
-        average_gips=to_gips(perf_sum / n_steps),
-        average_power=avg_power,
-        max_power=max_power,
-        max_temperature=float(max_temp),
-        energy=avg_power * duration,
-    )
-
-
-def _run_transient(
-    placed: PlacedWorkload,
-    sim: TransientSimulator,
-    duration: float,
-    record_interval: float,
-    frequency_policy,
-) -> BoostingRunResult:
-    if duration <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration}")
-    n_steps = max(1, int(round(duration / sim.dt)))
-    every = max(1, int(round(record_interval / sim.dt)))
-
-    times: list[float] = []
-    freqs: list[float] = []
-    gips_trace: list[float] = []
-    peaks: list[float] = []
-    powers: list[float] = []
-
-    perf_sum = 0.0
-    power_sum = 0.0
-    max_power = 0.0
-    max_temp = -np.inf
-
-    for k in range(n_steps):
-        temps = sim.core_temperatures
-        peak = float(np.max(temps))
-        f = frequency_policy(peak)
-        p = placed.total_powers(f, temps)
-        total_p = float(p.sum())
-        sim.step(p)
-
-        perf = placed.performance(f)
-        perf_sum += perf
-        power_sum += total_p
-        max_power = max(max_power, total_p)
-        max_temp = max(max_temp, sim.peak_temperature)
-
-        if (k + 1) % every == 0 or k == n_steps - 1:
-            times.append((k + 1) * sim.dt)
-            freqs.append(f)
-            gips_trace.append(to_gips(perf))
-            peaks.append(sim.peak_temperature)
+            peaks.append(peak)
             powers.append(total_p)
 
     avg_power = power_sum / n_steps

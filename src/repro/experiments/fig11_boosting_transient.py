@@ -18,9 +18,9 @@ from repro.boosting.constant import best_constant_frequency
 from repro.boosting.controller import BoostingController
 from repro.boosting.simulation import (
     BoostingRunResult,
+    TransientRun,
     place_workload,
-    run_boosting,
-    run_constant,
+    run_transients,
 )
 from repro.chip import Chip
 from repro.experiments.common import format_table, get_chip
@@ -105,13 +105,6 @@ def run(
     placed = place_workload(chip, workload, placer=NeighbourhoodSpreadPlacer())
 
     const = best_constant_frequency(placed)
-    constant_trace = run_constant(
-        placed,
-        const.frequency,
-        duration=duration,
-        record_interval=record_interval,
-    )
-
     curve = VFCurve.for_node(chip.node)
     controller = BoostingController(
         f_min=chip.node.f_min,
@@ -120,13 +113,24 @@ def run(
         threshold=chip.t_dtm,
         initial_frequency=const.frequency,
     )
-    boosting_trace = run_boosting(
-        placed,
-        controller,
-        duration=duration,
-        record_interval=record_interval,
-        warm_start_frequency=const.frequency,
-        power_cap=power_cap,
+    constant_trace, boosting_trace = run_transients(
+        [
+            TransientRun(
+                placed,
+                duration,
+                frequency=const.frequency,
+                record_interval=record_interval,
+                warm_start_frequency=const.frequency,
+            ),
+            TransientRun(
+                placed,
+                duration,
+                controller=controller,
+                record_interval=record_interval,
+                warm_start_frequency=const.frequency,
+                power_cap=power_cap,
+            ),
+        ]
     )
     return Fig11Result(
         app=app_name,

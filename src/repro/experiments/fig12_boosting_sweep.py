@@ -17,7 +17,7 @@ from repro.apps.parsec import app_by_name
 from repro.apps.workload import Workload
 from repro.boosting.constant import best_constant_frequency
 from repro.boosting.controller import BoostingController
-from repro.boosting.simulation import place_workload, run_boosting
+from repro.boosting.simulation import TransientRun, place_workload, run_transients
 from repro.chip import Chip
 from repro.experiments.common import format_table, get_chip
 from repro.experiments.registry import (
@@ -117,39 +117,44 @@ def run(
         core_counts = range(8, chip.n_cores + 1, 8)
     curve = VFCurve.for_node(chip.node)
 
-    points = []
+    cases = []
     for cores in core_counts:
         n_instances = cores // threads
         if n_instances < 1:
             continue
         workload = Workload.replicate(app, n_instances, threads, chip.node.f_max)
         placed = place_workload(chip, workload, placer=NeighbourhoodSpreadPlacer())
-        const = best_constant_frequency(placed)
-        controller = BoostingController(
-            f_min=chip.node.f_min,
-            f_max=curve.f_limit,
-            step=chip.node.dvfs_step,
-            threshold=chip.t_dtm,
-            initial_frequency=const.frequency,
-        )
-        boost = run_boosting(
-            placed,
-            controller,
-            duration=duration,
-            record_interval=duration,
-            warm_start_frequency=const.frequency,
-            power_cap=power_cap,
-        )
-        points.append(
-            Fig12Point(
-                active_cores=placed.active_cores,
-                constant_frequency=const.frequency,
-                constant_gips=const.gips,
-                constant_power=const.total_power,
-                boosting_gips=boost.average_gips,
-                boosting_peak_power=boost.max_power,
+        cases.append((placed, best_constant_frequency(placed)))
+    boosts = run_transients(
+        [
+            TransientRun(
+                placed,
+                duration,
+                controller=BoostingController(
+                    f_min=chip.node.f_min,
+                    f_max=curve.f_limit,
+                    step=chip.node.dvfs_step,
+                    threshold=chip.t_dtm,
+                    initial_frequency=const.frequency,
+                ),
+                record_interval=duration,
+                warm_start_frequency=const.frequency,
+                power_cap=power_cap,
             )
+            for placed, const in cases
+        ]
+    )
+    points = [
+        Fig12Point(
+            active_cores=placed.active_cores,
+            constant_frequency=const.frequency,
+            constant_gips=const.gips,
+            constant_power=const.total_power,
+            boosting_gips=boost.average_gips,
+            boosting_peak_power=boost.max_power,
         )
+        for (placed, const), boost in zip(cases, boosts)
+    ]
     return Fig12Result(app=app_name, points=tuple(points))
 
 

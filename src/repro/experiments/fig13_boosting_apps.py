@@ -16,7 +16,7 @@ from repro.apps.parsec import PARSEC_ORDER, app_by_name
 from repro.apps.workload import Workload
 from repro.boosting.constant import best_constant_frequency
 from repro.boosting.controller import BoostingController
-from repro.boosting.simulation import place_workload, run_boosting
+from repro.boosting.simulation import TransientRun, place_workload, run_transients
 from repro.chip import Chip
 from repro.experiments.common import format_table, get_chip
 from repro.experiments.registry import (
@@ -124,7 +124,7 @@ def run(
         duration = boost_duration
     chip = chip or get_chip("11nm")
     curve = VFCurve.for_node(chip.node)
-    cases = []
+    placed_cases = []
     for name in app_names:
         app = app_by_name(name)
         for n_instances in instance_counts:
@@ -134,36 +134,44 @@ def run(
             placed = place_workload(
                 chip, workload, placer=NeighbourhoodSpreadPlacer()
             )
-            const = best_constant_frequency(placed)
-            controller = BoostingController(
-                f_min=chip.node.f_min,
-                f_max=curve.f_limit,
-                step=chip.node.dvfs_step,
-                threshold=chip.t_dtm,
-                initial_frequency=const.frequency,
+            placed_cases.append(
+                (name, n_instances, placed, best_constant_frequency(placed))
             )
-            boost = run_boosting(
+    boosts = run_transients(
+        [
+            TransientRun(
                 placed,
-                controller,
-                duration=duration,
+                duration,
+                controller=BoostingController(
+                    f_min=chip.node.f_min,
+                    f_max=curve.f_limit,
+                    step=chip.node.dvfs_step,
+                    threshold=chip.t_dtm,
+                    initial_frequency=const.frequency,
+                ),
                 record_interval=duration,
                 warm_start_frequency=const.frequency,
                 power_cap=power_cap,
             )
-            voltage = curve.voltage(const.frequency)
-            cases.append(
-                Fig13Case(
-                    app=name,
-                    n_instances=n_instances,
-                    constant_frequency=const.frequency,
-                    constant_voltage=voltage,
-                    constant_gips=const.gips,
-                    constant_power=const.total_power,
-                    boosting_gips=boost.average_gips,
-                    boosting_peak_power=boost.max_power,
-                    region=curve.region(voltage),
-                )
+            for _, _, placed, const in placed_cases
+        ]
+    )
+    cases = []
+    for (name, n_instances, _, const), boost in zip(placed_cases, boosts):
+        voltage = curve.voltage(const.frequency)
+        cases.append(
+            Fig13Case(
+                app=name,
+                n_instances=n_instances,
+                constant_frequency=const.frequency,
+                constant_voltage=voltage,
+                constant_gips=const.gips,
+                constant_power=const.total_power,
+                boosting_gips=boost.average_gips,
+                boosting_peak_power=boost.max_power,
+                region=curve.region(voltage),
             )
+        )
     return Fig13Result(node=chip.node.name, cases=tuple(cases))
 
 

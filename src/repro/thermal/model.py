@@ -241,10 +241,12 @@ class ThermalModel:
         """Steady-state temperatures (degC) of every node.
 
         Args:
-            power: full-length per-node injected power vector, in W.
+            power: full-length per-node injected power vector, in W, or
+                an ``(n_nodes, k)`` block of ``k`` such vectors (one
+                multi-RHS solve; the result has the same shape).
         """
         p = np.asarray(power, dtype=float)
-        if p.shape != (self.n_nodes,):
+        if p.ndim not in (1, 2) or p.shape[0] != self.n_nodes:
             raise ConfigurationError(
                 f"expected {self.n_nodes} node powers, got shape {p.shape}"
             )

@@ -13,6 +13,11 @@ The left-hand matrix is constant for a fixed step, so it is factorised
 once — by the model's shared solver backend, cached per ``dt`` on the
 :class:`~repro.thermal.model.ThermalModel` so every simulator with the
 same step reuses it — and each step is a pair of triangular solves.
+
+A simulator advances either one trajectory (an ``(n_nodes,)`` state
+stepped with ``(n_cores,)`` powers) or ``k`` independent trajectories in
+lockstep (an ``(n_nodes, k)`` state stepped with ``(k, n_cores)`` power
+blocks), in which case each step is one multi-RHS solve.
 """
 
 from __future__ import annotations
@@ -54,8 +59,63 @@ class TransientResult:
         return self.core_powers.sum(axis=1)
 
 
+def step_plan(
+    duration: Seconds, dt: Seconds, record_interval: Optional[Seconds] = None
+) -> tuple[int, int]:
+    """Validate a run's timing and return ``(n_steps, record_every)``.
+
+    Args:
+        duration: simulated time, s; must be a whole number of steps
+            (within float tolerance) — silently rounding would simulate a
+            different duration than requested.
+        dt: integration step, s.
+        record_interval: spacing of recorded samples, s; ``None`` records
+            every step.
+
+    Returns:
+        The number of steps and the recording stride in steps.
+
+    Raises:
+        ConfigurationError: on a non-positive duration, a duration
+            shorter than one step, one that is not an integer multiple of
+            ``dt``, or a ``record_interval`` shorter than ``dt``.
+    """
+    if duration <= 0:
+        raise ConfigurationError(f"duration must be positive, got {duration}")
+    n_steps = int(round(duration / dt))
+    if n_steps < 1:
+        raise ConfigurationError(
+            f"duration {duration} s is shorter than one step ({dt} s)"
+        )
+    if abs(n_steps * dt - duration) > 1e-9 * max(duration, dt):  # repro-lint: disable=DS101 - relative tolerance, not a unit
+        raise ConfigurationError(
+            f"duration {duration} s is not a whole number of {dt} s "
+            f"steps (nearest is {n_steps} steps = {n_steps * dt} s); "
+            f"pass an integer multiple of dt"
+        )
+    if record_interval is None:
+        return n_steps, 1
+    if record_interval < dt:
+        raise ConfigurationError(
+            f"record_interval ({record_interval} s) must be >= dt ({dt} s)"
+        )
+    return n_steps, max(1, int(round(record_interval / dt)))
+
+
+def count_simulations(n_steps: int, k: int = 1) -> None:
+    """Record ``k`` transient simulations of ``n_steps`` steps each."""
+    obs.incr("thermal.transient.simulations", k)
+    for _ in range(k):
+        obs.histogram("thermal.transient.steps_per_sim", n_steps)
+
+
 class TransientSimulator:
     """Backward-Euler integrator bound to one :class:`ThermalModel`.
+
+    The state is one trajectory until :meth:`warm_start` or :meth:`step`
+    is given a ``(k, n_cores)`` block; from then on it holds ``k``
+    trajectories as an ``(n_nodes, k)`` block (a single state is copied
+    into every column) and every step takes a ``(k, n_cores)`` block.
 
     Args:
         model: the thermal model.
@@ -84,12 +144,14 @@ class TransientSimulator:
 
     @property
     def core_temperatures(self) -> np.ndarray:
-        """Current core temperatures, degC."""
-        return self._model.ambient + self._state[self._model.core_indices]
+        """Current core temperatures, degC: ``(n_cores,)``, or a C-ordered
+        ``(k, n_cores)`` block (one row per trajectory) for a block state."""
+        cores = self._state[self._model.core_indices]
+        return self._model.ambient + np.ascontiguousarray(cores.T)
 
     @property
     def peak_temperature(self) -> float:
-        """Current hottest-core temperature, degC."""
+        """Current hottest-core temperature (over every trajectory), degC."""
         return float(np.max(self.core_temperatures))
 
     def reset(self, core_temperatures: Optional[Sequence[float]] = None) -> None:
@@ -113,20 +175,57 @@ class TransientSimulator:
             )
         self._state = np.zeros(self._model.n_nodes)
 
+    def _core_powers(self, core_powers) -> np.ndarray:
+        """``core_powers`` as a ``(n_cores,)`` vector or ``(k, n_cores)`` block."""
+        p = np.asarray(core_powers, dtype=float)
+        n = self._model.n_cores
+        if p.ndim not in (1, 2) or p.shape[-1] != n or p.size == 0:
+            raise ConfigurationError(
+                f"expected {n} core powers or a (k, {n}) block, "
+                f"got shape {p.shape}"
+            )
+        return p
+
     def warm_start(self, core_powers: Sequence[float]) -> None:
-        """Set the state to the steady state of ``core_powers``."""
-        full = self._model.expand_core_powers(core_powers)
+        """Set the state to the steady state of ``core_powers``.
+
+        A ``(k, n_cores)`` block starts ``k`` trajectories, one per row,
+        with one multi-RHS steady solve.
+        """
+        p = self._core_powers(core_powers)
+        full = np.zeros((self._model.n_nodes,) + p.shape[:-1])
+        full[self._model.core_indices] = p.T
         self._state = self._model.steady_state(full) - self._model.ambient
 
     def step(self, core_powers: Sequence[float]) -> np.ndarray:
         """Advance one ``dt`` with the given per-core powers (W).
 
+        Args:
+            core_powers: ``(n_cores,)`` for a single trajectory, or a
+                ``(k, n_cores)`` block advancing ``k`` trajectories in one
+                multi-RHS solve.
+
         Returns:
-            The core temperatures (degC) after the step.
+            The core temperatures (degC) after the step, shaped like
+            :attr:`core_temperatures`.
+
+        Raises:
+            ConfigurationError: on a power shape that does not match the
+                core count or the state's number of trajectories.
         """
-        obs.incr("thermal.transient.steps")
-        p = self._model.expand_core_powers(core_powers)
-        rhs = self._c_over_dt * self._state + p
+        p = self._core_powers(core_powers)
+        state = self._state
+        if p.ndim == 2 and state.ndim == 1:
+            state = np.repeat(state[:, None], p.shape[0], axis=1)
+        if state.shape[1:] != p.shape[:-1]:
+            raise ConfigurationError(
+                f"power shape {p.shape} does not match a state of "
+                f"{state.shape[1] if state.ndim == 2 else 1} trajectories"
+            )
+        obs.incr("thermal.transient.steps", 1 if p.ndim == 1 else p.shape[0])
+        c_over_dt = self._c_over_dt if p.ndim == 1 else self._c_over_dt[:, None]
+        rhs = c_over_dt * state
+        rhs[self._model.core_indices] += p.T
         self._state = self._factorization.solve(rhs)
         return self.core_temperatures
 
@@ -152,34 +251,10 @@ class TransientSimulator:
             A :class:`TransientResult` with the recorded trajectory.
 
         Raises:
-            ConfigurationError: on a non-positive duration, a duration
-                shorter than one step, or one that is not an integer
-                multiple of ``dt``.
+            ConfigurationError: as :func:`step_plan` does.
         """
-        if duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {duration}")
-        n_steps = int(round(duration / self._dt))
-        if n_steps < 1:
-            raise ConfigurationError(
-                f"duration {duration} s is shorter than one step ({self._dt} s)"
-            )
-        if abs(n_steps * self._dt - duration) > 1e-9 * max(duration, self._dt):  # repro-lint: disable=DS101 - relative tolerance, not a unit
-            raise ConfigurationError(
-                f"duration {duration} s is not a whole number of {self._dt} s "
-                f"steps (nearest is {n_steps} steps = {n_steps * self._dt} s); "
-                f"pass an integer multiple of dt"
-            )
-        every = 1
-        if record_interval is not None:
-            if record_interval < self._dt:
-                raise ConfigurationError(
-                    f"record_interval ({record_interval} s) must be >= dt "
-                    f"({self._dt} s)"
-                )
-            every = max(1, int(round(record_interval / self._dt)))
-
-        obs.incr("thermal.transient.simulations")
-        obs.histogram("thermal.transient.steps_per_sim", n_steps)
+        n_steps, every = step_plan(duration, self._dt, record_interval)
+        count_simulations(n_steps)
         times: list[float] = []
         temps: list[np.ndarray] = []
         powers: list[np.ndarray] = []

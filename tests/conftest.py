@@ -58,3 +58,59 @@ def canneal():
 def all_apps():
     """Every PARSEC profile."""
     return dict(PARSEC)
+
+
+@pytest.fixture(scope="session")
+def lockstep_runs():
+    """Factory of a heterogeneous lockstep boosting batch.
+
+    ``lockstep_runs(chip)`` builds fresh runs (controllers are stateful)
+    on an 11 nm chip, 0.1 s each: x264 x12 and canneal x24 boost under
+    the 500 W cap and both hit it, ferret x24 boosts uncapped, and
+    blackscholes x12 holds its best constant frequency.  The record
+    intervals differ per run.
+    """
+    from repro.apps.workload import Workload
+    from repro.boosting.constant import best_constant_frequency
+    from repro.boosting.controller import BoostingController
+    from repro.boosting.simulation import TransientRun, place_workload
+    from repro.mapping.patterns import NeighbourhoodSpreadPlacer
+    from repro.power.vf_curve import VFCurve
+
+    def build(chip: Chip) -> list:
+        curve = VFCurve.for_node(chip.node)
+        runs = []
+        for name, n, cap, record in (
+            ("x264", 12, 500.0, 0.01),
+            ("canneal", 24, 500.0, 0.05),
+            ("ferret", 24, None, 0.02),
+            ("blackscholes", 12, None, 0.1),
+        ):
+            workload = Workload.replicate(app_by_name(name), n, 8, chip.node.f_max)
+            placed = place_workload(chip, workload, placer=NeighbourhoodSpreadPlacer())
+            f = best_constant_frequency(placed).frequency
+            if name == "blackscholes":
+                control = {"frequency": f}
+            else:
+                control = {
+                    "controller": BoostingController(
+                        f_min=chip.node.f_min,
+                        f_max=curve.f_limit,
+                        step=chip.node.dvfs_step,
+                        threshold=chip.t_dtm,
+                        initial_frequency=f,
+                    ),
+                    "power_cap": cap,
+                }
+            runs.append(
+                TransientRun(
+                    placed,
+                    0.1,
+                    record_interval=record,
+                    warm_start_frequency=f,
+                    **control,
+                )
+            )
+        return runs
+
+    return build

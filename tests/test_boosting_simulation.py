@@ -1,20 +1,30 @@
 """Placed workloads and transient boosting/constant runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.apps.parsec import PARSEC
 from repro.apps.workload import ApplicationInstance, Workload
 from repro.boosting.constant import best_constant_frequency, constant_steady
 from repro.boosting.controller import BoostingController
 from repro.boosting.simulation import (
+    BoostingRunResult,
     PlacedWorkload,
+    TransientRun,
     place_workload,
     run_boosting,
     run_constant,
+    run_per_instance_boosting,
+    run_transients,
 )
+from repro.chip import Chip
 from repro.errors import ConfigurationError, InfeasibleError, MappingError
 from repro.power.vf_curve import VFCurve
+from repro.tech.library import NODE_11NM
+from repro.thermal.backends import set_default_backend
 from repro.units import GIGA
 
 
@@ -182,3 +192,208 @@ class TestTransients:
     def test_invalid_duration_rejected(self, placed):
         with pytest.raises(ConfigurationError, match="duration"):
             run_constant(placed, 2.0 * GIGA, duration=0.0)
+
+    @pytest.mark.parametrize(
+        "timing, match",
+        [
+            ({"duration": 2.5e-3}, "whole number"),
+            ({"duration": 0.4e-3}, "shorter than one step"),
+            ({"duration": 0.01, "record_interval": 0.4e-3}, "record_interval"),
+        ],
+    )
+    def test_partial_steps_rejected(self, small_chip, placed, timing, match):
+        # Regression: these used to be rounded to whole steps while the
+        # energy was still reported for the requested duration (2.5 ms
+        # simulated 2 steps and reported 25% too much energy).
+        ctrl = BoostingController(
+            f_min=small_chip.node.f_min,
+            f_max=small_chip.node.f_max,
+            step=small_chip.node.dvfs_step,
+            threshold=small_chip.t_dtm,
+        )
+        calls = (
+            lambda: run_constant(placed, 2.0 * GIGA, dt=1e-3, **timing),
+            lambda: run_boosting(placed, ctrl, dt=1e-3, **timing),
+            lambda: run_per_instance_boosting(placed, [ctrl, ctrl], dt=1e-3, **timing),
+        )
+        for call in calls:
+            with pytest.raises(ConfigurationError, match=match):
+                call()
+
+    def test_cap_below_f_min_power_pins_f_min(self, small_chip, placed):
+        # A cap no frequency meets steps every period down to f_min; the
+        # power applied must then be the f_min vector, as in a constant
+        # run at f_min.  A 0.3 GHz step overshoots f_min from 3 GHz.
+        node = small_chip.node
+        for step in (node.dvfs_step, 0.3 * GIGA):
+            ctrl = BoostingController(
+                f_min=node.f_min,
+                f_max=node.f_max,
+                step=step,
+                threshold=small_chip.t_dtm,
+                initial_frequency=3.0 * GIGA,
+            )
+            boosted, constant = run_transients(
+                [
+                    TransientRun(
+                        placed,
+                        0.05,
+                        controller=ctrl,
+                        record_interval=0.01,
+                        warm_start_frequency=3.0 * GIGA,
+                        power_cap=1.0,
+                    ),
+                    TransientRun(
+                        placed,
+                        0.05,
+                        frequency=node.f_min,
+                        record_interval=0.01,
+                        warm_start_frequency=3.0 * GIGA,
+                    ),
+                ]
+            )
+            assert_runs_equal(boosted, constant)
+
+
+def assert_runs_equal(got: BoostingRunResult, want: BoostingRunResult) -> None:
+    """Every field equal, arrays element for element."""
+    for field in dataclasses.fields(BoostingRunResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.fixture(scope="module")
+def sparse_chip11():
+    """The 11 nm chip on the sparse backend, whatever the default is."""
+    set_default_backend("sparse")
+    try:
+        return Chip.for_node(NODE_11NM)
+    finally:
+        set_default_backend(None)
+
+
+class TestLockstep:
+    def test_lockstep_equals_sequential(self, sparse_chip11, lockstep_runs):
+        batch = run_transients(lockstep_runs(sparse_chip11))
+        singles = [run_transients([run])[0] for run in lockstep_runs(sparse_chip11)]
+        assert len(batch) == len(singles) == 4
+        for got, want in zip(batch, singles):
+            assert_runs_equal(got, want)
+        # the capped cases really were capped
+        assert 450.0 < batch[0].max_power <= 500.0
+        assert 450.0 < batch[1].max_power <= 500.0
+
+    def test_wrappers_are_single_runs(self, small_chip, placed):
+        def ctrl():
+            return BoostingController(
+                f_min=small_chip.node.f_min,
+                f_max=small_chip.node.f_max,
+                step=small_chip.node.dvfs_step,
+                threshold=small_chip.t_dtm,
+                initial_frequency=2.0 * GIGA,
+            )
+
+        boosted = run_boosting(
+            placed, ctrl(), 0.05, record_interval=0.01, warm_start_frequency=2.0 * GIGA
+        )
+        constant = run_constant(placed, 2.0 * GIGA, 0.05, record_interval=0.01)
+        batch = run_transients(
+            [
+                TransientRun(
+                    placed,
+                    0.05,
+                    controller=ctrl(),
+                    record_interval=0.01,
+                    warm_start_frequency=2.0 * GIGA,
+                ),
+                TransientRun(
+                    placed,
+                    0.05,
+                    frequency=2.0 * GIGA,
+                    record_interval=0.01,
+                    warm_start_frequency=2.0 * GIGA,
+                ),
+            ]
+        )
+        assert_runs_equal(batch[0], boosted)
+        assert_runs_equal(batch[1], constant)
+
+    def test_cold_start_runs_start_at_ambient(self, small_chip, placed):
+        cold, warm = run_transients(
+            [
+                TransientRun(placed, 0.01, frequency=2.0 * GIGA, record_interval=0.001),
+                TransientRun(
+                    placed,
+                    0.01,
+                    frequency=2.0 * GIGA,
+                    record_interval=0.001,
+                    warm_start_frequency=2.0 * GIGA,
+                ),
+            ]
+        )
+        assert_runs_equal(
+            cold, run_constant(placed, 2.0 * GIGA, 0.01, record_interval=0.001, warm_start=False)
+        )
+        assert cold.peak_temperatures[0] < warm.peak_temperatures[0]
+
+    def test_mixed_chips_rejected(self, small_chip, sparse_chip11, placed):
+        other = place_workload(
+            sparse_chip11, Workload.replicate(PARSEC["x264"], 2, 4, 3.0 * GIGA)
+        )
+        runs = [
+            TransientRun(placed, 0.01, frequency=2.0 * GIGA),
+            TransientRun(other, 0.01, frequency=2.0 * GIGA),
+        ]
+        with pytest.raises(ConfigurationError, match="one chip"):
+            run_transients(runs)
+
+    def test_mixed_dt_rejected(self, placed):
+        runs = [
+            TransientRun(placed, 0.01, frequency=2.0 * GIGA, dt=1e-3, record_interval=0.01),
+            TransientRun(placed, 0.01, frequency=2.0 * GIGA, dt=2e-3, record_interval=0.01),
+        ]
+        with pytest.raises(ConfigurationError, match="one dt"):
+            run_transients(runs)
+
+    def test_run_needs_exactly_one_control(self, small_chip, placed):
+        ctrl = BoostingController(
+            f_min=small_chip.node.f_min,
+            f_max=small_chip.node.f_max,
+            step=small_chip.node.dvfs_step,
+            threshold=small_chip.t_dtm,
+        )
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            TransientRun(placed, 0.01)
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            TransientRun(placed, 0.01, controller=ctrl, frequency=2.0 * GIGA)
+        with pytest.raises(ConfigurationError, match="power_cap"):
+            TransientRun(placed, 0.01, frequency=2.0 * GIGA, power_cap=100.0)
+
+    def test_empty_batch(self):
+        assert run_transients([]) == []
+
+    def test_each_column_counts_as_a_simulation(self, placed):
+        was_enabled = obs.enabled()
+        obs.enable()
+        obs.reset()
+        try:
+            k, n_steps = 3, 20
+            run_transients(
+                [
+                    TransientRun(placed, n_steps * 1e-3, frequency=f * GIGA)
+                    for f in (1.0, 2.0, 3.0)
+                ]
+            )
+            snap = obs.snapshot()
+        finally:
+            obs.reset()
+            if not was_enabled:
+                obs.disable()
+        assert snap["counters"]["thermal.transient.simulations"] == k
+        assert snap["counters"]["thermal.transient.steps"] == k * n_steps
+        hist = snap["histograms"]["thermal.transient.steps_per_sim"]
+        assert hist["count"] == k
+        assert hist["sum"] == k * n_steps

@@ -5,17 +5,19 @@ The dense LAPACK backend is the reference; the sparse SuperLU backend
 and the compiled-kernel backend must agree with it to 1e-9 K on random
 floorplans — for direct steady states, batched multi-RHS solves, the
 influence matrix, backward-Euler transients, and the TSP tables built
-on top.
+on top — and on the 11 nm chip for a lockstep boosting batch.
 """
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.boosting.simulation import run_transients
+from repro.chip import Chip
 from repro.errors import ConfigurationError
 from repro.floorplan.generator import grid_floorplan
 from repro.perf import BatchedSteadyState
-from repro.tech.library import NODE_16NM
+from repro.tech.library import NODE_11NM, NODE_16NM
 from repro.thermal import backends
 from repro.thermal.backends import (
     CompiledBackend,
@@ -242,6 +244,22 @@ class TestBackendEquivalence:
             for name in ("sparse", "compiled"):
                 diff = np.abs(trajectories[name] - trajectories["dense"]).max()
                 assert diff <= TOL_K
+
+    def test_lockstep_boosting(self, lockstep_runs):
+        # The heterogeneous 11 nm lockstep batch (capped, uncapped and
+        # constant runs) takes the same decisions on every backend.
+        results = {}
+        for name in backend_names():
+            set_default_backend(name)
+            results[name] = run_transients(lockstep_runs(Chip.for_node(NODE_11NM)))
+        set_default_backend(None)
+        for name in ("dense", "compiled"):
+            for got, ref in zip(results[name], results["sparse"]):
+                assert np.array_equal(got.frequencies, ref.frequencies)
+                assert np.abs(got.peak_temperatures - ref.peak_temperatures).max() <= TOL_K
+                assert abs(got.max_temperature - ref.max_temperature) <= TOL_K
+                assert np.abs(got.total_powers - ref.total_powers).max() <= TOL_K
+                assert abs(got.average_power - ref.average_power) <= TOL_K
 
     def test_tsp_tables(self, model_sets):
         for models in model_sets:

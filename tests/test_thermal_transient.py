@@ -41,6 +41,60 @@ class TestStep:
             TransientSimulator(model, dt=0.0)
 
 
+class TestBlockSteps:
+    """k trajectories in one (n_nodes, k) state, one solve per step."""
+
+    @pytest.fixture(scope="class")
+    def sparse_model(self):
+        return build_thermal_model(
+            grid_floorplan(3, 3, NODE_16NM.core_area), backend="sparse"
+        )
+
+    def test_block_equals_independent_simulators(self, sparse_model):
+        rng = np.random.default_rng(7)
+        k, n_steps = 4, 12
+        start = rng.uniform(0.0, 5.0, (k, 9))
+        schedule = rng.uniform(0.0, 6.0, (n_steps, k, 9))
+        block = TransientSimulator(sparse_model, dt=1e-3)
+        block.warm_start(start)
+        singles = [TransientSimulator(sparse_model, dt=1e-3) for _ in range(k)]
+        for sim, row in zip(singles, start):
+            sim.warm_start(row)
+        assert np.array_equal(
+            block.core_temperatures,
+            np.stack([sim.core_temperatures for sim in singles]),
+        )
+        for powers in schedule:
+            got = block.step(powers)
+            want = np.stack([sim.step(row) for sim, row in zip(singles, powers)])
+            assert got.shape == (k, 9)
+            assert np.array_equal(got, want)
+
+    def test_block_from_single_state_copies_it(self, sparse_model):
+        block = TransientSimulator(sparse_model, dt=1e-3)
+        single = TransientSimulator(sparse_model, dt=1e-3)
+        got = block.step(np.full((3, 9), 2.0))
+        want = single.step(np.full(9, 2.0))
+        assert np.array_equal(got, np.stack([want] * 3))
+
+    def test_wrong_width_block_rejected(self, model):
+        sim = TransientSimulator(model, dt=1e-3)
+        with pytest.raises(ConfigurationError, match="core powers"):
+            sim.step(np.zeros((2, 8)))
+        with pytest.raises(ConfigurationError, match="core powers"):
+            sim.warm_start(np.zeros((2, 10)))
+        with pytest.raises(ConfigurationError, match="core powers"):
+            sim.step(np.zeros(8))
+
+    def test_block_size_fixed_once_started(self, model):
+        sim = TransientSimulator(model, dt=1e-3)
+        sim.warm_start(np.zeros((2, 9)))
+        with pytest.raises(ConfigurationError, match="trajectories"):
+            sim.step(np.zeros((3, 9)))
+        with pytest.raises(ConfigurationError, match="trajectories"):
+            sim.step(np.zeros(9))
+
+
 class TestConvergenceToSteadyState:
     def test_long_run_reaches_steady_state(self, model):
         sim = TransientSimulator(model, dt=0.05)
