@@ -3,7 +3,7 @@
 # Make every target work from a plain checkout (no editable install).
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test lint figures-smoke obs-smoke bench bench-smoke bench-e2e bench-track bench-backends report experiments examples clean
+.PHONY: install test lint figures-smoke obs-smoke bench-e2e report experiments examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -38,7 +38,8 @@ figures-smoke:
 # Round-trip the continuous-telemetry layer on one quick experiment:
 # run with the background sampler streaming to JSONL and attribution on,
 # tail the sample stream, render the snapshot in the Prometheus text
-# format, and evaluate the shipped benchmarks/budgets.json against it.
+# format, evaluate the shipped benchmarks/budgets.json against it, and
+# render the markdown report from it.
 obs-smoke:
 	rm -rf .obs-smoke
 	mkdir -p .obs-smoke
@@ -47,15 +48,8 @@ obs-smoke:
 	python -m repro.cli obs tail --follow .obs-smoke/samples.jsonl
 	python -m repro.cli obs prom --snapshot .obs-smoke/snapshot.json > .obs-smoke/metrics.prom
 	python -m repro.cli obs watch --snapshot .obs-smoke/snapshot.json
+	python -m repro.cli report --snapshot .obs-smoke/snapshot.json --out .obs-smoke/report.md
 	rm -rf .obs-smoke
-
-bench:
-	pytest benchmarks/ --benchmark-only
-
-# Fast sanity pass over the hot-path benchmarks: fails on any exception
-# (import errors, solver regressions), without judging timings.
-bench-smoke:
-	pytest benchmarks/bench_fig10_tsp.py benchmarks/bench_runtime_policies.py -x -q --benchmark-only
 
 # The end-to-end benchmark (benchmarks/e2e, BENCHMARK.json): the
 # harness's own tests (~30 s), then one traced dsrem_mixes run and one
@@ -67,22 +61,11 @@ bench-e2e:
 	python3 benchmarks/e2e/run.py --workload dsrem_mixes --seed 0 --seconds 5 --trace 1
 	python3 benchmarks/e2e/run.py --workload boost_transients --seed 0 --seconds 5 --trace 1
 
-# Timed + instrumented trajectory entry: runs the bench-smoke set with
-# the observability registry on, appends wall-clock and registry
-# snapshots to BENCH_TRACK.json, and fails on >20% regression vs the
-# committed benchmarks/bench_baseline.json.
-bench-track:
-	python benchmarks/track.py
-
-# Smoke-run the Figure 10 TSP bench under every thermal solver backend
-# (dense, sparse, compiled) and print the wall-clock comparison.
-bench-backends:
-	python benchmarks/track.py --backends
-
-# Render BENCH_TRACK.json (+ any runs.jsonl ledger passed via
-# REPORT_STORE=DIR) into the markdown dashboard at reports/performance.md.
+# Render an obs snapshot (REPORT_SNAPSHOT=FILE, a --profile-out export)
+# and any runs.jsonl ledger (REPORT_STORE=DIR) into the markdown
+# dashboard at reports/performance.md.
 report:
-	python -m repro.cli report $(if $(REPORT_STORE),--store $(REPORT_STORE))
+	python -m repro.cli report $(if $(REPORT_SNAPSHOT),--snapshot $(REPORT_SNAPSHOT)) $(if $(REPORT_STORE),--store $(REPORT_STORE))
 
 experiments:
 	python -m repro.cli run all
@@ -91,5 +74,5 @@ examples:
 	for f in examples/*.py; do echo "== $$f =="; python $$f; done
 
 clean:
-	rm -rf build dist src/*.egg-info .pytest_benchmarks .benchmarks .figures-smoke-store .lint-cache
+	rm -rf build dist src/*.egg-info .figures-smoke-store .lint-cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -18,7 +18,7 @@ Usage::
     darksilicon obs tail --follow s.jsonl      # pretty-print the samples
     darksilicon obs watch --snapshot snap.json # budgets verdicts
     darksilicon obs prom --snapshot snap.json  # Prometheus exposition
-    darksilicon report                   # render the markdown dashboard
+    darksilicon report --snapshot snap.json    # markdown dashboard
 
 Every experiment is dispatched through
 :mod:`repro.experiments.registry`: ``--params key=value`` overrides are
@@ -58,7 +58,7 @@ renders a snapshot as Prometheus text exposition.
 Every ``run``/``batch`` with ``--store`` also appends one
 :class:`repro.obs.manifest.RunManifest` line per cell to the store's
 ``runs.jsonl`` ledger; ``darksilicon report`` renders that ledger plus
-``BENCH_TRACK.json`` into a markdown dashboard under ``reports/``.
+an exported obs snapshot into a markdown dashboard under ``reports/``.
 """
 
 from __future__ import annotations
@@ -684,8 +684,7 @@ def _cmd_report(args) -> int:
     from repro import report
 
     out = report.generate(
-        args.track,
-        args.baseline,
+        args.snapshot,
         store_root=args.store,
         out_path=args.out,
         top=args.top,
@@ -983,21 +982,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser(
         "report",
-        help="render BENCH_TRACK.json + the store's runs.jsonl ledger "
+        help="render an obs snapshot + the store's runs.jsonl ledger "
         "into a markdown performance dashboard",
     )
     p_report.add_argument(
-        "--track",
+        "--snapshot",
         metavar="PATH",
-        default="BENCH_TRACK.json",
-        help="bench trajectory file (default: BENCH_TRACK.json)",
-    )
-    p_report.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=str(Path("benchmarks") / "bench_baseline.json"),
-        help="committed bench baseline "
-        "(default: benchmarks/bench_baseline.json)",
+        help="obs snapshot exported by --profile-out whose spans and "
+        "histograms feed the hottest-spans and percentile sections",
     )
     p_report.add_argument(
         "--store",

@@ -2,10 +2,10 @@
 
 Every module exposes a ``run(...)`` function returning a plain result
 object with a ``rows()`` method (list of tuples for tabulation) and a
-``table()`` method (formatted text).  The benchmark harness under
-``benchmarks/`` and the ``darksilicon`` CLI both consume these — the
-benchmarks additionally assert the headline *shapes* the paper reports
-(who wins, in which direction, by roughly what factor).
+``table()`` method (formatted text).  The ``darksilicon`` CLI and the
+paper checks under ``tests/paper/`` both consume these — the checks
+additionally assert the headline *shapes* the paper reports (who wins,
+in which direction, by roughly what factor).
 
 Figure -> module map (see DESIGN.md for the full experiment index):
 

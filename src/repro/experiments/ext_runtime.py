@@ -3,7 +3,7 @@
 Runs the identical saturating job stream under the TDP-FIFO baseline and
 the TSP-adaptive policy and tabulates the scheduling metrics.  This is
 the paper's conclusion ("thermal-aware dark silicon management") in an
-online setting; `benchmarks/bench_runtime_policies.py` asserts the
+online setting; `tests/paper/test_runtime_policies.py` asserts the
 shape.
 """
 

@@ -6,7 +6,7 @@ For every PARSEC application, 8-thread instances are mapped onto the
 quantities are the dark-core percentage per level and the steady-state
 peak temperature at the maximum level.
 
-The paper's headline observations asserted by the benchmark:
+The paper's headline observations asserted by the paper checks:
 
 * power-hungry applications leave up to ~37 % (220 W) / ~46 % (185 W) of
   the chip dark at maximum v/f;

@@ -95,7 +95,7 @@ def run(
         n_instances: instances (paper: 12).
         threads: threads per instance (paper: 8).
         duration: simulated seconds (paper: 100; smaller values keep the
-            benchmark fast while preserving the oscillation shape).
+            run fast while preserving the oscillation shape).
         power_cap: electrical power constraint for boosting, W.
         record_interval: trace sampling, s.
     """

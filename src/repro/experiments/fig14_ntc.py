@@ -3,7 +3,7 @@
 NTC runs each instance with 8 threads at a near-threshold point (1 GHz);
 the STC schemes run 1 or 2 threads at the frequency matching NTC's
 performance.  The paper's Observation 4 shapes, asserted by the
-benchmark: NTC is the most energy-efficient scheme for thread-scalable
+paper checks: NTC is the most energy-efficient scheme for thread-scalable
 applications, but *loses* to STC for canneal, whose poor thread scaling
 makes eight barely-utilised near-threshold cores wasteful.
 """

@@ -15,7 +15,7 @@ and is **disabled by default**: every recording call short-circuits on
 one boolean, so instrumentation stays in place permanently at effectively
 zero cost.  Enable it per process (:func:`enable`), per CLI run
 (``darksilicon fig10 --profile``) or via the environment
-(``REPRO_OBS=1``, used by ``make bench-track``).
+(``REPRO_OBS=1``).
 
 A second switch, :func:`enable_trace` (CLI ``--trace-out``), makes every
 span additionally record begin/end *timeline events* with pid/tid and
@@ -36,7 +36,7 @@ background thread, :mod:`repro.obs.exporters` renders any snapshot as
 Prometheus text exposition (servable over HTTP) or streams it as JSONL,
 and :mod:`repro.obs.watch` evaluates declarative metric budgets
 (``benchmarks/budgets.json``) against snapshots — the gate behind
-``make bench-track`` and ``darksilicon obs watch``.
+``darksilicon obs watch`` and ``make obs-smoke``.
 
 Instrumented subsystems and their name prefixes:
 

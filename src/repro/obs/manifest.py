@@ -109,8 +109,8 @@ def code_fingerprint(package_root: Optional[Union[str, Path]] = None) -> str:
     Hashes the sorted relative paths and contents of every ``*.py``
     file under the :mod:`repro` package — the whole-tree counterpart of
     :meth:`~repro.experiments.registry.ExperimentSpec.fingerprint`
-    (which tracks one experiment module).  Bench-track entries record
-    it so a trajectory point can be tied to the exact code state.
+    (which tracks one experiment module), tying a result to the exact
+    code state of the whole package.
     """
     root = Path(package_root) if package_root else Path(__file__).parent.parent
     digest = hashlib.sha256()

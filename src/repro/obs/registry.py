@@ -21,7 +21,7 @@ The registry is **disabled by default** and every recording call begins
 with one boolean check — the null fast path.  Instrumented hot loops
 (the batched engine's cache, the event loop, the transient integrator)
 therefore pay a single predictable branch per event when observability
-is off; measured overhead on the tier-1 benchmarks is below the noise
+is off; measured overhead on the hot paths is below the noise
 floor (see ``docs/observability.md`` and ``tests/test_obs_overhead.py``).
 
 Counters, timers, spans and histogram count/sum/buckets are plain sums,
@@ -95,7 +95,8 @@ def diff_snapshots(now: dict, before: dict) -> dict:
     ``snap_n - snap_0`` to the bit.  A histogram delta carries the
     *current* min/max (extremes cannot be subtracted).  Gauges are
     included when their value changed or is new.  Entries absent from
-    ``before`` are returned whole; unchanged entries are omitted.
+    ``before`` are returned whole; unchanged entries are omitted (a
+    histogram counts as changed when its count, sum or any bucket moved).
 
     :meth:`Registry.diff` is this applied to a live snapshot; the
     :class:`~repro.obs.sampler.SnapshotSampler` calls it directly with
@@ -136,17 +137,20 @@ def diff_snapshots(now: dict, before: dict) -> dict:
             out["histograms"][name] = agg
             continue
         d_count = agg["count"] - prev["count"]
-        if not d_count:
-            continue
+        d_sum = agg["sum"] - prev["sum"]
         prev_buckets = prev.get("buckets", {})
         buckets = {
             key: n - prev_buckets.get(key, 0)
             for key, n in agg["buckets"].items()
             if n - prev_buckets.get(key, 0)
         }
+        # A snapshot can catch a record between its count and its
+        # sum/bucket updates, so an interval may move only the latter.
+        if not (d_count or d_sum or buckets):
+            continue
         out["histograms"][name] = {
             "count": d_count,
-            "sum": agg["sum"] - prev["sum"],
+            "sum": d_sum,
             "min": agg["min"],
             "max": agg["max"],
             "buckets": buckets,
@@ -291,7 +295,7 @@ class Registry:
         :class:`repro.errors.ConfigurationError` instead of silently
         forking a time series; validated names are cached, so steady-
         state cost is one set lookup.  Enabled by the test suite, the
-        ``darksilicon obs`` demo and ``benchmarks/track.py``.
+        ``darksilicon obs`` demo.
         """
         self._validate_names = validate
 

@@ -6,9 +6,8 @@ histogram stays below this bound" — loaded from JSON
 (``benchmarks/budgets.json`` ships the project's own), evaluated
 against *any* snapshot: a finished run's export, a live registry, one
 interval delta from the sampler's JSONL stream.  Evaluation produces
-:class:`Verdict` rows; ``benchmarks/track.py`` records them per entry
-and fails on hard violations, and ``darksilicon obs watch`` runs the
-same check standalone.
+:class:`Verdict` rows; ``darksilicon obs watch`` prints them and fails
+on hard violations (``make obs-smoke`` runs it on a real snapshot).
 
 Budget schema (one JSON object per budget, under a top-level
 ``"budgets"`` list)::

@@ -13,7 +13,7 @@ The paper quantifies two TDP values for the 100-core 16 nm chip:
 Both derivations are exposed as functions so the experiments can recompute
 them for any chip/node instead of hard-coding the paper's watt figures;
 the paper's own numbers are kept as constants for reference and for
-benchmarks that reproduce the exact Figure 5 setting.
+checks that reproduce the exact Figure 5 setting.
 """
 
 from __future__ import annotations

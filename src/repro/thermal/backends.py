@@ -10,18 +10,14 @@ per matrix and share it across :class:`~repro.thermal.steady_state.
 SteadyStateSolver`, :class:`~repro.thermal.transient.TransientSimulator`
 and :class:`~repro.perf.batched.BatchedSteadyState`.
 
-Three interchangeable backends:
+Two interchangeable backends:
 
 * ``"dense"``  — LAPACK LU on the densified matrix.  O(n^3) factorize,
-  BLAS-3 solves; the reference implementation the property suites pin
-  the other backends against.
+  BLAS-3 solves; the independent reference the property suites pin the
+  sparse backend against.
 * ``"sparse"`` — SuperLU on the CSC matrix in symmetric mode
   (``MMD_AT_PLUS_A`` ordering), which roughly halves the fill of the
   default column ordering on RC meshes.  The default.
-* ``"compiled"`` — the sparse factorization with the triangular solves
-  executed by numba-jitted CSR kernels; when numba is not installed the
-  backend *degrades gracefully* to the plain sparse factorization, so
-  selecting ``"compiled"`` is always safe.
 
 Backends solve single vectors (``(n,)``) and whole RHS batches
 (``(n, k)``) through the same :meth:`Factorization.solve` call; batched
@@ -37,6 +33,7 @@ worker processes inherit it).
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from typing import Optional, Protocol, Union, runtime_checkable
 
@@ -47,11 +44,6 @@ from scipy.sparse.linalg import splu
 
 from repro import obs
 from repro.errors import ConfigurationError
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-except ImportError:  # pragma: no cover - the common case in CI
-    _numba = None
 
 #: Environment variable overriding the process-default backend name.
 BACKEND_ENV_VAR = "REPRO_THERMAL_BACKEND"
@@ -163,120 +155,15 @@ class SparseBackend:
         return SparseFactorization(matrix)
 
 
-# -- compiled backend -------------------------------------------------
-#
-# The kernels below are written to be numba-jittable *and* plain-Python
-# runnable: with numba installed they are compiled once per process and
-# run the CSR triangular substitutions at C speed; without numba the
-# same functions remain callable (the test suite verifies the kernel
-# mathematics that way), but the backend itself degrades to the sparse
-# factorization so production solves never hit interpreted loops.
-
-
-def _csr_lower_solve(indptr, indices, data, b):
-    """In-place forward substitution ``L y = b`` on CSR ``L`` (rows of
-    ``L`` hold the diagonal entry last).  ``b`` has shape (n, k)."""
-    n = b.shape[0]
-    for i in range(n):
-        start, end = indptr[i], indptr[i + 1]
-        for p in range(start, end - 1):
-            j = indices[p]
-            for c in range(b.shape[1]):
-                b[i, c] -= data[p] * b[j, c]
-        d = data[end - 1]
-        for c in range(b.shape[1]):
-            b[i, c] /= d
-    return b
-
-
-def _csr_upper_solve(indptr, indices, data, b):
-    """In-place backward substitution ``U x = b`` on CSR ``U`` (rows of
-    ``U`` hold the diagonal entry first).  ``b`` has shape (n, k)."""
-    n = b.shape[0]
-    for i in range(n - 1, -1, -1):
-        start, end = indptr[i], indptr[i + 1]
-        for p in range(start + 1, end):
-            j = indices[p]
-            for c in range(b.shape[1]):
-                b[i, c] -= data[p] * b[j, c]
-        d = data[start]
-        for c in range(b.shape[1]):
-            b[i, c] /= d
-    return b
-
-
-if _numba is not None:  # pragma: no cover - exercised only with numba
-    _csr_lower_solve_jit = _numba.njit(cache=True)(_csr_lower_solve)
-    _csr_upper_solve_jit = _numba.njit(cache=True)(_csr_upper_solve)
-else:
-    _csr_lower_solve_jit = _csr_lower_solve
-    _csr_upper_solve_jit = _csr_upper_solve
-
-
 def numba_available() -> bool:
-    """True when the numba JIT is importable in this process."""
-    return _numba is not None
-
-
-class CompiledFactorization:
-    """Sparse LU factors solved by (numba-)compiled CSR kernels.
-
-    Built from the same SuperLU factorization as the sparse backend;
-    ``solve`` runs the two triangular substitutions through
-    :func:`_csr_lower_solve` / :func:`_csr_upper_solve`.  SuperLU's
-    factorization satisfies ``A = Pr^T L U Pc^T``, so a solve is
-    ``x[perm_c] = U^{-1} L^{-1} b[perm_r_inv]`` with
-    ``perm_r_inv[perm_r] = arange(n)``.
-    """
-
-    def __init__(self, matrix) -> None:
-        base = SparseFactorization(matrix)
-        lu = base.superlu
-        lcsr = lu.L.tocsr()
-        ucsr = lu.U.tocsr()
-        lcsr.sort_indices()
-        ucsr.sort_indices()
-        self._l = (lcsr.indptr, lcsr.indices, lcsr.data)
-        self._u = (ucsr.indptr, ucsr.indices, ucsr.data)
-        n = lu.shape[0]
-        self._row_scatter = np.asarray(lu.perm_r, dtype=np.int64)
-        self._col_gather = np.asarray(lu.perm_c, dtype=np.int64)
-        self._n = n
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        r, was_vector = _as_2d(rhs)
-        obs.incr("solver.cost.rhs_columns", r.shape[1])
-        # scipy's SuperLU stores Pr as "row k of A lands in row
-        # perm_r[k] of LU", so the permuted RHS is b scattered by perm_r.
-        work = np.empty_like(r)
-        work[self._row_scatter, :] = r
-        _csr_lower_solve_jit(*self._l, work)
-        _csr_upper_solve_jit(*self._u, work)
-        x = work[self._col_gather, :]
-        return x[:, 0] if was_vector else x
-
-
-class CompiledBackend:
-    """Numba-compiled triangular solves over the sparse factorization.
-
-    Degrades gracefully: without numba, :meth:`factorize` returns the
-    plain :class:`SparseFactorization` (identical results, no
-    interpreted-loop penalty), so ``"compiled"`` is always a safe
-    selection.
-    """
-
-    name = "compiled"
-
-    def factorize(self, matrix) -> Factorization:
-        if _numba is None:
-            return SparseFactorization(matrix)
-        return CompiledFactorization(matrix)
+    """True when numba is installed.  No backend uses it; the e2e
+    benchmark records it with each run."""
+    return importlib.util.find_spec("numba") is not None
 
 
 _BACKENDS: dict[str, SolverBackend] = {
     "dense": DenseBackend(),
     "sparse": SparseBackend(),
-    "compiled": CompiledBackend(),
 }
 
 _default_name: Optional[str] = None

@@ -197,12 +197,8 @@ class ThermalModel:
         TSP — goes through this one factorisation.
         """
         if self._factorization is None:
-            obs.incr("thermal.model.lu_factorisations")
             self._factorization = self._backend.factorize(self._matrix)
         return self._factorization
-
-    # Backward-compatible private spelling (pre-backend API).
-    _factorisation = factorization
 
     def step_factorization(self, dt: float) -> Factorization:
         """The factorisation of the step matrix ``C/dt + A``, per ``dt``.

@@ -53,8 +53,8 @@ def _study():
     return outcomes
 
 
-def test_boosting_control_ablation(benchmark):
-    outcomes = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_boosting_control_ablation():
+    outcomes = _study()
 
     print("\n=== Ablation: boosting control period / step ===")
     print(f"{'configuration':20s} {'avg GIPS':>9} {'max T [degC]':>13} {'overshoot [K]':>14}")

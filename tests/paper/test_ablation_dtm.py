@@ -1,7 +1,7 @@
 """Ablation: DTM consequences of the optimistic TDP (Section 3.1's claim).
 
 "[The optimistic TDP] will trigger DTM, which might power down additional
-cores, resulting in more dark silicon."  This benchmark quantifies that:
+cores, resulting in more dark silicon."  This check quantifies that:
 map the hungry applications to the 220 W budget, let each DTM policy
 enforce the 80 degC limit, and measure how much dark silicon the naive
 TDP estimate hid.
@@ -31,8 +31,8 @@ def _study():
     return rows
 
 
-def test_dtm_ablation(benchmark):
-    rows = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_dtm_ablation():
+    rows = _study()
 
     print("\n=== Ablation: DTM enforcement of the optimistic TDP (220 W) ===")
     print(

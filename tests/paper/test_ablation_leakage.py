@@ -47,8 +47,8 @@ def _study():
     }
 
 
-def test_leakage_feedback_ablation(benchmark):
-    outcomes = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_leakage_feedback_ablation():
+    outcomes = _study()
 
     print("\n=== Ablation: leakage/temperature feedback (12x x264, 2.8 GHz) ===")
     print(f"{'model':10s} {'power [W]':>10} {'peak [degC]':>12}")

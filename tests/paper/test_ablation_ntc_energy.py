@@ -22,8 +22,8 @@ def _study():
     }
 
 
-def test_ntc_minimum_energy_ablation(benchmark):
-    optima = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_ntc_minimum_energy_ablation():
+    optima = _study()
     curve = VFCurve.for_node(NODE_11NM)
 
     print("\n=== Ablation: minimum-energy operating point (11 nm, 8 threads) ===")

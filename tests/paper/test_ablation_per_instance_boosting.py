@@ -55,10 +55,8 @@ def _study():
     return const, chip_wide, per_instance
 
 
-def test_per_instance_boosting_ablation(benchmark):
-    const, chip_wide, per_instance = benchmark.pedantic(
-        _study, rounds=1, iterations=1
-    )
+def test_per_instance_boosting_ablation():
+    const, chip_wide, per_instance = _study()
 
     print("\n=== Ablation: boosting granularity (12x x264, 16 nm) ===")
     print(f"{'scheme':14s} {'avg GIPS':>9} {'max T [degC]':>13} {'max P [W]':>10}")

@@ -40,8 +40,8 @@ def _sweep():
     return results
 
 
-def test_placer_ablation(benchmark):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_placer_ablation():
+    results = _sweep()
 
     print("\n=== Ablation: placement pattern (x264, 16 nm, T_DTM) ===")
     print(f"{'placer':14s} {'active':>7} {'power [W]':>10} {'peak [degC]':>12}")

@@ -18,8 +18,8 @@ def _study():
     return sensitivity_sweep(chip, scales=(0.85, 1.15))
 
 
-def test_sensitivity_ablation(benchmark):
-    sweep = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_sensitivity_ablation():
+    sweep = _study()
 
     print("\n=== Ablation: calibration sensitivity (+-15 %) ===")
     print(f"{'axis':6s} {'scale':>6} {'TDP order':>10} {'deep dark':>10} {'temp<=TDP':>10} {'DVFS>=':>7} {'pattern':>8}")

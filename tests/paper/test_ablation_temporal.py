@@ -2,7 +2,7 @@
 
 The paper's abstract claims "sophisticated spatio-temporal mapping
 decisions result in improved thermal profiles with reduced peak
-temperatures".  This benchmark rotates a contiguous hot band across the
+temperatures".  This check rotates a contiguous hot band across the
 16 nm die and measures the peak-temperature reduction as a function of
 the rotation period.
 """
@@ -28,8 +28,8 @@ def _study():
     return outcomes
 
 
-def test_temporal_rotation_ablation(benchmark):
-    outcomes = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_temporal_rotation_ablation():
+    outcomes = _study()
 
     print("\n=== Ablation: active-set rotation period (2 phases) ===")
     print(f"{'period':16s} {'static peak':>12} {'rotating peak':>14} {'reduction [K]':>14}")

@@ -50,10 +50,8 @@ def _study():
     return chip, vmap, oblivious, aware, nominal_estimate, float(actual.sum())
 
 
-def test_variation_ablation(benchmark):
-    chip, vmap, oblivious, aware, nominal, actual_power = benchmark.pedantic(
-        _study, rounds=1, iterations=1
-    )
+def test_variation_ablation():
+    chip, vmap, oblivious, aware, nominal, actual_power = _study()
 
     print("\n=== Ablation: process variation (16 nm, 7x x264, sigma=0.5) ===")
     print(f"die leakage spread:        {vmap.spread:.2f}x")

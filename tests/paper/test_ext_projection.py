@@ -1,9 +1,9 @@
-"""Extension benchmark: the revised dark-silicon projection.
+"""Extension check: the revised dark-silicon projection.
 
 The paper's motivation: the literature's fixed-power-budget methodology
 over-predicted dark silicon (">50 % at 22 nm"); accounting for
 temperature and DVFS yields a far less conservative trend.  This
-benchmark regenerates the three-methodology projection and asserts its
+check regenerates the three-methodology projection and asserts its
 ordering at every node.
 """
 
@@ -12,8 +12,8 @@ import pytest
 from repro.experiments import ext_projection
 
 
-def test_projection(benchmark):
-    result = benchmark.pedantic(ext_projection.run, rounds=1, iterations=1)
+def test_projection():
+    result = ext_projection.run()
 
     print("\n=== Extension: dark-silicon projection (ferret, TDP 185 W) ===")
     print(result.table())

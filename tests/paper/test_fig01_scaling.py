@@ -1,12 +1,10 @@
 """Figure 1 (table): ITRS scaling factors."""
 
-from benchmarks._util import emit
 from repro.experiments import fig01_scaling
 
 
-def test_fig01_scaling_table(benchmark):
-    result = benchmark(fig01_scaling.run)
-    emit("Figure 1: scaling factors", result)
+def test_fig01_scaling_table():
+    result = fig01_scaling.run()
 
     rows = {r[0]: r for r in result.rows()}
     # The exact Figure 1 factors.

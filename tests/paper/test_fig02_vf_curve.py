@@ -1,12 +1,10 @@
 """Figure 2: the Eq. (2) frequency/voltage design space."""
 
-from benchmarks._util import emit
 from repro.experiments import fig02_vf_curve
 
 
-def test_fig02_vf_curve(benchmark):
-    result = benchmark(fig02_vf_curve.run)
-    emit("Figure 2: f-V curve (22 nm)", result)
+def test_fig02_vf_curve():
+    result = fig02_vf_curve.run()
 
     assert result.k_ghz_v == 3.7
     assert result.vth == 0.178

@@ -1,12 +1,10 @@
 """Figure 3: Eq. (1) fit to x264 power samples at 22 nm."""
 
-from benchmarks._util import emit
 from repro.experiments import fig03_power_fit
 
 
-def test_fig03_power_fit(benchmark):
-    result = benchmark(fig03_power_fit.run)
-    emit("Figure 3: power-model fit (x264, 22 nm, 1 thread)", result)
+def test_fig03_power_fit():
+    result = fig03_power_fit.run()
 
     # Paper anchor: ~18 W at 4 GHz for the single-threaded encoder.
     assert 15.0 <= result.power_at_4ghz <= 22.0

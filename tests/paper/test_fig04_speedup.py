@@ -1,12 +1,10 @@
 """Figure 4: speed-up vs parallel threads at 2 GHz."""
 
-from benchmarks._util import emit
 from repro.experiments import fig04_speedup
 
 
-def test_fig04_speedup(benchmark):
-    result = benchmark(fig04_speedup.run)
-    emit("Figure 4: speed-up factors", result)
+def test_fig04_speedup():
+    result = fig04_speedup.run()
 
     curves = result.curves
     idx64 = result.thread_counts.index(64)

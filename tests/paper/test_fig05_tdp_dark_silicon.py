@@ -1,14 +1,10 @@
 """Figure 5: dark silicon under the optimistic/pessimistic TDP."""
 
-from benchmarks._util import emit
 from repro.experiments import fig05_tdp_dark_silicon
 
 
-def test_fig05_tdp_dark_silicon(benchmark):
-    result = benchmark.pedantic(
-        fig05_tdp_dark_silicon.run, rounds=1, iterations=1
-    )
-    emit("Figure 5: dark silicon vs v/f under two TDPs", result)
+def test_fig05_tdp_dark_silicon():
+    result = fig05_tdp_dark_silicon.run()
 
     opt, pess = result.tdp_optimistic, result.tdp_pessimistic
 

@@ -1,14 +1,10 @@
 """Figure 6: TDP vs temperature as the dark-silicon constraint."""
 
-from benchmarks._util import emit
 from repro.experiments import fig06_temperature_constraint
 
 
-def test_fig06_temperature_constraint(benchmark):
-    result = benchmark.pedantic(
-        fig06_temperature_constraint.run, rounds=1, iterations=1
-    )
-    emit("Figure 6: dark silicon, TDP vs temperature constraint", result)
+def test_fig06_temperature_constraint():
+    result = fig06_temperature_constraint.run()
 
     for node in result.nodes:
         # Temperature as the constraint never yields *more* dark silicon.

@@ -1,12 +1,10 @@
 """Figure 7: DVFS per application characteristics vs nominal frequency."""
 
-from benchmarks._util import emit
 from repro.experiments import fig07_dvfs
 
 
-def test_fig07_dvfs(benchmark):
-    result = benchmark.pedantic(fig07_dvfs.run, rounds=1, iterations=1)
-    emit("Figure 7: Scenario 1 (nominal) vs Scenario 2 (DVFS)", result)
+def test_fig07_dvfs():
+    result = fig07_dvfs.run()
 
     by_node = {n.node: n for n in result.nodes}
 

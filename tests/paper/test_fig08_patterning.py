@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from benchmarks._util import emit
 from repro.experiments import fig08_patterning
 
 
-def test_fig08_patterning(benchmark):
-    result = benchmark.pedantic(fig08_patterning.run, rounds=1, iterations=1)
-    emit("Figure 8: contiguous vs patterned mapping", result)
+def test_fig08_patterning():
+    result = fig08_patterning.run()
 
     safe = result.contiguous_safe
     forced = result.contiguous_forced

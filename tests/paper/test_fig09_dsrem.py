@@ -1,12 +1,10 @@
 """Figure 9: DsRem vs TDPmap."""
 
-from benchmarks._util import emit
 from repro.experiments import fig09_dsrem
 
 
-def test_fig09_dsrem(benchmark):
-    result = benchmark.pedantic(fig09_dsrem.run, rounds=1, iterations=1)
-    emit("Figure 9: TDPmap vs DsRem", result)
+def test_fig09_dsrem():
+    result = fig09_dsrem.run()
 
     # DsRem beats TDPmap on every workload.
     for entry in result.entries:

@@ -1,12 +1,10 @@
 """Figure 10: TSP-governed performance across technology nodes."""
 
-from benchmarks._util import emit
 from repro.experiments import fig10_tsp
 
 
-def test_fig10_tsp(benchmark):
-    result = benchmark.pedantic(fig10_tsp.run, rounds=1, iterations=1)
-    emit("Figure 10: performance under TSP (20/30/40 % dark)", result)
+def test_fig10_tsp():
+    result = fig10_tsp.run()
 
     n16 = result.node("16nm")
     n11 = result.node("11nm")

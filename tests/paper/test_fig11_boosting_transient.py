@@ -1,6 +1,6 @@
 """Figure 11: transient boosting vs constant frequency (12x x264, 16 nm).
 
-The paper simulates 100 s; the benchmark uses a 10 s warm-started window,
+The paper simulates 100 s; the check uses a 10 s warm-started window,
 which contains dozens of control oscillations and the same steady
 behaviour, keeping the harness runtime reasonable.  Run
 ``darksilicon fig11`` (without --quick) for the full 100 s trace.
@@ -8,18 +8,11 @@ behaviour, keeping the harness runtime reasonable.  Run
 
 import numpy as np
 
-from benchmarks._util import emit
 from repro.experiments import fig11_boosting_transient
 
 
-def test_fig11_boosting_transient(benchmark):
-    result = benchmark.pedantic(
-        fig11_boosting_transient.run,
-        kwargs={"duration": 10.0},
-        rounds=1,
-        iterations=1,
-    )
-    emit("Figure 11: boosting vs constant frequency (transient)", result)
+def test_fig11_boosting_transient():
+    result = fig11_boosting_transient.run(duration=10.0)
 
     boost, const = result.boosting, result.constant
 

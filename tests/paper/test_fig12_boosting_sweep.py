@@ -1,17 +1,10 @@
 """Figure 12: performance & power vs active cores (x264, 16 nm)."""
 
-from benchmarks._util import emit
 from repro.experiments import fig12_boosting_sweep
 
 
-def test_fig12_boosting_sweep(benchmark):
-    result = benchmark.pedantic(
-        fig12_boosting_sweep.run,
-        kwargs={"boost_duration": 2.0},
-        rounds=1,
-        iterations=1,
-    )
-    emit("Figure 12: perf & power vs active cores", result)
+def test_fig12_boosting_sweep():
+    result = fig12_boosting_sweep.run(boost_duration=2.0)
 
     points = result.points
     assert len(points) >= 10  # 8..96 in steps of 8, plus more

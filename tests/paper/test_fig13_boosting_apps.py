@@ -1,19 +1,12 @@
 """Figure 13: boosting vs constant per application at 11 nm."""
 
-from benchmarks._util import emit
 from repro.experiments import fig13_boosting_apps
 from repro.power.vf_curve import Region
 from repro.units import GIGA
 
 
-def test_fig13_boosting_apps(benchmark):
-    result = benchmark.pedantic(
-        fig13_boosting_apps.run,
-        kwargs={"boost_duration": 2.0},
-        rounds=1,
-        iterations=1,
-    )
-    emit("Figure 13: boosting vs constant per app (11 nm)", result)
+def test_fig13_boosting_apps():
+    result = fig13_boosting_apps.run(boost_duration=2.0)
 
     # Every case: boosting's average performance is at least the
     # constant scheme's, at higher peak power.

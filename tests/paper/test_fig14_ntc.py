@@ -2,14 +2,12 @@
 
 import pytest
 
-from benchmarks._util import emit
 from repro.experiments import fig14_ntc
 from repro.power.vf_curve import Region
 
 
-def test_fig14_ntc(benchmark):
-    result = benchmark(fig14_ntc.run)
-    emit("Figure 14: STC vs NTC ISO-performance energy", result)
+def test_fig14_ntc():
+    result = fig14_ntc.run()
 
     apps = sorted({p.app for p in result.points})
     assert len(apps) == 7

@@ -1,4 +1,4 @@
-"""Extension benchmark: online resource management, TDP-FIFO vs TSP.
+"""Extension check: online resource management, TDP-FIFO vs TSP.
 
 The paper's closing argument — thermal-aware dark-silicon management
 beats fixed power budgeting — replayed as an *online* scheduling problem:
@@ -34,8 +34,8 @@ def _study():
     return chip, tdp, tsp
 
 
-def test_runtime_policies(benchmark):
-    chip, tdp, tsp = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_runtime_policies():
+    chip, tdp, tsp = _study()
 
     print("\n=== Online management: TDP-FIFO vs TSP-adaptive (60 jobs) ===")
     print(f"{'policy':10s} {'makespan':>9} {'resp':>6} {'GIPS':>6} {'util':>6} {'peak':>6} {'E [kJ]':>7}")

@@ -24,8 +24,8 @@ def _study():
     return fig6, fig7
 
 
-def test_8nm_text_claims(benchmark):
-    fig6, fig7 = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_8nm_text_claims():
+    fig6, fig7 = _study()
 
     by_node = {n.node: n for n in fig6.nodes}
     print("\n=== Section 3 in-text 8 nm claims ===")

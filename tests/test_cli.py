@@ -199,7 +199,7 @@ class TestContinuousTelemetryCli:
             json.dumps(
                 {
                     "budgets": [
-                        {"metric": "thermal.model.lu_factorisations", "max": 0}
+                        {"metric": "solver.cost.factorizations", "max": 0}
                     ]
                 }
             )
@@ -218,7 +218,7 @@ class TestContinuousTelemetryCli:
             == 1
         )
         out = capsys.readouterr().out
-        assert "VIOLATED (hard): thermal.model.lu_factorisations" in out
+        assert "VIOLATED (hard): solver.cost.factorizations" in out
 
     def test_obs_watch_bad_budgets_is_config_error(
         self, capsys, tmp_path, snapshot_file
@@ -367,36 +367,25 @@ class TestManifestCli:
 
 
 class TestReportCli:
-    def test_report_renders_dashboard(self, tmp_path, capsys):
-        track = tmp_path / "track.json"
-        track.write_text(json.dumps([
-            {
-                "timestamp": "2026-08-01T00:00:00+0000",
-                "benches": {"bench_a": {"wall_s": 0.5, "obs": {"spans": {}}}},
-            }
-        ]))
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"bench_a": {"wall_s": 0.5}}))
+    def test_report_renders_dashboard(self, tmp_path, capsys, restore_obs):
+        snapshot = tmp_path / "snapshot.json"
+        assert main(["run", "fig1", "--profile-out", str(snapshot)]) == 0
+        capsys.readouterr()
         out = tmp_path / "reports" / "perf.md"
         assert main([
-            "report", "--track", str(track), "--baseline", str(baseline),
-            "--out", str(out),
+            "report", "--snapshot", str(snapshot), "--out", str(out),
         ]) == 0
         assert "report written" in capsys.readouterr().out
         text = out.read_text()
         assert "# Performance report" in text
-        assert "bench_a" in text
+        assert "| `experiment.fig1` | 1 |" in text
 
     def test_report_includes_store_ledger(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         assert main(["run", "fig1", "--store", store]) == 0
         capsys.readouterr()
         out = tmp_path / "perf.md"
-        assert main([
-            "report", "--track", str(tmp_path / "no-track.json"),
-            "--baseline", str(tmp_path / "no-base.json"),
-            "--store", store, "--out", str(out),
-        ]) == 0
+        assert main(["report", "--store", store, "--out", str(out)]) == 0
         text = out.read_text()
         assert "runs recorded: **1**" in text
         assert "fig1" in text

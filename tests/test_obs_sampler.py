@@ -69,6 +69,23 @@ class TestTelescoping:
         assert "before.sampler" not in record["delta"]["counters"]
         assert record["delta"]["counters"]["after.sampler"] == 1
 
+    def test_torn_histogram_delta_is_kept(self):
+        # The earlier snapshot caught a record after its count update
+        # but before its sum and bucket updates.
+        hist = {"count": 5, "sum": 4.0, "min": 0.5, "max": 1.0}
+        before = {"histograms": {"h": {**hist, "buckets": {"0": 4}}}}
+        now = {
+            "counters": {},
+            "timers": {},
+            "spans": {},
+            "gauges": {},
+            "histograms": {"h": {**hist, "sum": 5.0, "buckets": {"0": 5}}},
+        }
+        delta = diff_snapshots(now, before)["histograms"]
+        assert delta == {
+            "h": {"count": 0, "sum": 1.0, "min": 0.5, "max": 1.0, "buckets": {"0": 1}}
+        }
+
     def test_consecutive_deltas_do_not_double_count(self, registry):
         sampler = SnapshotSampler(registry, interval_s=60.0)
         registry.incr("once", 4)

@@ -2,63 +2,37 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.obs.manifest import RunManifest
-from repro.report import (
-    load_baseline,
-    load_track,
-    render_report,
-    generate,
-)
+from repro.report import render_report, generate
 
 GOLDEN = Path(__file__).parent / "data" / "report_golden.md"
 
-TRACK = [
-    {
-        "timestamp": "2026-08-01T10:00:00+0000",
-        "fingerprint": "feedc0de00000001",
-        "benches": {
-            "bench_a": {"wall_s": 0.1, "obs": {"spans": {}}},
-            "bench_b": {"wall_s": 0.2, "obs": {"spans": {}}},
-        },
+SNAPSHOT = {
+    "version": 2,
+    "counters": {"solver.cost.factorizations": 2},
+    "timers": {},
+    "spans": {
+        "experiment.a": {"count": 1, "total_s": 0.02},
+        "sweep.hot": {"count": 5, "total_s": 0.14},
+        "sweep.cold": {"count": 1, "total_s": 0.001},
     },
-    {
-        "timestamp": "2026-08-02T10:00:00+0000",
-        "fingerprint": "feedc0de00000002",
-        "benches": {
-            "bench_a": {
-                "wall_s": 0.11,
-                "obs": {
-                    "spans": {
-                        "sweep.hot": {"count": 3, "total_s": 0.09},
-                        "experiment.a": {"count": 1, "total_s": 0.02},
-                    },
-                    "histograms": {
-                        # constant distribution -> every percentile exact
-                        "tsp.budget_w": {
-                            "count": 4,
-                            "sum": 12.0,
-                            "min": 3.0,
-                            "max": 3.0,
-                            "buckets": {"2": 4},
-                        }
-                    },
-                },
-            },
-            "bench_b": {
-                "wall_s": 0.18,
-                "obs": {
-                    "spans": {"sweep.hot": {"count": 2, "total_s": 0.05}}
-                },
-            },
-        },
+    "gauges": {},
+    "histograms": {
+        # constant distribution -> every percentile exact
+        "tsp.budget_w": {
+            "count": 4,
+            "sum": 12.0,
+            "min": 3.0,
+            "max": 3.0,
+            "buckets": {"2": 4},
+        }
     },
-]
-
-BASELINE = {"bench_a": {"wall_s": 0.1}, "bench_b": {"wall_s": 0.2}}
+}
 
 MANIFESTS = [
     RunManifest(
@@ -98,73 +72,58 @@ MANIFESTS = [
 
 class TestRenderReport:
     def test_matches_golden(self):
-        rendered = render_report(TRACK, BASELINE, MANIFESTS, top=2, recent=5)
+        rendered = render_report(SNAPSHOT, MANIFESTS, top=2, recent=5)
         assert rendered == GOLDEN.read_text()
 
     def test_generated_line_is_optional(self):
         with_stamp = render_report(
-            TRACK, BASELINE, MANIFESTS, generated="2026-08-06T00:00:00+0000"
+            SNAPSHOT, MANIFESTS, generated="2026-08-06T00:00:00+0000"
         )
-        without = render_report(TRACK, BASELINE, MANIFESTS)
+        without = render_report(SNAPSHOT, MANIFESTS)
         assert "_Generated: 2026-08-06T00:00:00+0000_" in with_stamp
         assert "_Generated:" not in without
 
     def test_empty_inputs_still_render(self):
-        text = render_report([], {}, [])
+        text = render_report(None, [])
         assert "# Performance report" in text
-        assert "No bench-track entries yet" in text
+        assert text.count("No snapshot given") == 2
         assert "No run ledger found" in text
 
-    def test_delta_against_baseline(self):
-        text = render_report(TRACK, BASELINE, [])
-        # bench_a: 0.11 vs 0.10 baseline -> +10%; bench_b: 0.18 vs 0.20 -> -10%
-        assert "+10.0%" in text
-        assert "-10.0%" in text
-
-    def test_missing_baseline_renders_na(self):
-        text = render_report(TRACK, {}, [])
-        assert "n/a" in text
+    def test_snapshot_without_spans_or_histograms(self):
+        text = render_report({"spans": {}, "histograms": {}}, [])
+        assert "No span data in the snapshot." in text
+        assert "No histogram data in the snapshot." in text
 
     def test_store_activity_counts(self):
-        text = render_report([], {}, MANIFESTS)
+        text = render_report(None, MANIFESTS)
         assert "**3**" in text
         assert "1 served from store, 1 executed, 1 failed" in text
         assert "**50.0%**" in text
 
     def test_failed_run_flagged_in_ledger(self):
-        text = render_report([], {}, MANIFESTS)
+        text = render_report(None, MANIFESTS)
         assert "FAILED" in text
         assert "`trace.json`" in text
 
 
 class TestGenerate:
     def test_writes_report_with_timestamp(self, tmp_path):
-        track = tmp_path / "track.json"
-        baseline = tmp_path / "baseline.json"
+        snapshot = tmp_path / "snapshot.json"
         out = tmp_path / "reports" / "performance.md"
-        import json
-
-        track.write_text(json.dumps(TRACK))
-        baseline.write_text(json.dumps(BASELINE))
-        written = generate(track, baseline, out_path=out)
+        snapshot.write_text(json.dumps(SNAPSHOT))
+        written = generate(snapshot, out_path=out)
         assert written == out
         text = out.read_text()
         assert "_Generated:" in text
-        assert "bench_a" in text
+        assert "`sweep.hot`" in text
 
     def test_missing_inputs_tolerated(self, tmp_path):
         out = generate(
-            tmp_path / "absent.json",
-            tmp_path / "absent2.json",
             store_root=tmp_path / "no-store",
             out_path=tmp_path / "r.md",
         )
-        assert "No bench-track entries yet" in out.read_text()
+        assert "No snapshot given" in out.read_text()
 
-
-class TestLoaders:
-    def test_load_track_missing_is_empty_list(self, tmp_path):
-        assert load_track(tmp_path / "nope.json") == []
-
-    def test_load_baseline_missing_is_empty_dict(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
+    def test_named_snapshot_must_exist(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            generate(tmp_path / "absent.json", out_path=tmp_path / "r.md")

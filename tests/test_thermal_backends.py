@@ -1,9 +1,8 @@
-"""Solver backends: registry/selection, kernel math, cross-backend
-equivalence of every thermal consumer.
+"""Solver backends: registry/selection, factorization shapes,
+cross-backend equivalence of every thermal consumer.
 
 The dense LAPACK backend is the reference; the sparse SuperLU backend
-and the compiled-kernel backend must agree with it to 1e-9 K on random
-floorplans — for direct steady states, batched multi-RHS solves, the
+must agree with it to 1e-9 K on random floorplans — for direct steady states, batched multi-RHS solves, the
 influence matrix, backward-Euler transients, and the TSP tables built
 on top — and on the 11 nm chip for a lockstep boosting batch.
 """
@@ -20,14 +19,12 @@ from repro.perf import BatchedSteadyState
 from repro.tech.library import NODE_11NM, NODE_16NM
 from repro.thermal import backends
 from repro.thermal.backends import (
-    CompiledBackend,
-    CompiledFactorization,
     DenseBackend,
+    DenseFactorization,
     SparseFactorization,
     backend_names,
     default_backend_name,
     get_backend,
-    numba_available,
     resolve_backend,
     set_default_backend,
 )
@@ -71,7 +68,7 @@ def model_sets():
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert backend_names() == ("dense", "sparse", "compiled")
+        assert backend_names() == ("dense", "sparse")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown thermal backend"):
@@ -95,11 +92,11 @@ class TestRegistry:
             set_default_backend("umfpack")
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV_VAR, "compiled")
-        assert default_backend_name() == "compiled"
+        monkeypatch.setenv(backends.BACKEND_ENV_VAR, "dense")
+        assert default_backend_name() == "dense"
 
     def test_set_default_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV_VAR, "compiled")
+        monkeypatch.setenv(backends.BACKEND_ENV_VAR, "sparse")
         set_default_backend("dense")
         assert default_backend_name() == "dense"
 
@@ -131,43 +128,15 @@ def _random_spd(rng, n=30, density=0.2):
     return sparse.csr_matrix(a)
 
 
-class TestCompiledKernels:
-    """The CSR triangular kernels are plain-Python callable with or
-    without numba, so their mathematics is testable everywhere."""
-
-    def test_compiled_factorization_matches_dense(self):
-        rng = np.random.default_rng(5)
-        a = _random_spd(rng)
-        fact = CompiledFactorization(a)
-        b = rng.normal(size=a.shape[0])
-        x = fact.solve(b)
-        assert np.allclose(a @ x, b, atol=1e-10)
-
-    def test_multi_rhs_matches_vector_loop(self):
-        rng = np.random.default_rng(6)
-        a = _random_spd(rng)
-        fact = CompiledFactorization(a)
-        batch = rng.normal(size=(a.shape[0], 7))
-        x = fact.solve(batch)
-        assert x.shape == batch.shape
-        for c in range(batch.shape[1]):
-            assert np.allclose(x[:, c], fact.solve(batch[:, c]), atol=1e-12)
-
-    def test_rejects_higher_rank_rhs(self):
+class TestFactorizationShapes:
+    @pytest.mark.parametrize(
+        "factorization", [DenseFactorization, SparseFactorization]
+    )
+    def test_rejects_higher_rank_rhs(self, factorization):
         rng = np.random.default_rng(7)
-        fact = CompiledFactorization(_random_spd(rng))
+        fact = factorization(_random_spd(rng))
         with pytest.raises(ConfigurationError, match="rhs"):
             fact.solve(np.zeros((3, 3, 3)))
-
-    def test_degrades_without_numba(self):
-        rng = np.random.default_rng(8)
-        fact = CompiledBackend().factorize(_random_spd(rng))
-        if numba_available():
-            assert isinstance(fact, CompiledFactorization)
-        else:
-            # No numba in the environment: the compiled backend must
-            # fall back to SuperLU-driven solves, never interpreted loops.
-            assert isinstance(fact, SparseFactorization)
 
 
 class TestSharedFactorization:
@@ -194,7 +163,7 @@ class TestSharedFactorization:
 
 
 class TestBackendEquivalence:
-    """dense vs sparse vs compiled within TOL_K on random floorplans."""
+    """sparse vs the dense reference within TOL_K on random floorplans."""
 
     def test_steady_state_single_vector(self, model_sets):
         rng = np.random.default_rng(11)
@@ -202,8 +171,7 @@ class TestBackendEquivalence:
             n = models["dense"].n_cores
             p = rng.uniform(0.0, 8.0, n)
             ref = models["dense"].core_steady_state(p)
-            for name in ("sparse", "compiled"):
-                assert np.abs(models[name].core_steady_state(p) - ref).max() <= TOL_K
+            assert np.abs(models["sparse"].core_steady_state(p) - ref).max() <= TOL_K
 
     def test_steady_state_batch(self, model_sets):
         rng = np.random.default_rng(12)
@@ -211,9 +179,8 @@ class TestBackendEquivalence:
             n = models["dense"].n_cores
             batch = rng.uniform(0.0, 8.0, (6, n))
             ref = models["dense"].core_steady_state_batch(batch)
-            for name in ("sparse", "compiled"):
-                got = models[name].core_steady_state_batch(batch)
-                assert np.abs(got - ref).max() <= TOL_K
+            got = models["sparse"].core_steady_state_batch(batch)
+            assert np.abs(got - ref).max() <= TOL_K
 
     def test_batch_is_one_solve_of_the_rows(self, model_sets):
         rng = np.random.default_rng(13)
@@ -227,8 +194,7 @@ class TestBackendEquivalence:
     def test_influence_matrix(self, model_sets):
         for models in model_sets:
             ref = models["dense"].influence_matrix()
-            for name in ("sparse", "compiled"):
-                assert np.abs(models[name].influence_matrix() - ref).max() <= TOL_K
+            assert np.abs(models["sparse"].influence_matrix() - ref).max() <= TOL_K
 
     def test_transient_trajectory(self, model_sets):
         rng = np.random.default_rng(14)
@@ -241,9 +207,8 @@ class TestBackendEquivalence:
                 trajectories[name] = np.stack(
                     [sim.step(schedule[k]) for k in range(len(schedule))]
                 )
-            for name in ("sparse", "compiled"):
-                diff = np.abs(trajectories[name] - trajectories["dense"]).max()
-                assert diff <= TOL_K
+            diff = np.abs(trajectories["sparse"] - trajectories["dense"]).max()
+            assert diff <= TOL_K
 
     def test_lockstep_boosting(self, lockstep_runs):
         # The heterogeneous 11 nm lockstep batch (capped, uncapped and
@@ -253,25 +218,22 @@ class TestBackendEquivalence:
             set_default_backend(name)
             results[name] = run_transients(lockstep_runs(Chip.for_node(NODE_11NM)))
         set_default_backend(None)
-        for name in ("dense", "compiled"):
-            for got, ref in zip(results[name], results["sparse"]):
-                assert np.array_equal(got.frequencies, ref.frequencies)
-                assert np.abs(got.peak_temperatures - ref.peak_temperatures).max() <= TOL_K
-                assert abs(got.max_temperature - ref.max_temperature) <= TOL_K
-                assert np.abs(got.total_powers - ref.total_powers).max() <= TOL_K
-                assert abs(got.average_power - ref.average_power) <= TOL_K
+        for got, ref in zip(results["sparse"], results["dense"]):
+            assert np.array_equal(got.frequencies, ref.frequencies)
+            assert np.abs(got.peak_temperatures - ref.peak_temperatures).max() <= TOL_K
+            assert abs(got.max_temperature - ref.max_temperature) <= TOL_K
+            assert np.abs(got.total_powers - ref.total_powers).max() <= TOL_K
+            assert abs(got.average_power - ref.average_power) <= TOL_K
 
     def test_tsp_tables(self, model_sets):
         for models in model_sets:
             engines = {n: BatchedSteadyState(m) for n, m in models.items()}
             headroom = 35.0
             ref_budgets, _ = engines["dense"].tsp_table(headroom, 0.3)
-            for name in ("sparse", "compiled"):
-                budgets, _ = engines[name].tsp_table(headroom, 0.3)
-                assert np.abs(budgets - ref_budgets).max() <= TOL_K
+            budgets, _ = engines["sparse"].tsp_table(headroom, 0.3)
+            assert np.abs(budgets - ref_budgets).max() <= TOL_K
             n_cores = models["dense"].n_cores
             for m in (1, n_cores):
                 ref, _ = engines["dense"].tsp_for_count(m, headroom, 0.3)
-                for name in ("sparse", "compiled"):
-                    got, _ = engines[name].tsp_for_count(m, headroom, 0.3)
-                    assert abs(got - ref) <= TOL_K
+                got, _ = engines["sparse"].tsp_for_count(m, headroom, 0.3)
+                assert abs(got - ref) <= TOL_K
