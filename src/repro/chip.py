@@ -4,8 +4,8 @@ A :class:`Chip` bundles what Figure 1's tool flow produces for one
 technology node — the floorplan, the thermal RC model built from it, a
 steady-state solver, and the batched acceleration engine — so the
 estimation engine, mapping policies and boosting simulations all share
-one object (and its cached factorisations, influence matrix, and
-peak-temperature/TSP caches).
+one object (and its cached factorisations, influence matrix and TSP
+tables).
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ class Chip:
     def engine(self) -> "BatchedSteadyState":
         """The chip's batched steady-state engine, built on first use.
 
-        One engine per chip: its influence operator, peak-temperature
-        cache and TSP tables are shared by every consumer (TSP, the
-        estimation engine, the online simulator and its policies).
+        One engine per chip: its influence operator and TSP tables are
+        shared by every consumer (TSP, the estimation engine, the online
+        simulator and its policies).
         """
         if self._engine is None:
             from repro.perf.batched import BatchedSteadyState

@@ -133,7 +133,7 @@ def _run_obs_demo() -> dict:
         tsp.table()
 
         # The online event loop: admissions, policy decisions, the
-        # engine's quantized peak-temperature cache.
+        # engine's peak-temperature queries.
         apps = [PARSEC["x264"], PARSEC["swaptions"]]
         jobs = deterministic_job_stream(
             apps, n_jobs=6, mean_interarrival=0.5, work=20e9, seed=7

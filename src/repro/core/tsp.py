@@ -22,11 +22,11 @@ around every possible "centre" core (the ``m`` cores with the largest
 influence on the centre), and the minimum budget over all candidates is
 kept.  The heavy lifting lives in the chip's shared
 :class:`repro.perf.batched.BatchedSteadyState` engine: the whole
-``TSP(1..n)`` table is one vectorised pass (per centre block: a column
-gather, a cumulative sum, and a min-reduce — O(n^3) arithmetic rather
-than O(n^4)), a *single* count is one BLAS selection matmul, and both are
-cached per ``(headroom, inactive power)`` so every calculator bound to
-the same chip reuses them.
+``TSP(1..n)`` table is one incremental pass (each count adds one member
+row per centre, then min-reduces — O(n^3) arithmetic rather than
+O(n^4)), cached per ``(headroom, inactive power)``.  A single count is
+read from that table, so every calculator bound to the same chip gets
+the same budget and mapping whatever it asked for first.
 """
 
 from __future__ import annotations
@@ -109,9 +109,7 @@ class ThermalSafePower:
     def worst_case(self, m: int) -> float:
         """Worst-case per-core TSP(m) over all ``m``-core mappings (W).
 
-        A single count is evaluated through the engine's selection-matmul
-        fast path (and cached); once a full table exists the value comes
-        from it instead.
+        Read from the engine's shared all-counts table.
         """
         self._check_m(m)
         budget, _ = self._engine.tsp_for_count(
@@ -143,14 +141,12 @@ class ThermalSafePower:
         """``{m: TSP(m)}`` for the given active-core counts.
 
         Defaults to every count from 1 to the chip's core count — the
-        abstraction a runtime would precompute once per chip.  The full
-        range triggers the engine's all-counts pass, shared with every
+        abstraction a runtime would precompute once per chip.  Every
+        count reads the engine's all-counts table, shared with every
         other calculator on the chip.
         """
         if counts is None:
             counts = range(1, self._chip.n_cores + 1)
-            # One vectorised pass beats n selection matmuls.
-            self._engine.tsp_table(self.headroom, self._inactive_power)
         result = {m: self.worst_case(m) for m in counts}
         if result:
             budgets = list(result.values())

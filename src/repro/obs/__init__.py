@@ -8,7 +8,7 @@ visible without perturbing it.  A single process-global
 * counters (``obs.incr("thermal.model.solves")``),
 * flat timers (``with obs.timer("runtime.run"): ...``),
 * hierarchical spans (``with obs.span("experiment.fig10"): ...``),
-* gauges (``obs.gauge("perf.batched.cache_hit_rate", 0.93)``), and
+* gauges (``obs.gauge("perf.batched.influence_bytes", 1.6e5)``), and
 * histograms (``obs.histogram("thermal.transient.steps_per_sim", n)``),
 
 and is **disabled by default**: every recording call short-circuits on
@@ -45,7 +45,7 @@ prefix       source
 ============ ====================================================
 thermal.     model solves, LU factorisations, transient steps
 solver.cost. backend work: factorizations, nnz, RHS columns
-perf.        batched engine solves, peak-cache hits/misses
+perf.        batched engine single and batch solves
 tsp.         shared TSP table builds vs lookups
 estimator.   workload mappings, placed/rejected instances
 runtime.     event-loop admissions, deferrals, policy decisions

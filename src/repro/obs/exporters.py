@@ -19,7 +19,7 @@ continuous-telemetry layer plugs into:
 
 Name mapping: Prometheus names allow ``[a-zA-Z0-9_:]`` only, so dotted
 registry names are flattened with underscores under one namespace —
-``perf.batched.cache_hits`` becomes ``repro_perf_batched_cache_hits``
+``perf.batched.single_solves`` becomes ``repro_perf_batched_single_solves``
 (counters additionally get the conventional ``_total`` suffix).  The
 mapping loses the dot/dash structure but never aliases two registry
 names onto each other in practice; the round-trip test pins value

@@ -103,24 +103,6 @@ def snapshot_digest(snapshot: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def code_fingerprint(package_root: Optional[Union[str, Path]] = None) -> str:
-    """Repo-wide code fingerprint: 16 hex chars over every repro module.
-
-    Hashes the sorted relative paths and contents of every ``*.py``
-    file under the :mod:`repro` package — the whole-tree counterpart of
-    :meth:`~repro.experiments.registry.ExperimentSpec.fingerprint`
-    (which tracks one experiment module), tying a result to the exact
-    code state of the whole package.
-    """
-    root = Path(package_root) if package_root else Path(__file__).parent.parent
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
-
-
 def runs_path(store_root: Union[str, Path]) -> Path:
     """The ledger path under a store root (existing or not)."""
     return Path(store_root) / RUNS_FILENAME

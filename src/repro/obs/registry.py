@@ -10,7 +10,7 @@ One :class:`Registry` per process collects five kinds of measurements:
   spans accumulate under their dot-joined path, so a sweep stage running
   inside an experiment lands under ``experiment.fig10.sweep.fig10_nodes``
   while the same stage run standalone lands under ``sweep.fig10_nodes``;
-* **gauges** — last-value-wins samples (``gauge``): cache hit rates,
+* **gauges** — last-value-wins samples (``gauge``): operator sizes,
   table spreads — "what was it at the end", not "how much in total";
 * **histograms** — value *distributions* (``histogram``): count, sum,
   min, max plus fixed log2 buckets, so per-run signals (transient step

@@ -1,7 +1,7 @@
 """Declarative budget watchdog over registry snapshots.
 
-A **budget** is one declarative expectation about a metric — "the
-batched-cache hit rate stays above 0.5", "p95 of the TSP budget
+A **budget** is one declarative expectation about a metric — "at
+least one right-hand side was solved", "p95 of the TSP budget
 histogram stays below this bound" — loaded from JSON
 (``benchmarks/budgets.json`` ships the project's own), evaluated
 against *any* snapshot: a finished run's export, a live registry, one
@@ -12,9 +12,9 @@ on hard violations (``make obs-smoke`` runs it on a real snapshot).
 Budget schema (one JSON object per budget, under a top-level
 ``"budgets"`` list)::
 
-    {"metric": "perf.batched.cache_hit_rate",  # exact name or fnmatch
-                                               # pattern ("solver.cost.*")
-     "min": 0.5,                # exactly one predicate per budget:
+    {"metric": "solver.cost.rhs_columns",  # exact name or fnmatch
+                                           # pattern ("solver.cost.*")
+     "min": 1,                  # exactly one predicate per budget:
                                 #   max      value <= threshold
                                 #   min      value >= threshold
                                 #   p95_le   histogram p95 <= threshold

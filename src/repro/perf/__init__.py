@@ -1,9 +1,8 @@
 """Acceleration layer: batched steady-state solves and sweep execution.
 
 * :class:`repro.perf.batched.BatchedSteadyState` — the chip's influence
-  operator applied to whole batches of power vectors in one BLAS matmul,
-  with a quantized-key LRU cache for the event loop's repeated
-  peak-temperature queries, and the shared TSP budget tables.
+  operator applied to one power vector as a matvec and to whole batches
+  in one BLAS matmul, plus the shared TSP budget tables.
 * :class:`repro.perf.sweep.SweepRunner` — experiment/benchmark grid
   execution with per-stage timing metrics and optional process
   parallelism.
@@ -20,16 +19,10 @@ Both classes report to the :mod:`repro.obs` registry when it is enabled
 costs one boolean test.
 """
 
-from repro.perf.batched import (
-    BatchedSteadyState,
-    DEFAULT_CACHE_SIZE,
-    DEFAULT_POWER_QUANTUM,
-)
+from repro.perf.batched import BatchedSteadyState
 from repro.perf.sweep import SweepRunner
 
 __all__ = [
     "BatchedSteadyState",
-    "DEFAULT_CACHE_SIZE",
-    "DEFAULT_POWER_QUANTUM",
     "SweepRunner",
 ]

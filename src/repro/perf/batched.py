@@ -8,29 +8,24 @@ plus an event loop querying the peak temperature at every scheduling
 event) the same influence operator is applied over and over.
 
 :class:`BatchedSteadyState` freezes the core-to-core influence matrix
-``B`` of one :class:`repro.thermal.model.ThermalModel` and evaluates
-
-* *batches* of power vectors as a single BLAS matmul
-  (``T = T_amb + P_batch @ B^T``), and
-* repeated single-vector peak-temperature queries through an LRU cache
-  keyed by the *quantized* power vector (the event loop re-encounters
-  identical chip configurations constantly).
+``B`` of one :class:`repro.thermal.model.ThermalModel` and evaluates a
+single power vector as one matvec and a *batch* of them as one BLAS
+matmul (``T = T_amb + P_batch @ B^T``).
 
 It also owns the chip-level TSP artefacts (the per-centre concentration
-order and the worst-case budget tables) so that every
-:class:`repro.core.tsp.ThermalSafePower` bound to the same chip shares
-them instead of rebuilding per-centre cumulative sums per instance.
+order and the worst-case budget table per ``(headroom, inactive
+power)``) so that every :class:`repro.core.tsp.ThermalSafePower` bound
+to the same chip shares them.  A single active-core count is read from
+that table, so a budget never depends on which counts were asked first.
 
-Invalidation: the engine binds a *frozen* model — ``ThermalModel`` never
-mutates after construction, so no cache here ever needs invalidating
-during the model's lifetime.  A different package configuration means a
-different ``ThermalModel`` (and chip), hence a fresh engine.  See
-``docs/thermal_model.md`` for the cache-error bound of the quantized key.
+The engine binds a *frozen* model — ``ThermalModel`` never mutates after
+construction, so the shared tables never need invalidating during the
+model's lifetime.  A different package configuration means a different
+``ThermalModel`` (and chip), hence a fresh engine.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,39 +34,15 @@ from repro import obs
 from repro.errors import ConfigurationError
 from repro.thermal.model import ThermalModel
 
-#: Default peak-temperature cache capacity (entries).
-DEFAULT_CACHE_SIZE = 4096
-
-#: Default power quantization step for cache keys, in W.  Two vectors
-#: closer than half a quantum per core share a cache entry; the induced
-#: temperature error is bounded by ``0.5 * quantum * max_i sum_j B[i,j]``
-#: (well below 1e-9 K for the library's chips).
-DEFAULT_POWER_QUANTUM = 1e-9
-
 
 class BatchedSteadyState:
-    """Batched/cached steady-state engine bound to one thermal model.
+    """Batched steady-state engine bound to one thermal model.
 
     Args:
         model: the frozen thermal model.
-        cache_size: peak-temperature LRU capacity; 0 disables caching.
-        power_quantum: cache-key quantization step, in W.
     """
 
-    def __init__(
-        self,
-        model: ThermalModel,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        power_quantum: float = DEFAULT_POWER_QUANTUM,
-    ) -> None:
-        if cache_size < 0:
-            raise ConfigurationError(
-                f"cache_size must be non-negative, got {cache_size}"
-            )
-        if power_quantum <= 0:
-            raise ConfigurationError(
-                f"power_quantum must be positive, got {power_quantum}"
-            )
+    def __init__(self, model: ThermalModel) -> None:
         self._model = model
         self._b = model.influence_matrix()
         # Row-major transpose so P_batch @ B^T hits contiguous memory.
@@ -84,16 +55,9 @@ class BatchedSteadyState:
         )
         self._ambient = model.ambient
         self._n = model.n_cores
-        self._cache_size = cache_size
-        self._quantum = power_quantum
-        self._cache: OrderedDict[bytes, float] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
         # TSP artefacts, shared by every ThermalSafePower on this chip.
         self._order: Optional[np.ndarray] = None
-        self._row_totals: Optional[np.ndarray] = None
         self._tsp_tables: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
-        self._tsp_single: dict[tuple[int, float, float], tuple[float, int]] = {}
 
     # -- basic properties ---------------------------------------------
 
@@ -174,98 +138,19 @@ class BatchedSteadyState:
         return self.temperatures(p).max(axis=1)
 
     def peak_temperature(self, core_powers: Sequence[float]) -> float:
-        """Hottest core's steady-state temperature (degC), LRU-cached.
-
-        The cache key is the power vector rounded to ``power_quantum``;
-        repeated event-loop configurations hit the cache instead of
-        re-applying the operator.
-        """
+        """Hottest core's steady-state temperature (degC) for one vector."""
         p = np.asarray(core_powers, dtype=float)
         if p.shape != (self._n,):
             raise ConfigurationError(
                 f"expected {self._n} core powers, got shape {p.shape}"
             )
         if not np.isfinite(p).all():
-            # np.rint(p / quantum) is undefined for NaN/inf and would
-            # poison the LRU with a garbage key; reject like the direct
-            # solver path rejects ill-posed inputs.
+            # Reject like the direct solver path rejects ill-posed
+            # inputs, rather than report a NaN peak.
             raise ConfigurationError(
                 "core powers must be finite; got NaN or infinity"
             )
-        if self._cache_size == 0:
-            obs.incr("perf.batched.uncached_peaks")
-            return float((self._ambient + self._b @ p).max())
-        key = np.rint(p / self._quantum).astype(np.int64).tobytes()
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._hits += 1
-            obs.incr("perf.batched.cache_hits")
-            self._cache.move_to_end(key)
-            return cached
-        self._misses += 1
-        obs.incr("perf.batched.cache_misses")
-        # Miss path already pays a matmul; keep the hit-rate gauge fresh
-        # here so snapshots carry it without taxing the hit path.
-        obs.gauge(
-            "perf.batched.cache_hit_rate",
-            self._hits / (self._hits + self._misses),
-        )
-        peak = float((self._ambient + self._b @ p).max())
-        self._cache[key] = peak
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return peak
-
-    def cache_info(self) -> dict[str, int]:
-        """Peak-temperature cache counters."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "size": len(self._cache),
-            "maxsize": self._cache_size,
-        }
-
-    def cache_stats(self) -> dict[str, float]:
-        """Peak-temperature cache statistics, including the hit rate.
-
-        Extends :meth:`cache_info` with ``hit_rate`` (hits over total
-        queries, 0.0 before any query) and the count of shared TSP
-        tables currently held (``tsp_tables`` full tables plus
-        ``tsp_singles`` single-count entries).
-        """
-        queries = self._hits + self._misses
-        hit_rate = self._hits / queries if queries else 0.0
-        obs.gauge("perf.batched.cache_hit_rate", hit_rate)
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "hit_rate": hit_rate,
-            "size": len(self._cache),
-            "maxsize": self._cache_size,
-            "tsp_tables": len(self._tsp_tables),
-            "tsp_singles": len(self._tsp_single),
-        }
-
-    def cache_clear(self) -> None:
-        """Drop every cached peak temperature (counters reset too)."""
-        self._cache.clear()
-        self._hits = 0
-        self._misses = 0
-
-    def reset(self) -> None:
-        """Return the engine to its just-constructed state.
-
-        Clears the peak-temperature cache *and* the shared TSP artefacts
-        (full tables, single-count entries, and the concentration
-        order), so long-running processes can release every byte the
-        engine accumulated — :meth:`cache_clear` alone leaves the TSP
-        tables alive.
-        """
-        self.cache_clear()
-        self._tsp_tables.clear()
-        self._tsp_single.clear()
-        self._order = None
-        self._row_totals = None
+        return float((self._ambient + self._b @ p).max())
 
     # -- shared TSP artefacts -----------------------------------------
 
@@ -278,65 +163,64 @@ class BatchedSteadyState:
         """
         if self._order is None:
             self._order = np.argsort(-self._b, axis=1)
-            self._row_totals = self._b.sum(axis=1)
         return self._order
-
-    def _concentration(self) -> tuple[np.ndarray, np.ndarray]:
-        self.concentration_order()
-        return self._order, self._row_totals
 
     def tsp_table(
         self,
         headroom: float,
         inactive_power: float,
-        chunk: int = 32,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Worst-case TSP budgets for every active-core count 1..n.
 
+        One pass over the counts keeps ``heat[c, i]``, the heating of
+        core ``i`` at 1 W per member of centre ``c``'s candidate, and
+        adds the next member's influence row for each ``m``: O(n^3)
+        work in O(n^2) memory.
+
         Args:
-            headroom: temperature budget ``T_DTM - T_amb``, in K.
+            headroom: temperature budget ``T_DTM - T_amb``, in K (> 0).
             inactive_power: residual power of dark cores, in W.
-            chunk: centres evaluated per vectorised block.
 
         Returns:
             ``(budgets, centres)`` — ``budgets[m - 1]`` is the worst-case
             per-core budget with ``m`` active cores (W) and
-            ``centres[m - 1]`` the centre of a mapping attaining it.
-            Budgets are clamped to 0.0 W: when the inactive cores'
-            residual heating alone exceeds the headroom the count is
-            infeasible, and a 0.0 budget marks it so (a negative "budget"
-            must never reach callers).  Cached per ``(headroom,
+            ``centres[m - 1]`` the first centre whose candidate mapping
+            attains it.  Budgets are clamped to 0.0 W: when the inactive
+            cores' residual heating alone exceeds the headroom the count
+            is infeasible, and a 0.0 budget marks it so (a negative
+            "budget" must never reach callers).  Cached per ``(headroom,
             inactive_power)``, so every caller on this chip shares one
             table.
+
+        Raises:
+            ConfigurationError: on a non-positive headroom.
         """
+        if not headroom > 0:
+            raise ConfigurationError(f"headroom must be positive, got {headroom}")
         key = (float(headroom), float(inactive_power))
         cached = self._tsp_tables.get(key)
         if cached is not None:
             obs.incr("tsp.table_hits")
             return cached
         obs.incr("tsp.table_builds")
-        order, row_totals = self._concentration()
-        b = self._b
+        order = self.concentration_order()
         n = self._n
-        best = np.full(n, np.inf)
-        best_centre = np.zeros(n, dtype=int)
-        for start in range(0, n, chunk):
-            centres = order[start : start + chunk]
-            # gathered[c, k, i] = B[i, order[c, k]]: every core's heating
-            # by the k-th member of centre c's candidate, at 1 W.
-            gathered = np.transpose(b[:, centres], (1, 2, 0))
-            cum = np.cumsum(gathered, axis=1)
+        row_totals = self._b.sum(axis=1) if inactive_power else None
+        heat = np.zeros((n, n))
+        best = np.empty(n)
+        best_centre = np.empty(n, dtype=int)
+        for k in range(n):
+            # Row c gains B[:, order[c, k]], the next member's heating.
+            heat += self._bt[order[:, k]]
             if inactive_power:
-                inactive_heat = inactive_power * (row_totals[None, None, :] - cum)
-                budgets = (headroom - inactive_heat) / cum
+                budgets = (headroom - inactive_power * (row_totals - heat)) / heat
+                per_centre = budgets.min(axis=1)
             else:
-                budgets = headroom / cum
-            per_m = budgets.min(axis=2)
-            chunk_best = per_m.min(axis=0)
-            chunk_centre = per_m.argmin(axis=0) + start
-            improved = chunk_best < best
-            best = np.where(improved, chunk_best, best)
-            best_centre[improved] = chunk_centre[improved]
+                # Division by a positive headroom is monotone, so the
+                # hottest core gives min_i(h / heat) bit for bit.
+                per_centre = headroom / heat.max(axis=1)
+            best_centre[k] = per_centre.argmin()
+            best[k] = per_centre[best_centre[k]]
         # Inactive heating beyond the headroom yields negative budgets;
         # clamp to 0.0 (= infeasible count) so no caller ever receives a
         # negative per-core power budget.
@@ -352,48 +236,15 @@ class BatchedSteadyState:
     ) -> tuple[float, int]:
         """Worst-case TSP budget for one active-core count.
 
-        A single count does not need the full cumulative-sum table: the
-        per-centre candidate sums are one 0/1 selection matmul
-        (``W = B @ M``), which BLAS evaluates orders of magnitude faster
-        than the all-counts pass.  Results are cached per
-        ``(m, headroom, inactive_power)``; if the full table already
-        exists it is reused verbatim.
+        Read from :meth:`tsp_table`, so one count and the full table
+        always agree.
 
         Returns:
-            ``(budget, centre)`` as in :meth:`tsp_table` at index ``m-1``;
-            the budget is clamped to 0.0 W (infeasible count) when
-            inactive heating alone exceeds the headroom.
+            ``(budget, centre)`` as in :meth:`tsp_table` at index ``m-1``.
         """
         if not 1 <= m <= self._n:
             raise ConfigurationError(
                 f"active-core count must be in [1, {self._n}], got {m}"
             )
-        table_key = (float(headroom), float(inactive_power))
-        table = self._tsp_tables.get(table_key)
-        if table is not None:
-            obs.incr("tsp.table_hits")
-            budgets, centres = table
-            return float(budgets[m - 1]), int(centres[m - 1])
-        key = (m, float(headroom), float(inactive_power))
-        cached = self._tsp_single.get(key)
-        if cached is not None:
-            obs.incr("tsp.single_hits")
-            return cached
-        obs.incr("tsp.single_builds")
-        order, row_totals = self._concentration()
-        n = self._n
-        members = order[:, :m]  # (centre, member) candidate mappings
-        selection = np.zeros((n, n))
-        selection[members.ravel(), np.repeat(np.arange(n), m)] = 1.0
-        heat = self._b @ selection  # heat[i, c]: heating of i at 1 W/core
-        if inactive_power:
-            inactive_heat = inactive_power * (row_totals[:, None] - heat)
-            budgets = (headroom - inactive_heat) / heat
-        else:
-            budgets = headroom / heat
-        per_centre = budgets.min(axis=0)
-        centre = int(per_centre.argmin())
-        # Same clamp as tsp_table: 0.0 marks the count infeasible.
-        result = (max(float(per_centre[centre]), 0.0), centre)
-        self._tsp_single[key] = result
-        return result
+        budgets, centres = self.tsp_table(headroom, inactive_power)
+        return float(budgets[m - 1]), int(centres[m - 1])

@@ -132,8 +132,6 @@ class OnlineSimulator:
                 energy += float(core_powers.sum()) * dt
                 core_seconds += len(occupied) * dt
                 if occupied:
-                    # The engine's quantized LRU makes the repeated
-                    # configurations of a steady event loop cache hits.
                     max_peak = max(
                         max_peak, engine.peak_temperature(core_powers)
                     )

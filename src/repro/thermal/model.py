@@ -216,7 +216,6 @@ class ThermalModel:
         key = float(dt)
         cached = self._step_factorizations.get(key)
         if cached is None:
-            obs.incr("thermal.transient.lu_factorisations")
             step_matrix = sparse.diags(self._capacitances / key) + self._matrix
             cached = self._backend.factorize(step_matrix)
             self._step_factorizations[key] = cached

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.chip import Chip
 from repro.core.tsp import ThermalSafePower
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.power.budget import tdp_all_cores_at_threshold
+from repro.tech.library import NODE_16NM
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +56,12 @@ class TestWorstCase:
         for mapping in ([0, 3, 12, 15], [0, 1, 2, 3], [5, 6, 9, 10]):
             assert worst <= tsp.for_mapping(mapping) + 1e-9
 
-    def test_worst_mapping_attains_worst_budget(self, tsp):
-        m = 4
-        mapping = tsp.worst_case_mapping(m)
-        assert tsp.for_mapping(mapping) == pytest.approx(tsp.worst_case(m))
+    def test_worst_mapping_attains_worst_budget(self, small_chip, tsp):
+        # for_mapping is the independent per-mapping formula the shared
+        # table must agree with, at every count.
+        for m in range(1, small_chip.n_cores + 1):
+            mapping = tsp.worst_case_mapping(m)
+            assert tsp.for_mapping(mapping) == pytest.approx(tsp.worst_case(m))
 
     def test_per_core_budget_decreases_with_active_count(self, tsp):
         budgets = [tsp.worst_case(m) for m in range(1, 17)]
@@ -101,6 +105,21 @@ class TestTable:
         table = tsp.table([1, 8, 16])
         assert set(table) == {1, 8, 16}
         assert table[8] == pytest.approx(tsp.worst_case(8))
+
+
+class TestCallHistory:
+    @pytest.mark.parametrize("inactive_power", [0.0, 0.3])
+    def test_results_do_not_depend_on_table_call(self, inactive_power):
+        # A budget and its worst-case mapping must not depend on whether
+        # another caller on the chip built the full table first.
+        warm, cold = (
+            ThermalSafePower(Chip.grid_chip(NODE_16NM, 6, 6), inactive_power)
+            for _ in range(2)
+        )
+        warm.table()
+        for m in range(1, cold.chip.n_cores + 1):
+            assert cold.worst_case(m) == warm.worst_case(m)
+            assert cold.worst_case_mapping(m) == warm.worst_case_mapping(m)
 
 
 class TestInactivePower:

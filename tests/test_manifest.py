@@ -12,7 +12,6 @@ from repro.obs.manifest import (
     RunManifest,
     append_manifest,
     build_manifest,
-    code_fingerprint,
     read_manifests,
     runs_path,
     snapshot_digest,
@@ -69,17 +68,6 @@ class TestDigests:
         assert snapshot_digest({"counters": {"a": 1}}) != snapshot_digest(
             {"counters": {"a": 2}}
         )
-
-    def test_code_fingerprint_tracks_content(self, tmp_path):
-        (tmp_path / "mod.py").write_text("x = 1\n")
-        first = code_fingerprint(tmp_path)
-        assert len(first) == 16
-        assert code_fingerprint(tmp_path) == first
-        (tmp_path / "mod.py").write_text("x = 2\n")
-        assert code_fingerprint(tmp_path) != first
-
-    def test_default_fingerprint_covers_repro_package(self):
-        assert len(code_fingerprint()) == 16
 
 
 class TestLedger:

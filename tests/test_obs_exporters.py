@@ -27,8 +27,8 @@ from repro.obs.exporters import (
 @pytest.fixture()
 def registry():
     r = Registry(enabled=True)
-    r.incr("perf.batched.cache_hits", 12)
-    r.gauge("perf.batched.cache_hit_rate", 0.75)
+    r.incr("perf.batched.single_solves", 12)
+    r.gauge("perf.batched.influence_bytes", 0.75)
     with r.timer("stage"):
         pass
     with r.span("experiment"):
@@ -41,8 +41,8 @@ def registry():
 class TestNameMapping:
     def test_dotted_names_flatten_under_namespace(self):
         assert (
-            sanitize_metric_name("perf.batched.cache_hits")
-            == "repro_perf_batched_cache_hits"
+            sanitize_metric_name("perf.batched.single_solves")
+            == "repro_perf_batched_single_solves"
         )
 
     def test_empty_namespace_keeps_flat_name(self):
@@ -57,8 +57,8 @@ class TestNameMapping:
 class TestPrometheusRoundTrip:
     def test_counter_and_gauge_values_exact(self, registry):
         series = parse_prometheus(to_prometheus(registry.snapshot()))
-        assert series["repro_perf_batched_cache_hits_total"][""] == 12
-        assert series["repro_perf_batched_cache_hit_rate"][""] == 0.75
+        assert series["repro_perf_batched_single_solves_total"][""] == 12
+        assert series["repro_perf_batched_influence_bytes"][""] == 0.75
 
     def test_summaries_carry_count_and_sum(self, registry):
         snap = registry.snapshot()
@@ -101,8 +101,8 @@ class TestPrometheusRoundTrip:
         snap = registry.snapshot()
         text = to_prometheus(snap)
         assert text == to_prometheus(snap)
-        assert "# TYPE repro_perf_batched_cache_hits_total counter" in text
-        assert "# TYPE repro_perf_batched_cache_hit_rate gauge" in text
+        assert "# TYPE repro_perf_batched_single_solves_total counter" in text
+        assert "# TYPE repro_perf_batched_influence_bytes gauge" in text
         assert "# TYPE repro_stage_seconds summary" in text
         assert "# TYPE repro_tsp_budget_w histogram" in text
 
@@ -157,7 +157,7 @@ class TestHttpServer:
                 assert resp.status == 200
                 assert "version=0.0.4" in resp.headers["Content-Type"]
                 body = resp.read().decode()
-            assert "repro_perf_batched_cache_hits_total 12" in body
+            assert "repro_perf_batched_single_solves_total 12" in body
             with urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/snapshot.json"
             ) as resp:
@@ -182,12 +182,12 @@ class TestHttpServer:
         server = start_metrics_server(registry.snapshot)
         try:
             port = server.server_address[1]
-            registry.incr("perf.batched.cache_hits", 88)
+            registry.incr("perf.batched.single_solves", 88)
             with urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/metrics"
             ) as resp:
                 body = resp.read().decode()
-            assert "repro_perf_batched_cache_hits_total 100" in body
+            assert "repro_perf_batched_single_solves_total 100" in body
         finally:
             server.shutdown()
             server.server_close()

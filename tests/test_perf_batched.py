@@ -1,4 +1,4 @@
-"""Batched steady-state engine: equivalence, caching, shared TSP tables."""
+"""Batched steady-state engine: equivalence, shared TSP tables."""
 
 import numpy as np
 import pytest
@@ -68,113 +68,6 @@ class TestSolverEquivalence:
         assert engine.peak_temperature(p) == pytest.approx(engine.ambient)
 
 
-class TestCache:
-    def test_repeat_query_hits(self, engine):
-        p = random_powers(engine.n_cores, seed=1)
-        first = engine.peak_temperature(p)
-        second = engine.peak_temperature(p)
-        assert first == second
-        info = engine.cache_info()
-        assert info["hits"] == 1
-        assert info["misses"] == 1
-        assert info["size"] == 1
-
-    def test_quantization_shares_entries(self, engine):
-        p = random_powers(engine.n_cores, seed=2)
-        engine.peak_temperature(p)
-        # A perturbation far below the quantum lands on the same key.
-        engine.peak_temperature(p + 1e-13)
-        info = engine.cache_info()
-        assert info["hits"] == 1
-        assert info["misses"] == 1
-
-    def test_distinct_vectors_miss(self, engine):
-        engine.peak_temperature(random_powers(engine.n_cores, seed=3))
-        engine.peak_temperature(random_powers(engine.n_cores, seed=4))
-        assert engine.cache_info()["misses"] == 2
-        assert engine.cache_info()["hits"] == 0
-
-    def test_lru_eviction_bounds_size(self, model):
-        engine = BatchedSteadyState(model, cache_size=4)
-        for seed in range(10):
-            engine.peak_temperature(random_powers(engine.n_cores, seed=seed))
-        assert engine.cache_info()["size"] == 4
-        # The most recent entry survived the evictions.
-        engine.peak_temperature(random_powers(engine.n_cores, seed=9))
-        assert engine.cache_info()["hits"] == 1
-
-    def test_cache_clear_resets(self, engine):
-        p = random_powers(engine.n_cores, seed=5)
-        engine.peak_temperature(p)
-        engine.peak_temperature(p)
-        engine.cache_clear()
-        info = engine.cache_info()
-        assert info == {"hits": 0, "misses": 0, "size": 0, "maxsize": info["maxsize"]}
-
-    def test_zero_cache_size_disables_caching(self, model, solver):
-        engine = BatchedSteadyState(model, cache_size=0)
-        p = random_powers(engine.n_cores, seed=6)
-        assert abs(
-            engine.peak_temperature(p) - solver.peak_temperature(p)
-        ) <= 1e-9
-        assert engine.cache_info()["size"] == 0
-
-
-class TestCacheStats:
-    def test_hit_rate_and_size_exposed(self, engine):
-        p = random_powers(engine.n_cores, seed=11)
-        engine.peak_temperature(p)
-        engine.peak_temperature(p)
-        engine.peak_temperature(random_powers(engine.n_cores, seed=12))
-        stats = engine.cache_stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
-        assert stats["hit_rate"] == pytest.approx(1 / 3)
-        assert stats["size"] == 2
-        assert stats["maxsize"] == engine.cache_info()["maxsize"]
-
-    def test_hit_rate_zero_before_any_query(self, engine):
-        assert engine.cache_stats()["hit_rate"] == 0.0
-
-    def test_stats_count_tsp_tables(self, engine):
-        engine.tsp_table(55.0, 0.0)
-        engine.tsp_for_count(2, 60.0, 0.1)
-        stats = engine.cache_stats()
-        assert stats["tsp_tables"] == 1
-        assert stats["tsp_singles"] == 1
-
-    def test_stats_after_reset(self, engine):
-        # Regression: reset() must clear the peak cache AND the shared
-        # TSP artefacts — cache_clear() alone left the tables alive.
-        p = random_powers(engine.n_cores, seed=13)
-        engine.peak_temperature(p)
-        engine.peak_temperature(p)
-        engine.tsp_table(55.0, 0.0)
-        engine.tsp_for_count(3, 60.0, 0.2)
-        engine.concentration_order()
-        engine.reset()
-        stats = engine.cache_stats()
-        assert stats == {
-            "hits": 0,
-            "misses": 0,
-            "hit_rate": 0.0,
-            "size": 0,
-            "maxsize": stats["maxsize"],
-            "tsp_tables": 0,
-            "tsp_singles": 0,
-        }
-
-    def test_reset_engine_recomputes_identically(self, engine):
-        budgets_before, centres_before = engine.tsp_table(55.0, 0.3)
-        p = random_powers(engine.n_cores, seed=14)
-        peak_before = engine.peak_temperature(p)
-        engine.reset()
-        budgets_after, centres_after = engine.tsp_table(55.0, 0.3)
-        assert np.array_equal(budgets_before, budgets_after)
-        assert np.array_equal(centres_before, centres_after)
-        assert engine.peak_temperature(p) == peak_before
-
-
 class TestValidation:
     def test_wrong_vector_length_rejected(self, engine):
         with pytest.raises(ConfigurationError, match="core powers"):
@@ -191,24 +84,12 @@ class TestValidation:
             engine.peak_temperatures(np.zeros(engine.n_cores))
 
     def test_non_finite_powers_rejected_before_caching(self, engine):
-        # Regression: np.rint on a NaN/inf power produced a garbage
-        # quantized key, silently poisoning the peak-temperature LRU.
+        # A NaN/inf power must fail loudly, not yield a NaN peak.
         for bad in (np.nan, np.inf, -np.inf):
             p = random_powers(engine.n_cores)
             p[2] = bad
             with pytest.raises(ConfigurationError, match="finite"):
                 engine.peak_temperature(p)
-        info = engine.cache_info()
-        assert info["size"] == 0
-        assert info["misses"] == 0
-
-    def test_negative_cache_size_rejected(self, model):
-        with pytest.raises(ConfigurationError, match="cache_size"):
-            BatchedSteadyState(model, cache_size=-1)
-
-    def test_non_positive_quantum_rejected(self, model):
-        with pytest.raises(ConfigurationError, match="power_quantum"):
-            BatchedSteadyState(model, power_quantum=0.0)
 
 
 class TestChipEngine:
@@ -226,18 +107,26 @@ class TestChipEngine:
 
 class TestSharedTspTables:
     def test_single_count_matches_full_table(self, engine):
-        headroom, inactive = 55.0, 0.3
-        budgets, centres = engine.tsp_table(headroom, inactive)
-        # Build a fresh engine so the single-m path cannot reuse the table.
-        fresh = BatchedSteadyState(engine.model)
-        for m in (1, 5, engine.n_cores):
-            budget, _ = fresh.tsp_for_count(m, headroom, inactive)
-            assert budget == pytest.approx(budgets[m - 1], abs=1e-9)
+        headroom = 55.0
+        for inactive in (0.0, 0.3):
+            # A fresh engine answers single counts before any table call.
+            fresh = BatchedSteadyState(engine.model)
+            singles = [
+                fresh.tsp_for_count(m, headroom, inactive)
+                for m in range(1, engine.n_cores + 1)
+            ]
+            budgets, centres = engine.tsp_table(headroom, inactive)
+            assert singles == list(zip(budgets.tolist(), centres.tolist()))
 
     def test_table_is_shared_per_parameters(self, engine):
         first = engine.tsp_table(55.0, 0.0)
         second = engine.tsp_table(55.0, 0.0)
         assert first[0] is second[0]
+
+    def test_non_positive_headroom_rejected(self, engine):
+        for headroom in (0.0, -5.0, np.nan):
+            with pytest.raises(ConfigurationError, match="headroom"):
+                engine.tsp_table(headroom, 0.0)
 
     def test_count_out_of_range_rejected(self, engine):
         with pytest.raises(ConfigurationError, match="active-core count"):
@@ -250,4 +139,3 @@ class TestSharedTspTables:
         a = ThermalSafePower(chip)
         b = ThermalSafePower(chip)
         assert a.worst_case(4) == b.worst_case(4)
-        assert chip.engine.cache_info()["maxsize"] > 0
