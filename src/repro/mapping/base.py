@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import abc
+import functools
 from typing import AbstractSet, Optional, Sequence
 
 from repro.chip import Chip
-from repro.errors import MappingError
+from repro.errors import ConfigurationError, MappingError
 
 
 class PlacementError(MappingError):
@@ -36,9 +37,38 @@ class Placer(abc.ABC):
         Returns:
             The chosen core indices (length ``n_cores``), or ``None``
             when not enough free cores remain.
+
+        Raises:
+            ConfigurationError: ``n_cores`` is negative or ``occupied``
+                holds an index outside the chip (see
+                :meth:`check_request`).
         """
+
+    @staticmethod
+    def check_request(chip: Chip, n_cores: int, occupied: AbstractSet[int]) -> None:
+        """Reject a negative core count or an occupied index off the chip.
+
+        The built-in placers call this first: a negative count would
+        otherwise slice a list from its end, and an index of -1 would
+        alias the last core.
+        """
+        if n_cores < 0:
+            raise ConfigurationError(f"n_cores must be non-negative, got {n_cores}")
+        if not occupied <= _core_indices(chip.n_cores):
+            bad = sorted(c for c in occupied if not 0 <= c < chip.n_cores)
+            raise ConfigurationError(
+                f"occupied cores {bad} are outside the chip's "
+                f"{chip.n_cores} cores"
+            )
 
     @staticmethod
     def free_cores(chip: Chip, occupied: AbstractSet[int]) -> list[int]:
         """All free core indices in ascending order."""
         return [i for i in range(chip.n_cores) if i not in occupied]
+
+
+@functools.lru_cache(maxsize=16)
+def _core_indices(n_cores: int) -> frozenset[int]:
+    """Every valid core index of an ``n_cores`` chip (a subset test is
+    one C-level pass, several times faster than ``min``/``max``)."""
+    return frozenset(range(n_cores))

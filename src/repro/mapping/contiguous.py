@@ -20,6 +20,7 @@ class ContiguousPlacer(Placer):
     def place(
         self, chip: Chip, n_cores: int, occupied: AbstractSet[int]
     ) -> Optional[Sequence[int]]:
+        self.check_request(chip, n_cores, occupied)
         free = self.free_cores(chip, occupied)
         if len(free) < n_cores:
             return None

@@ -78,7 +78,13 @@ class _Config(NamedTuple):
 
 
 class _State:
-    """Mutable mapping state shared by the three phases."""
+    """Mutable mapping state shared by the three phases.
+
+    The occupied set and the per-core power vector are kept up to date
+    by :meth:`add`, :meth:`replace` and :meth:`remove`.  Instances own
+    disjoint cores, so assigning an instance's per-core power to its
+    cores gives the same vector as summing every instance into zeros.
+    """
 
     def __init__(
         self, chip: Chip, placer: Placer, tables: dict[AppProfile, OperatingPoints]
@@ -87,22 +93,14 @@ class _State:
         self.placer = placer
         self.tables = tables
         self.placed: list[PlacedInstance] = []
-
-    @property
-    def occupied(self) -> set[int]:
-        return {c for p in self.placed for c in p.cores}
+        self.occupied: set[int] = set()
+        self._powers = np.zeros(chip.n_cores)
 
     def core_powers(self) -> np.ndarray:
-        powers = np.zeros(self.chip.n_cores)
-        for p in self.placed:
-            powers[list(p.cores)] += p.core_power
-        return powers
-
-    def total_power(self) -> float:
-        return float(sum(p.core_power * len(p.cores) for p in self.placed))
+        return self._powers.copy()
 
     def peak_temperature(self) -> float:
-        return self.chip.solver.peak_temperature(self.core_powers())
+        return self.chip.solver.peak_temperature(self._powers)
 
     def point(self, index: int) -> tuple[OperatingPoints, int]:
         """The table and grid level of placed instance ``index``."""
@@ -118,31 +116,36 @@ class _State:
         instance = ApplicationInstance(
             app=table.app, threads=n, frequency=table.frequencies[level]
         )
-        self.placed.append(
-            PlacedInstance(
-                instance=instance, cores=tuple(cores), core_power=table.power[n - 1][level]
-            )
+        placed = PlacedInstance(
+            instance=instance, cores=tuple(cores), core_power=table.power[n - 1][level]
         )
+        self.placed.append(placed)
+        self.occupied.update(placed.cores)
+        self._powers[list(placed.cores)] = placed.core_power
         return True
 
     def replace(self, index: int, level: int) -> None:
         old = self.placed[index]
         table = self.tables[old.instance.app]
         instance = old.instance.with_frequency(table.frequencies[level])
-        self.placed[index] = PlacedInstance(
+        placed = PlacedInstance(
             instance=instance,
             cores=old.cores,
             core_power=table.power[instance.threads - 1][level],
         )
+        self.placed[index] = placed
+        self._powers[list(placed.cores)] = placed.core_power
 
     def remove(self, index: int) -> None:
-        del self.placed[index]
+        cores = self.placed.pop(index).cores
+        self.occupied.difference_update(cores)
+        self._powers[list(cores)] = 0.0
 
     def hottest_instance(self) -> Optional[int]:
         """Index of the placed instance containing the hottest core."""
         if not self.placed:
             return None
-        temps = self.chip.solver.temperatures(self.core_powers())
+        temps = self.chip.solver.temperatures(self._powers)
         hottest_core = int(np.argmax(temps))
         for i, p in enumerate(self.placed):
             if hottest_core in p.cores:

@@ -43,6 +43,7 @@ class CheckerboardPlacer(Placer):
     ) -> Optional[Sequence[int]]:
         if chip.grid is None:
             raise ConfigurationError("CheckerboardPlacer needs a grid chip")
+        self.check_request(chip, n_cores, occupied)
         free = self.free_cores(chip, occupied)
         if len(free) < n_cores:
             return None
@@ -71,12 +72,12 @@ class NeighbourhoodSpreadPlacer(Placer):
             raise ConfigurationError(
                 "NeighbourhoodSpreadPlacer needs a grid chip"
             )
+        self.check_request(chip, n_cores, occupied)
         rows, cols = chip.grid
         n = rows * cols
         adjacency = self._neighbour_matrix(chip)
-        taken = np.zeros(n)
-        if occupied:
-            taken[list(occupied)] = 1.0
+        taken = np.zeros(n, dtype=bool)
+        taken[list(occupied)] = True
         if n - len(occupied) < n_cores:
             return None
         # scores[c] = taken 4-neighbours of c (one matvec), +inf on
@@ -84,13 +85,13 @@ class NeighbourhoodSpreadPlacer(Placer):
         # the scalar greedy walk) only ever selects free ones; +inf
         # absorbs the incremental neighbour updates.
         scores = adjacency @ taken
-        scores[taken == 1.0] = np.inf  # repro-lint: disable=DS102 - taken is an exact 0/1 indicator array
+        scores[taken] = np.inf
         chosen: list[int] = []
         for _ in range(n_cores):
             best = int(scores.argmin())
             chosen.append(best)
             scores[best] = np.inf
-            scores += adjacency[:, best]
+            scores += adjacency[best]  # symmetric: the row is the column
         return chosen
 
     @staticmethod
@@ -129,20 +130,45 @@ class ThermalSpreadPlacer(Placer):
     def place(
         self, chip: Chip, n_cores: int, occupied: AbstractSet[int]
     ) -> Optional[Sequence[int]]:
-        free = self.free_cores(chip, occupied)
-        if len(free) < n_cores:
-            return None
-        influence = chip.thermal.influence_matrix()
-        taken = set(occupied)
-        chosen: list[int] = []
-        candidates = set(free)
-        for _ in range(n_cores):
-            best = min(
-                sorted(candidates),
-                key=lambda c: sum(influence[c, k] for k in taken)
-                + influence[c, c],
-            )
-            chosen.append(best)
-            candidates.remove(best)
-            taken.add(best)
-        return chosen
+        return _thermal_spread(chip, n_cores, occupied)
+
+
+def _thermal_spread(
+    chip: Chip,
+    n_cores: int,
+    occupied: AbstractSet[int],
+    bias: Optional[np.ndarray] = None,
+) -> Optional[list[int]]:
+    """The thermal-spread greedy, shared with the variation-aware placer.
+
+    Each pick minimises ``received[c] + B[c, c] (+ bias[c])`` over the
+    free cores, where ``received = sum_{k in taken} B[:, k]`` is kept as
+    one vector: seeded column by column over ``sorted(occupied)``, then
+    grown by the chosen core's column after every pick.  That fixed
+    order of the floating-point additions decides near-ties between
+    mirror-image cores, so a placement depends only on which cores are
+    occupied.  Unavailable cores score +inf, so argmin (lowest index
+    wins ties) only selects free ones.
+    """
+    Placer.check_request(chip, n_cores, occupied)
+    if chip.n_cores - len(occupied) < n_cores:
+        return None
+    influence = chip.thermal.influence_matrix()
+    diagonal = influence.diagonal()
+    # The columns of the occupied cores as C-ordered rows: a reduction
+    # across rows adds them one at a time (numpy sums pairwise only
+    # along the fast axis), the same as a loop of ``+=``.
+    received = np.add.reduce(influence.T[sorted(occupied)], axis=0)
+    mask = np.zeros(chip.n_cores)
+    mask[list(occupied)] = np.inf
+    chosen: list[int] = []
+    for _ in range(n_cores):
+        scores = received + diagonal
+        if bias is not None:
+            scores += bias
+        scores += mask
+        best = int(scores.argmin())
+        chosen.append(best)
+        mask[best] = np.inf
+        received += influence[:, best]
+    return chosen

@@ -96,7 +96,8 @@ def diff_snapshots(now: dict, before: dict) -> dict:
     *current* min/max (extremes cannot be subtracted).  Gauges are
     included when their value changed or is new.  Entries absent from
     ``before`` are returned whole; unchanged entries are omitted (a
-    histogram counts as changed when its count, sum or any bucket moved).
+    timer or span counts as changed when its count or total moved, a
+    histogram when its count, sum or any bucket moved).
 
     :meth:`Registry.diff` is this applied to a live snapshot; the
     :class:`~repro.obs.sampler.SnapshotSampler` calls it directly with
@@ -121,11 +122,11 @@ def diff_snapshots(now: dict, before: dict) -> dict:
         for name, agg in now[kind].items():
             prev = prior.get(name, {"count": 0, "total_s": 0.0})
             d_count = agg["count"] - prev["count"]
-            if d_count:
-                out[kind][name] = {
-                    "count": d_count,
-                    "total_s": agg["total_s"] - prev["total_s"],
-                }
+            d_total = agg["total_s"] - prev["total_s"]
+            # A snapshot can catch an interval between its count and its
+            # total_s updates, so an interval may move only the latter.
+            if d_count or d_total:
+                out[kind][name] = {"count": d_count, "total_s": d_total}
     prior_gauges = before.get("gauges", {})
     for name, value in now["gauges"].items():
         if name not in prior_gauges or prior_gauges[name] != value:

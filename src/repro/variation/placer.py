@@ -28,6 +28,7 @@ from typing import AbstractSet, Optional, Sequence
 from repro.chip import Chip
 from repro.errors import ConfigurationError
 from repro.mapping.base import Placer
+from repro.mapping.patterns import _thermal_spread
 from repro.variation.map import VariationMap
 
 
@@ -57,24 +58,7 @@ class VariationAwarePlacer(Placer):
                 f"variation map covers {self._variation.n_cores} cores, "
                 f"chip has {chip.n_cores}"
             )
-        free = self.free_cores(chip, occupied)
-        if len(free) < n_cores:
-            return None
-        influence = chip.thermal.influence_matrix()
+        # Added after B[c, c], as in score(c) above.
         mults = self._variation.leakage_multipliers
-        taken = set(occupied)
-        chosen: list[int] = []
-        candidates = set(free)
-        for _ in range(n_cores):
-            best = min(
-                sorted(candidates),
-                key=lambda c: (
-                    sum(influence[c, k] for k in taken)
-                    + influence[c, c]
-                    + self._weight * mults[c] * influence[c, c]
-                ),
-            )
-            chosen.append(best)
-            candidates.remove(best)
-            taken.add(best)
-        return chosen
+        bias = (self._weight * mults) * chip.thermal.influence_matrix().diagonal()
+        return _thermal_spread(chip, n_cores, occupied, bias)

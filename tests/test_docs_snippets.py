@@ -104,6 +104,54 @@ class TestCustomPlacer:
         assert result.active_cores > 0
 
 
+class PenalisedSpread(Placer):
+    """Section 3 of docs/extending.md (second snippet), verbatim."""
+
+    def __init__(self, penalty):
+        self.penalty = np.asarray(penalty, dtype=float)
+
+    def place(self, chip, n_cores, occupied):
+        self.check_request(chip, n_cores, occupied)
+        if chip.n_cores - len(occupied) < n_cores:
+            return None
+        B = chip.thermal.influence_matrix()
+        received = np.zeros(chip.n_cores)  # sum of B[:, k] over taken k
+        for k in sorted(occupied):
+            received += B[:, k]
+        mask = np.zeros(chip.n_cores)  # +inf on unavailable cores
+        mask[list(occupied)] = np.inf
+        chosen = []
+        for _ in range(n_cores):
+            scores = received + B.diagonal() + self.penalty + mask
+            best = int(scores.argmin())  # lowest index wins ties
+            chosen.append(best)
+            mask[best] = np.inf
+            received += B[:, best]
+        return chosen
+
+
+class TestPenalisedSpread:
+    def test_zero_penalty_places_like_thermal_spread(self, small_chip):
+        from repro.mapping.patterns import ThermalSpreadPlacer
+
+        placer = PenalisedSpread(np.zeros(small_chip.n_cores))
+        for occupied in (set(), {0, 5, 6}, {3, 12, 15}):
+            assert placer.place(small_chip, 6, occupied) == ThermalSpreadPlacer().place(
+                small_chip, 6, occupied
+            )
+
+    def test_penalty_steers_away(self, small_chip):
+        penalty = np.zeros(small_chip.n_cores)
+        penalty[0] = 1e3
+        assert 0 not in PenalisedSpread(penalty).place(small_chip, 4, set())
+
+    def test_bad_request_rejected(self, small_chip):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            PenalisedSpread(np.zeros(small_chip.n_cores)).place(small_chip, -1, set())
+
+
 class FixedFrequency(AdmissionPolicy):
     """Section 4 of docs/extending.md, verbatim."""
 

@@ -12,6 +12,8 @@ from repro.mapping.patterns import (
     NeighbourhoodSpreadPlacer,
     ThermalSpreadPlacer,
 )
+from repro.variation.map import VariationMap
+from repro.variation.placer import VariationAwarePlacer
 
 ALL_PLACERS = [
     ContiguousPlacer(),
@@ -60,6 +62,38 @@ class TestContract:
         assert cores is not None
         assert all(0 <= c < 16 for c in cores)
         assert not occupied.intersection(cores)
+
+
+#: Every placer, built for a given chip (the variation map must match it).
+PLACER_FACTORIES = {
+    "contiguous": lambda chip: ContiguousPlacer(),
+    "checkerboard": lambda chip: CheckerboardPlacer(),
+    "neighbourhood": lambda chip: NeighbourhoodSpreadPlacer(),
+    "thermal": lambda chip: ThermalSpreadPlacer(),
+    "variation": lambda chip: VariationAwarePlacer(VariationMap.generate(chip)),
+}
+
+
+class TestBadRequests:
+    """Every placer rejects a request that does not fit the chip."""
+
+    @pytest.mark.parametrize("name", sorted(PLACER_FACTORIES))
+    def test_negative_count_rejected(self, chip16, name):
+        placer = PLACER_FACTORIES[name](chip16)
+        with pytest.raises(ConfigurationError, match="n_cores"):
+            placer.place(chip16, -2, set())
+
+    @pytest.mark.parametrize("name", sorted(PLACER_FACTORIES))
+    @pytest.mark.parametrize("bad", [-1, 100, 500])
+    def test_occupied_index_off_the_chip_rejected(self, chip16, name, bad):
+        placer = PLACER_FACTORIES[name](chip16)
+        with pytest.raises(ConfigurationError, match=str(bad)):
+            placer.place(chip16, 2, {0, bad})
+
+    @pytest.mark.parametrize("name", sorted(PLACER_FACTORIES))
+    def test_zero_cores_is_an_empty_placement(self, chip16, name):
+        placer = PLACER_FACTORIES[name](chip16)
+        assert list(placer.place(chip16, 0, {3, 99})) == []
 
 
 class TestContiguous:

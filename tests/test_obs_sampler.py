@@ -86,6 +86,33 @@ class TestTelescoping:
             "h": {"count": 0, "sum": 1.0, "min": 0.5, "max": 1.0, "buckets": {"0": 1}}
         }
 
+    def test_torn_timer_and_span_deltas_telescope(self):
+        # snaps[1] caught a timer record and a span record after their
+        # count updates but before their total_s updates.  The totals are
+        # dyadic, so every float below is exact.
+        def snap(timer, span):
+            return {
+                "counters": {},
+                "timers": {"t": {"count": timer[0], "total_s": timer[1]}},
+                "spans": {"s": {"count": span[0], "total_s": span[1]}},
+                "gauges": {},
+                "histograms": {},
+            }
+
+        snaps = [
+            snap((2, 0.5), (1, 0.25)),
+            snap((3, 0.5), (2, 0.25)),
+            snap((3, 0.75), (2, 1.5)),
+            snap((5, 1.125), (4, 2.0)),
+        ]
+        deltas = [diff_snapshots(now, before) for before, now in zip(snaps, snaps[1:])]
+        for kind, name in (("timers", "t"), ("spans", "s")):
+            count = sum(d[kind][name]["count"] for d in deltas if name in d[kind])
+            total = sum(d[kind][name]["total_s"] for d in deltas if name in d[kind])
+            first, last = snaps[0][kind][name], snaps[-1][kind][name]
+            assert count == last["count"] - first["count"], kind
+            assert total == last["total_s"] - first["total_s"], kind
+
     def test_consecutive_deltas_do_not_double_count(self, registry):
         sampler = SnapshotSampler(registry, interval_s=60.0)
         registry.incr("once", 4)
