@@ -31,6 +31,7 @@ the same budget and mapping whatever it asked for first.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,9 +58,9 @@ class ThermalSafePower:
         inactive_power: float = 0.0,
         t_dtm: Optional[float] = None,
     ) -> None:
-        if inactive_power < 0:
+        if not (math.isfinite(inactive_power) and inactive_power >= 0):
             raise ConfigurationError(
-                f"inactive_power must be non-negative, got {inactive_power}"
+                f"inactive_power must be finite and non-negative, got {inactive_power}"
             )
         self._chip = chip
         self._engine = chip.engine
@@ -96,9 +97,11 @@ class ThermalSafePower:
         b = self._b
         mask = np.zeros(self._chip.n_cores, dtype=bool)
         mask[active_idx] = True
-        active_sums = b[:, mask].sum(axis=1)
-        inactive_heat = self._inactive_power * b[:, ~mask].sum(axis=1)
-        budgets = (self.headroom - inactive_heat) / active_sums
+        headroom = self.headroom
+        if self._inactive_power > 0:
+            # Dark cores at zero power add no heat; skip the gather.
+            headroom = headroom - self._inactive_power * b[:, ~mask].sum(axis=1)
+        budgets = headroom / b[:, mask].sum(axis=1)
         result = float(np.min(budgets))
         if result <= 0:
             raise InfeasibleError(

@@ -8,6 +8,7 @@ frequency ``f`` retire ``S(threads) * IPC * f`` instructions per second.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,10 +38,12 @@ class Job:
     max_threads: int = 8
 
     def __post_init__(self) -> None:
-        if self.arrival < 0:
-            raise ConfigurationError(f"arrival must be non-negative, got {self.arrival}")
-        if self.work <= 0:
-            raise ConfigurationError(f"work must be positive, got {self.work}")
+        if not (math.isfinite(self.arrival) and self.arrival >= 0):
+            raise ConfigurationError(
+                f"arrival must be finite and non-negative, got {self.arrival}"
+            )
+        if not (math.isfinite(self.work) and self.work > 0):
+            raise ConfigurationError(f"work must be finite and positive, got {self.work}")
         if not 1 <= self.max_threads <= self.app.max_threads:
             raise ConfigurationError(
                 f"max_threads must be in [1, {self.app.max_threads}], "

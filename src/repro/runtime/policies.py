@@ -1,7 +1,8 @@
 """Admission policies for the online runtime.
 
-A policy answers one question whenever cores free up or a job arrives:
-*may the queue's head job start now, on these cores, at which v/f?*
+A policy answers one question whenever cores free up or a job arrives
+at an undeferred queue head: *may the queue's head job start now, on
+these cores, at which v/f?*
 The simulator first asks :meth:`AdmissionPolicy.threads_for`, places that
 many cores with its placer, and then calls :meth:`AdmissionPolicy.admit`
 with the *actual* tentative placement — so thermal verification sees
@@ -70,6 +71,14 @@ class AdmissionPolicy(abc.ABC):
         cores: Sequence[int],
     ) -> Optional[AdmissionDecision]:
         """Grant a configuration for ``job`` on ``cores`` or defer.
+
+        The simulator relies on two properties of every policy:
+
+        * ``admit`` is a deterministic function of its arguments (and of
+          the policy's construction parameters), like ``threads_for``;
+        * a deferral stands until a job completes.  Arrivals change none
+          of the arguments, so the simulator does not ask again for the
+          same head job until cores free up.
 
         Args:
             chip: the chip.
@@ -152,7 +161,6 @@ class TspAdaptivePolicy(AdmissionPolicy):
     ) -> Optional[AdmissionDecision]:
         threads = len(cores)
         limit = chip.t_dtm - self._margin
-        idx = list(cores)
 
         # Descend from the nominal maximum, but never below the TSP-safe
         # frequency for the resulting active-core count: admitting a job
@@ -168,17 +176,18 @@ class TspAdaptivePolicy(AdmissionPolicy):
 
         # The ladder is ascending, so the descending candidate walk of
         # the direct path ("stop below the floor") is the suffix >= floor,
-        # highest first; all tentative states are verified in one batched
-        # engine evaluation instead of one LU solve per level.
+        # highest first.  By superposition a level's tentative state is
+        # the current temperatures plus its per-core power times the
+        # placed cores' summed influence columns: one matvec per call,
+        # then O(n) per level.
         table = operating_points(job.app, chip.node, chip.t_dtm)
         candidates = [f for f in reversed(table.frequencies) if f >= floor]
         if not candidates:
             return None
-        tentative = np.tile(core_powers, (len(candidates), 1))
-        for row, f in enumerate(candidates):
-            tentative[row, idx] += table.core_power(threads, f)
-        peaks = chip.engine.peak_temperatures(tentative)
-        for f, peak in zip(candidates, peaks):
+        base = chip.engine.temperatures(core_powers)
+        column = chip.engine.influence[:, list(cores)].sum(axis=1)
+        for f in candidates:
+            peak = (base + table.core_power(threads, f) * column).max()
             if peak <= limit + 1e-9:
                 return AdmissionDecision(threads=threads, frequency=f)
         return None

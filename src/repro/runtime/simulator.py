@@ -8,11 +8,15 @@ Energy is integrated per interval from the same quasi-static powers.
 Queueing is FIFO with head-of-line blocking: the simulator admits from
 the queue front for as long as the policy grants configurations, which
 keeps policy comparisons fair (no policy may cherry-pick easy jobs).
+Placers and policies are deterministic in their arguments, so once the
+head is deferred it stays deferred until a job completes: arrivals only
+lengthen the queue, and the loop does not ask again until then.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -101,23 +105,36 @@ class OnlineSimulator:
         """Simulate the whole stream to completion.
 
         Raises:
-            ConfigurationError: if the stream is empty, or if some job
-                can never be admitted even on an idle chip (the stream
-                would hang).
+            ConfigurationError: if the stream is empty, if two jobs
+                share an id, or if some job can never be admitted even
+                on an idle chip (the stream would hang).
         """
         if not jobs:
             raise ConfigurationError(
                 "job stream is empty; nothing to simulate"
             )
+        seen: set[int] = set()
+        for job in jobs:
+            if job.job_id in seen:
+                # Equal ids would tie-break the running heap on records.
+                raise ConfigurationError(
+                    f"duplicate job id {job.job_id}; job ids must be unique"
+                )
+            seen.add(job.job_id)
         chip = self._chip
         engine = chip.engine
-        jobs = sorted(jobs, key=lambda j: (j.arrival, j.job_id))
-        arrivals = list(jobs)
-        queue: list[Job] = []
-        # (finish_time, job_id, record, cores) heap of running jobs.
+        arrivals = deque(sorted(jobs, key=lambda j: (j.arrival, j.job_id)))
+        queue: deque[Job] = deque()
+        # (finish_time, job_id, record) heap of running jobs.
         running: list[tuple[float, int, JobRecord]] = []
         occupied: set[int] = set()
         core_powers = np.zeros(chip.n_cores)
+        # Peak of the current power vector, computed on first use; only
+        # admissions and completions change the vector.
+        peak: Optional[float] = None
+        # The head was deferred and no job has completed since: arrivals
+        # only append to the queue, so asking again would defer again.
+        blocked = False
 
         records: list[JobRecord] = []
         now = 0.0
@@ -126,30 +143,34 @@ class OnlineSimulator:
         max_peak = chip.ambient
 
         def advance(to_time: float) -> None:
-            nonlocal now, energy, core_seconds, max_peak
+            nonlocal now, energy, core_seconds, max_peak, peak
             dt = to_time - now
             if dt > 0:
                 energy += float(core_powers.sum()) * dt
                 core_seconds += len(occupied) * dt
                 if occupied:
-                    max_peak = max(
-                        max_peak, engine.peak_temperature(core_powers)
-                    )
+                    if peak is None:
+                        peak = engine.peak_temperature(core_powers)
+                    max_peak = max(max_peak, peak)
             now = to_time
 
-        def try_admissions() -> None:
-            """Admit from the queue front while the policy grants."""
+        def try_admissions() -> bool:
+            """Admit from the queue front while the policy grants.
+
+            Returns whether the head was deferred.
+            """
+            nonlocal peak
             while queue:
                 job = queue[0]
                 threads = self._policy.threads_for(job)
                 cores = self._placer.place(chip, threads, occupied)
                 if cores is None:
                     obs.incr("runtime.placement_deferrals")
-                    return
+                    return True
                 decision = self._policy.admit(chip, job, core_powers, cores)
                 if decision is None:
                     obs.incr("runtime.policy_deferrals")
-                    return
+                    return True
                 obs.incr("runtime.admissions")
                 if decision.threads != len(cores):
                     # Power and duration are computed from the decision
@@ -164,9 +185,10 @@ class OnlineSimulator:
                 per_core = operating_points(
                     job.app, chip.node, chip.t_dtm
                 ).core_power(decision.threads, decision.frequency)
-                queue.pop(0)
+                queue.popleft()
                 occupied.update(cores)
                 core_powers[list(cores)] += per_core
+                peak = None
                 finish = now + job.duration(decision.threads, decision.frequency)
                 record = JobRecord(
                     job=job,
@@ -177,8 +199,9 @@ class OnlineSimulator:
                     cores=tuple(cores),
                 )
                 heapq.heappush(running, (finish, job.job_id, record))
+            return False
 
-        with obs.span("runtime.run", attrs={"jobs": len(jobs)}):
+        with obs.span("runtime.run", attrs={"jobs": len(arrivals)}):
             while arrivals or queue or running:
                 next_arrival = arrivals[0].arrival if arrivals else np.inf
                 next_finish = running[0][0] if running else np.inf
@@ -191,7 +214,7 @@ class OnlineSimulator:
                     )
                 if next_arrival <= next_finish:
                     advance(next_arrival)
-                    queue.append(arrivals.pop(0))
+                    queue.append(arrivals.popleft())
                 else:
                     advance(next_finish)
                     _, _, record = heapq.heappop(running)
@@ -199,7 +222,10 @@ class OnlineSimulator:
                     obs.incr("runtime.completions")
                     core_powers[list(record.cores)] = 0.0
                     occupied.difference_update(record.cores)
-                try_admissions()
+                    peak = None
+                    blocked = False
+                if not blocked:
+                    blocked = try_admissions()
 
         obs.incr("runtime.simulations")
         # Simulated (not wall) seconds; the timer aggregate gives the

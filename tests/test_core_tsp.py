@@ -137,6 +137,26 @@ class TestInactivePower:
         with pytest.raises(ConfigurationError, match="inactive_power"):
             ThermalSafePower(small_chip, inactive_power=-0.1)
 
+    def test_nan_inactive_power_rejected(self, small_chip):
+        with pytest.raises(ConfigurationError, match="inactive_power"):
+            ThermalSafePower(small_chip, inactive_power=float("nan"))
+
+    @pytest.mark.parametrize("inactive_power", [0.0, 0.05, 0.3])
+    def test_for_mapping_matches_full_formula(self, small_chip, inactive_power):
+        """Skipping the dark-core term at zero power changes no bit."""
+        tsp = ThermalSafePower(small_chip, inactive_power=inactive_power)
+        b = small_chip.engine.influence
+        rng = np.random.default_rng(3)
+        for m in (1, 4, 9, 16):
+            active = rng.choice(small_chip.n_cores, size=m, replace=False)
+            mask = np.zeros(small_chip.n_cores, dtype=bool)
+            mask[active] = True
+            inactive_heat = inactive_power * b[:, ~mask].sum(axis=1)
+            expected = float(
+                np.min((tsp.headroom - inactive_heat) / b[:, mask].sum(axis=1))
+            )
+            assert tsp.for_mapping(active) == expected
+
     def test_t_dtm_override(self, small_chip):
         hot = ThermalSafePower(small_chip, t_dtm=95.0).worst_case(4)
         cold = ThermalSafePower(small_chip, t_dtm=70.0).worst_case(4)

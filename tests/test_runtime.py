@@ -51,6 +51,25 @@ class TestJob:
         with pytest.raises(ConfigurationError, match="arrival"):
             make_job(arrival=-1.0)
 
+    # Regression: these used to be accepted; a non-finite arrival or an
+    # infinite work ended in an IndexError inside OnlineSimulator.run, and
+    # a NaN work returned makespan=nan.
+    def test_nan_arrival_rejected(self):
+        with pytest.raises(ConfigurationError, match="arrival"):
+            make_job(arrival=float("nan"))
+
+    def test_infinite_arrival_rejected(self):
+        with pytest.raises(ConfigurationError, match="arrival"):
+            make_job(arrival=float("inf"))
+
+    def test_infinite_work_rejected(self):
+        with pytest.raises(ConfigurationError, match="work"):
+            make_job(work=float("inf"))
+
+    def test_nan_work_rejected(self):
+        with pytest.raises(ConfigurationError, match="work"):
+            make_job(work=float("nan"))
+
     def test_max_threads_capped_by_app(self):
         with pytest.raises(ConfigurationError, match="max_threads"):
             make_job(max_threads=9)
@@ -268,6 +287,15 @@ class TestSimulator:
         policy = TdpFifoPolicy(tdp=40.0, threads=4)
         with pytest.raises(ConfigurationError, match="empty"):
             OnlineSimulator(small_chip, policy).run([])
+
+    def test_duplicate_job_ids_rejected(self, small_chip):
+        # Regression: two jobs with one id that finish together tied on
+        # (finish, job_id) in the running heap, which then compared two
+        # JobRecords and raised TypeError.
+        jobs = [make_job(job_id=7), make_job(job_id=7), make_job(job_id=8)]
+        policy = TdpFifoPolicy(tdp=40.0, threads=4)
+        with pytest.raises(ConfigurationError, match="duplicate job id 7"):
+            OnlineSimulator(small_chip, policy).run(jobs)
 
     def test_empty_result_means_are_zero(self, small_chip):
         import warnings
