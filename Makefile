@@ -35,18 +35,15 @@ figures-smoke:
 	python -m repro.cli batch --quick --store .figures-smoke-store --expect-cached --profile
 	rm -rf .figures-smoke-store
 
-# Round-trip the continuous-telemetry layer on one quick experiment:
-# run with the background sampler streaming to JSONL and attribution on,
-# tail the sample stream, render the snapshot in the Prometheus text
-# format, evaluate the shipped benchmarks/budgets.json against it, and
-# render the markdown report from it.
+# Round-trip the one profile artifact on a quick experiment: export the
+# run's obs snapshot, evaluate the shipped benchmarks/budgets.json
+# against it (every hard budget is required, process.max_rss_bytes
+# included, so a missing metric fails), and render the markdown report
+# from it.
 obs-smoke:
 	rm -rf .obs-smoke
 	mkdir -p .obs-smoke
-	python -m repro.cli run fig5 --quick --sample-out .obs-smoke/samples.jsonl \
-		--sample-interval 0.05 --attribution --profile-out .obs-smoke/snapshot.json
-	python -m repro.cli obs tail --follow .obs-smoke/samples.jsonl
-	python -m repro.cli obs prom --snapshot .obs-smoke/snapshot.json > .obs-smoke/metrics.prom
+	python -m repro.cli run fig5 --quick --profile-out .obs-smoke/snapshot.json
 	python -m repro.cli obs watch --snapshot .obs-smoke/snapshot.json
 	python -m repro.cli report --snapshot .obs-smoke/snapshot.json --out .obs-smoke/report.md
 	rm -rf .obs-smoke

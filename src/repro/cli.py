@@ -13,11 +13,8 @@ Usage::
     darksilicon batch --quick --store .cache   # all cells, cached
     darksilicon batch --quick --store .cache --expect-cached
     darksilicon obs                      # instrumented demo (pure JSON)
-    darksilicon run fig10 --profile --trace-out trace.json  # span timeline
-    darksilicon run fig10 --sample-out s.jsonl --sample-interval 0.1
-    darksilicon obs tail --follow s.jsonl      # pretty-print the samples
+    darksilicon run fig10 --profile-out snap.json  # profile snapshot
     darksilicon obs watch --snapshot snap.json # budgets verdicts
-    darksilicon obs prom --snapshot snap.json  # Prometheus exposition
     darksilicon report --snapshot snap.json    # markdown dashboard
 
 Every experiment is dispatched through
@@ -36,24 +33,12 @@ sibling artifacts the same batch just produced.  ``--expect-cached``
 makes a warm run a testable assertion (used by ``make figures-smoke``).
 
 ``--profile`` enables the :mod:`repro.obs` registry for the run and
-appends its snapshot (solver calls, cache traffic, store hits/misses,
-sweep stages) after the tables; ``--profile-out`` additionally writes
-it to a file (``.csv`` suffix selects CSV, anything else JSON).
-``--trace-out PATH`` (implies ``--profile``) records the span timeline
-— begin/end events with pid/tid, worker events re-based onto the parent
-clock — writes it as Chrome trace-event JSON to PATH and prints a
-plain-text flame summary.
-
-The continuous-telemetry flags (all imply ``--profile``; see
-``docs/observability.md``): ``--sample-out PATH`` runs a background
-:class:`~repro.obs.sampler.SnapshotSampler` streaming interval-delta
-JSONL records for the duration of the command, ``--sample-interval S``
-sets its tick, and ``--attribution`` records per-span memory histograms
-(``<span>.mem.*``) via tracemalloc.  The ``obs`` subcommand grew
-matching actions: ``obs tail --follow FILE`` pretty-prints a sink,
-``obs watch`` evaluates ``benchmarks/budgets.json`` budget verdicts
-against a snapshot (exit 1 on hard violations), and ``obs prom``
-renders a snapshot as Prometheus text exposition.
+appends its snapshot (solver calls, store hits/misses, sweep stages,
+peak RSS) after the tables; ``--profile-out`` additionally writes it
+to a file (``.csv`` suffix selects CSV, anything else JSON).  That file
+is the run's one profile artifact: ``obs watch`` evaluates the
+``benchmarks/budgets.json`` budgets against it (exit 1 on hard
+violations) and ``report --snapshot`` renders it.
 
 Every ``run``/``batch`` with ``--store`` also appends one
 :class:`repro.obs.manifest.RunManifest` line per cell to the store's
@@ -89,9 +74,8 @@ _PSEUDO = ("all", "obs")
 def _run_obs_demo() -> dict:
     """A small instrumented workload touching every hot subsystem.
 
-    Exercises the thermal solvers, the batched engine and its caches,
-    the shared TSP tables, a sweep stage, the online runtime with its
-    policy decisions, the estimator and DTM enforcement — on a reduced
+    Exercises the thermal solvers, the shared TSP tables, a sweep stage,
+    the online runtime, the estimator and DTM enforcement — on a reduced
     4x4 chip so the whole demo finishes in about a second — and returns
     the resulting registry snapshot.
     """
@@ -113,27 +97,18 @@ def _run_obs_demo() -> dict:
     from repro.tech.library import node_by_name
     from repro.thermal.transient import TransientSimulator
 
-    import tempfile
-
-    from repro.obs.sampler import SnapshotSampler
-
     obs.enable()
     obs.reset()
     obs.validate_names()
-    # Per-span memory attribution, so the demo snapshot carries
-    # ``.mem.*`` histograms next to the duration aggregates.
-    obs.enable_attribution()
-    sampler = SnapshotSampler(obs.REGISTRY, interval_s=60.0)
     chip = Chip.grid_chip(node_by_name("16nm"), 4, 4)
     with experiment_span("obs-demo"):
-        # TSP tables + batched-engine solves through a sweep stage.
+        # TSP tables through a sweep stage.
         tsp = ThermalSafePower(chip)
         runner = SweepRunner()
         runner.map([2, 4, 8, 12], tsp.worst_case, stage="tsp_counts")
         tsp.table()
 
-        # The online event loop: admissions, policy decisions, the
-        # engine's peak-temperature queries.
+        # The online event loop.
         apps = [PARSEC["x264"], PARSEC["swaptions"]]
         jobs = deterministic_job_stream(
             apps, n_jobs=6, mean_interarrival=0.5, work=20e9, seed=7
@@ -161,14 +136,21 @@ def _run_obs_demo() -> dict:
         sim = TransientSimulator(chip.thermal, dt=1e-3)
         idle = np.full(chip.n_cores, 2.0)
         sim.simulate(lambda t, temps: idle, duration=0.02)
+    return _profile_snapshot()
 
-        # One continuous-telemetry round: a synchronous sampler tick
-        # (interval delta + process.* gauges) and a ring flush, so the
-        # demo emits the sampler's own obs.sampler.* names too.
-        sampler.sample_now()
-        with tempfile.TemporaryDirectory() as tmp:
-            sampler.flush(Path(tmp) / "samples.jsonl")
-    obs.disable_attribution()
+
+def _profile_snapshot() -> dict:
+    """The global snapshot, with the process's peak RSS published first.
+
+    ``process.max_rss_bytes`` is a required budget in
+    ``benchmarks/budgets.json``.  ``ru_maxrss`` is in KiB on Linux and
+    in bytes on macOS.
+    """
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    scale = 1 if sys.platform == "darwin" else 1024
+    obs.gauge("process.max_rss_bytes", float(peak * scale))
     return obs.snapshot()
 
 
@@ -192,59 +174,6 @@ def _export_snapshot(
             obs.to_json(snap, target)
         if banner:
             print(f"[observability snapshot written to {target}]")
-
-
-def _export_trace(trace_out: Optional[str], quiet: bool = False) -> None:
-    """Write the collected span timeline as Chrome trace-event JSON.
-
-    Also prints the plain-text flame summary, unless the caller needs
-    stdout kept clean (``obs``'s pure-JSON contract).
-    """
-    if not trace_out:
-        return
-    events = obs.trace_events()
-    obs.to_chrome_trace(events, trace_out)
-    if not quiet:
-        print(f"=== trace ({len(events)} events -> {trace_out}) ===")
-        print(obs.flame_summary(events))
-
-
-def _start_profiling(args):
-    """Flip the per-run observability switches; maybe start a sampler.
-
-    Returns the running :class:`~repro.obs.sampler.SnapshotSampler`
-    when ``--sample-out`` asked for one, else ``None``.  The caller
-    must stop it (``_stop_profiling``) so the JSONL sink closes with a
-    final sample.
-    """
-    if args.profile:
-        obs.enable()
-    if args.trace_out:
-        obs.enable_trace()
-    if getattr(args, "attribution", False):
-        obs.enable_attribution()
-    if not getattr(args, "sample_out", None):
-        return None
-    from repro.obs.sampler import SnapshotSampler
-
-    return SnapshotSampler(
-        obs.REGISTRY,
-        interval_s=args.sample_interval,
-        sink=args.sample_out,
-    ).start()
-
-
-def _stop_profiling(sampler, args=None) -> None:
-    """Undo ``_start_profiling``: stop the sampler, release the tracer.
-
-    The snapshot survives (``_export_snapshot`` reads it afterwards);
-    only the attribution mode — and with it the tracemalloc tracer —
-    is switched back off so it cannot outlive the run it was asked for.
-    """
-    if sampler is not None:
-        sampler.stop()
-    if args is not None and getattr(args, "attribution", False):
-        obs.disable_attribution()
 
 
 def _open_store(args):
@@ -346,7 +275,8 @@ def _cmd_run(args) -> int:
         print("--params requires a single experiment, not 'all'", file=sys.stderr)
         return 2
 
-    sampler = _start_profiling(args)
+    if args.profile:
+        obs.enable()
     store = _open_store(args)
     csv_dir = _csv_dir(args)
 
@@ -365,11 +295,7 @@ def _cmd_run(args) -> int:
         try:
             with experiment_span(name):
                 result, cached = fetch_or_run(
-                    spec,
-                    params,
-                    store=store,
-                    force=args.force,
-                    trace_path=args.trace_out,
+                    spec, params, store=store, force=args.force
                 )
         except Exception as exc:  # noqa: BLE001 - per-experiment report
             if not args.keep_going:
@@ -392,10 +318,8 @@ def _cmd_run(args) -> int:
             print(f"{name:<12} {'FAIL' if name in failed else 'ok'}")
         for name, reason in failures:
             print(f"[{name}] {reason}")
-    _stop_profiling(sampler, args)
     if args.profile:
-        _export_snapshot(obs.snapshot(), args.profile_out)
-    _export_trace(args.trace_out)
+        _export_snapshot(_profile_snapshot(), args.profile_out)
     return 1 if failures else 0
 
 
@@ -410,7 +334,8 @@ def _cmd_batch(args) -> int:
             file=sys.stderr,
         )
         return 2
-    sampler = _start_profiling(args)
+    if args.profile:
+        obs.enable()
     store = _open_store(args)
     csv_dir = _csv_dir(args)
 
@@ -423,7 +348,7 @@ def _cmd_batch(args) -> int:
     ]
     runner = BatchRunner(store=store, sweep=SweepRunner(args.workers))
     started = time.perf_counter()
-    outcomes = runner.run(cells, force=args.force, trace_path=args.trace_out)
+    outcomes = runner.run(cells, force=args.force)
     elapsed = time.perf_counter() - started
 
     for o in outcomes:
@@ -447,10 +372,8 @@ def _cmd_batch(args) -> int:
     if store is not None:
         stats = ", ".join(f"{k}={v}" for k, v in store.counters.items())
         print(f"[store] {stats}")
-    _stop_profiling(sampler, args)
     if args.profile:
-        _export_snapshot(obs.snapshot(), args.profile_out)
-    _export_trace(args.trace_out)
+        _export_snapshot(_profile_snapshot(), args.profile_out)
     if failed:
         return 1
     if args.expect_cached and cached != len(outcomes):
@@ -463,92 +386,23 @@ def _cmd_batch(args) -> int:
     return 0
 
 
-def _obs_action_snapshot(args) -> dict:
-    """The snapshot an ``obs`` action operates on.
+def _cmd_obs_watch(args) -> int:
+    """``obs watch``: evaluate budgets against a snapshot.
 
     ``--snapshot PATH`` loads a previously exported JSON snapshot (the
     ``--profile-out`` format); without it the instrumented demo runs
     and its snapshot is used.
     """
-    if getattr(args, "snapshot", None):
-        import json
+    import json
 
-        return json.loads(Path(args.snapshot).read_text())
-    return _run_obs_demo()
-
-
-def _format_sample(record: dict, top: int) -> str:
-    """Pretty one-block rendering of a sampler JSONL record."""
-    lines = [
-        f"-- sample #{record.get('seq', '?')}"
-        f"  uptime {record.get('uptime_s', 0.0):8.2f} s"
-        f"  interval {record.get('interval_s', 0.0):g} s"
-    ]
-    process = record.get("process", {})
-    if process:
-        mib = 1024.0 * 1024.0
-        lines.append(
-            f"   rss {process.get('rss_bytes', 0) / mib:9.1f} MiB"
-            f"  peak {process.get('max_rss_bytes', 0) / mib:9.1f} MiB"
-            f"  cpu u {process.get('cpu_user_s', 0.0):7.2f} s"
-            f" / s {process.get('cpu_system_s', 0.0):6.2f} s"
-            f"  gc {process.get('gc_collections', 0)}"
-            f"  thr {process.get('threads', 0)}"
-        )
-    delta = record.get("delta", {})
-    spans = {**delta.get("timers", {}), **delta.get("spans", {})}
-    hot = sorted(
-        spans.items(), key=lambda kv: kv[1]["total_s"], reverse=True
-    )[:top]
-    for name, agg in hot:
-        lines.append(
-            f"   {agg['total_s']:10.4f} s  x{agg['count']:<6d} {name}"
-        )
-    counters = sorted(
-        delta.get("counters", {}).items(),
-        key=lambda kv: kv[1],
-        reverse=True,
-    )[:top]
-    for name, value in counters:
-        lines.append(f"   {value:10g}    {name}")
-    return "\n".join(lines)
-
-
-def _cmd_obs_tail(args) -> int:
-    """``obs tail``: pretty-print interval samples from a JSONL sink."""
-    from repro.obs.exporters import read_jsonl
-
-    if not args.follow:
-        print(
-            "obs tail needs --follow FILE (a sampler's --sample-out "
-            "JSONL sink)",
-            file=sys.stderr,
-        )
-        return 2
-    target = int(args.count) if args.count else None
-    shown = 0
-    seen = 0
-    while True:
-        records = list(read_jsonl(args.follow))
-        for record in records[seen:]:
-            print(_format_sample(record, top=args.top))
-            shown += 1
-            if target and shown >= target:
-                return 0
-        seen = len(records)
-        if not target:
-            # Drain-and-exit mode: print what the sink holds, stop.
-            return 0
-        time.sleep(args.interval)
-
-
-def _cmd_obs_watch(args) -> int:
-    """``obs watch``: evaluate budgets against a snapshot."""
     from repro.obs import watch
 
     try:
         budgets = watch.load_budgets(args.budgets)
-        snap = _obs_action_snapshot(args)
+        if args.snapshot:
+            snap = json.loads(Path(args.snapshot).read_text())
+        else:
+            snap = _run_obs_demo()
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -557,40 +411,17 @@ def _cmd_obs_watch(args) -> int:
     return 1 if watch.violations(verdicts) else 0
 
 
-def _cmd_obs_prom(args) -> int:
-    """``obs prom``: render a snapshot as Prometheus text exposition."""
-    from repro.obs.exporters import to_prometheus
-
-    try:
-        snap = _obs_action_snapshot(args)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(to_prometheus(snap), end="")
-    return 0
-
-
 def _cmd_obs(args) -> int:
-    """``obs``: the instrumented demo plus telemetry actions.
+    """``obs``: the instrumented demo, or ``watch`` budgets.
 
-    ``demo`` (the default) keeps its original pure-JSON stdout
-    contract; ``watch``/``prom``/``tail`` are the continuous-telemetry
-    surfaces (see docs/observability.md).
+    ``demo`` (the default) keeps its pure-JSON stdout contract;
+    ``watch`` evaluates budgets against a snapshot (see
+    docs/observability.md).
     """
-    action = getattr(args, "action", "demo")
-    if action == "tail":
-        return _cmd_obs_tail(args)
-    if action == "watch":
+    if getattr(args, "action", "demo") == "watch":
         return _cmd_obs_watch(args)
-    if action == "prom":
-        return _cmd_obs_prom(args)
-    if args.trace_out:
-        # The demo's reset() clears events but keeps the tracing switch,
-        # so enabling here is enough to capture the demo's own spans.
-        obs.enable_trace()
     snap = _run_obs_demo()
     _export_snapshot(snap, args.profile_out, banner=False)
-    _export_trace(args.trace_out, quiet=True)
     return 0
 
 
@@ -742,34 +573,6 @@ def _add_profile(parser: argparse.ArgumentParser) -> None:
         help="write the observability snapshot to PATH (.csv for CSV, "
         "anything else for JSON); implies --profile",
     )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="record the span timeline and write it as Chrome "
-        "trace-event JSON (chrome://tracing / Perfetto) to PATH; "
-        "implies --profile",
-    )
-    parser.add_argument(
-        "--sample-out",
-        metavar="PATH",
-        help="run a background sampler streaming interval-delta JSONL "
-        "records to PATH for the duration of the command (tail them "
-        "with 'obs tail --follow PATH'); implies --profile",
-    )
-    parser.add_argument(
-        "--sample-interval",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="seconds between sampler ticks for --sample-out "
-        "(default: 0.5)",
-    )
-    parser.add_argument(
-        "--attribution",
-        action="store_true",
-        help="record per-span memory histograms (<span>.mem.*) via "
-        "tracemalloc; implies --profile",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -851,23 +654,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="instrumented demo (default) plus telemetry actions: "
-        "watch budgets, tail a sampler's JSONL sink, render Prometheus",
+        help="instrumented demo (default), or watch budgets against a "
+        "snapshot",
     )
     p_obs.add_argument(
         "action",
         nargs="?",
         default="demo",
-        choices=("demo", "watch", "tail", "prom"),
+        choices=("demo", "watch"),
         help="demo: run the instrumented demo and print its JSON "
-        "snapshot; watch: evaluate --budgets against a snapshot; "
-        "tail: pretty-print a sampler JSONL sink; prom: render a "
-        "snapshot as Prometheus text exposition",
+        "snapshot; watch: evaluate --budgets against a snapshot",
     )
     p_obs.add_argument(
         "--snapshot",
         metavar="PATH",
-        help="for watch/prom: operate on this exported JSON snapshot "
+        help="for watch: operate on this exported JSON snapshot "
         "instead of running the demo",
     )
     p_obs.add_argument(
@@ -876,34 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=str(Path("benchmarks") / "budgets.json"),
         help="for watch: budgets file "
         "(default: benchmarks/budgets.json)",
-    )
-    p_obs.add_argument(
-        "--follow",
-        metavar="FILE",
-        help="for tail: the sampler JSONL sink to read",
-    )
-    p_obs.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="for tail with --count: poll interval in seconds "
-        "(default: 1.0)",
-    )
-    p_obs.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        metavar="N",
-        help="for tail: keep polling until N samples were printed "
-        "(default: print what the sink holds and exit)",
-    )
-    p_obs.add_argument(
-        "--top",
-        type=int,
-        default=5,
-        metavar="N",
-        help="for tail: hottest timers/counters per sample (default: 5)",
     )
     _add_profile(p_obs)
 
@@ -1041,12 +814,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv = ["run", *argv]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        getattr(args, "profile_out", None)
-        or getattr(args, "trace_out", None)
-        or getattr(args, "sample_out", None)
-        or getattr(args, "attribution", False)
-    ):
+    if getattr(args, "profile_out", None):
         args.profile = True
     if getattr(args, "thermal_backend", None):
         # Both the in-process default and the environment: spawned

@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.apps.workload import ApplicationInstance, Workload
 from repro.chip import Chip
 from repro.core.constraints import Constraint
@@ -198,9 +197,6 @@ def map_workload(
             )
         )
 
-    obs.incr("estimator.mappings")
-    obs.incr("estimator.instances_placed", len(placed))
-    obs.incr("estimator.instances_rejected", len(rejected))
     peak = chip.engine.peak_temperature(core_powers)
     return MappingResult(
         chip=chip,

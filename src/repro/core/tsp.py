@@ -150,13 +150,7 @@ class ThermalSafePower:
         """
         if counts is None:
             counts = range(1, self._chip.n_cores + 1)
-        result = {m: self.worst_case(m) for m in counts}
-        if result:
-            budgets = list(result.values())
-            obs.gauge(
-                "tsp.table_budget_spread_w", max(budgets) - min(budgets)
-            )
-        return result
+        return {m: self.worst_case(m) for m in counts}
 
     def safe_frequency(
         self,

@@ -83,7 +83,6 @@ def enforce(
     policy = policy or ThrottleHottest()
     placed = list(result.placed)
     steps = 0
-    obs.incr("dtm.enforcements")
 
     def peak(instances) -> float:
         powers = np.zeros(chip.n_cores)
@@ -101,10 +100,9 @@ def enforce(
             break
         placed = modified
         steps += 1
-        obs.incr("dtm.steps")
 
     # The per-run distribution: how many interventions this mapping
-    # actually took (counters only keep the total across runs).
+    # actually took.
     obs.histogram("dtm.steps_per_enforcement", steps)
 
     powers = np.zeros(chip.n_cores)

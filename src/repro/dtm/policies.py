@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.chip import Chip
 from repro.core.estimator import PlacedInstance
 from repro.errors import ConfigurationError
@@ -60,7 +59,6 @@ class GateHottest(DtmPolicy):
         index = self.hottest_instance_index(chip, placed)
         if index is None:
             return None
-        obs.incr("dtm.gate_events")
         return placed[:index] + placed[index + 1 :]
 
 
@@ -94,9 +92,7 @@ class ThrottleHottest(DtmPolicy):
         victim = placed[index]
         lower = [f for f in ladder if f < victim.instance.frequency]
         if not lower:
-            obs.incr("dtm.gate_events")
             return placed[:index] + placed[index + 1 :]
-        obs.incr("dtm.throttle_events")
         instance = victim.instance.with_frequency(lower[-1])
         per_core = instance.core_power(chip.node, temperature=chip.t_dtm)
         replacement = PlacedInstance(

@@ -674,15 +674,6 @@ def lint_paths(
         timings["cache_hits"] = cache.hits
         timings["cache_misses"] = cache.misses
 
-    from repro import obs
-
-    obs.incr("lint.analysis.files", len(files))
-    obs.observe("lint.analysis.phase1_s", phase1_s)
-    obs.observe("lint.analysis.phase2_s", phase2_s)
-    if cache is not None:
-        obs.incr("lint.analysis.summary_cache_hits", cache.hits)
-        obs.incr("lint.analysis.summary_cache_misses", cache.misses)
-
     return LintReport(
         findings=findings,
         files=len(files),

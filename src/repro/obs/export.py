@@ -84,7 +84,7 @@ def hist_percentile(agg: dict, q: float) -> Optional[float]:
     rather than approximate: a histogram whose samples all share one
     bucket interpolates across ``[min, max]`` directly, and a
     constant-valued histogram returns that constant for every ``q``
-    (the exactness contract ``tests/test_obs_exporters.py`` pins).
+    (the exactness contract ``tests/test_obs_watch.py`` pins).
 
     Args:
         agg: histogram aggregate (``count``/``sum``/``min``/``max``/
@@ -93,14 +93,18 @@ def hist_percentile(agg: dict, q: float) -> Optional[float]:
 
     Returns:
         The estimate, or ``None`` for an empty histogram.
+
+    Raises:
+        ConfigurationError: when ``q`` is outside ``[0, 1]``, empty
+            histogram or not.
     """
-    count = agg.get("count", 0)
-    if not count:
-        return None
     if not 0.0 <= q <= 1.0:
         from repro.errors import ConfigurationError
 
         raise ConfigurationError(f"quantile must be in [0, 1], got {q!r}")
+    count = agg.get("count", 0)
+    if not count:
+        return None
     lo_all, hi_all = agg["min"], agg["max"]
 
     def bounds(key: str) -> tuple[float, float]:

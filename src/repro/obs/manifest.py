@@ -13,8 +13,7 @@ to ``<store-root>/runs.jsonl``:
      "fingerprint": "a3947f827703ebbf", "cached": false,
      "wall_s": 1.83, "timestamp": "2026-08-06T01:42:07+0000",
      "host": "buildbox", "python": "3.11.7",
-     "obs_digest": "91c3b2a07d44e1aa", "trace_path": "trace.json",
-     "error": null}
+     "obs_digest": "91c3b2a07d44e1aa", "error": null}
 
 * ``params`` is the canonical sorted-key JSON the store hashes into
   the cell address, so a manifest line names its artifact exactly;
@@ -22,8 +21,6 @@ to ``<store-root>/runs.jsonl``:
 * ``obs_digest`` hashes the observability snapshot taken right after
   the run (``None`` when the registry was disabled) — two runs with
   the same digest did the same work;
-* ``trace_path`` records where the Chrome trace landed when tracing
-  was on;
 * ``error`` is ``"ExcType: message"`` for failed batch cells, so the
   ledger shows what *didn't* produce an artifact too.
 
@@ -68,7 +65,6 @@ class RunManifest:
         python: interpreter version.
         obs_digest: 16-hex digest of the post-run observability
             snapshot, ``None`` when the registry was disabled.
-        trace_path: where the Chrome trace was written, if tracing.
         error: ``"ExcType: message"`` for failed runs, else ``None``.
     """
 
@@ -81,7 +77,6 @@ class RunManifest:
     host: str
     python: str
     obs_digest: Optional[str] = None
-    trace_path: Optional[str] = None
     error: Optional[str] = None
 
     def to_line(self) -> str:
@@ -91,9 +86,15 @@ class RunManifest:
 
     @classmethod
     def from_line(cls, line: str) -> "RunManifest":
-        """Parse one ledger line (raises on malformed input)."""
+        """Parse one ledger line (raises on malformed input).
+
+        A ``trace_path`` key, which ledgers written while the Chrome
+        trace exporter existed still carry, is discarded: without that,
+        :func:`read_manifests` would skip every such line as malformed.
+        """
         record = json.loads(line)
         record.pop("version", None)
+        record.pop("trace_path", None)
         return cls(**record)
 
 
@@ -114,7 +115,6 @@ def build_manifest(
     fingerprint: str,
     cached: bool,
     wall_s: float,
-    trace_path: Optional[str] = None,
     error: Optional[str] = None,
 ) -> RunManifest:
     """Assemble a manifest, stamping host/python/time/obs state."""
@@ -128,7 +128,6 @@ def build_manifest(
         host=platform.node(),
         python=platform.python_version(),
         obs_digest=snapshot_digest(obs.snapshot()) if obs.enabled() else None,
-        trace_path=trace_path,
         error=error,
     )
 

@@ -2,20 +2,20 @@
 
 One :class:`Registry` per process collects five kinds of measurements:
 
-* **counters** — monotone event counts (``incr``): solver calls, cache
-  hits, admissions, DTM interventions;
+* **counters** — monotone event counts (``incr``): solver calls, store
+  hits, transient steps;
 * **timers** — flat duration aggregates (``timer``/``observe``): count
   and total wall-clock per name;
 * **spans** — *hierarchical* duration aggregates (``span``): nested
   spans accumulate under their dot-joined path, so a sweep stage running
   inside an experiment lands under ``experiment.fig10.sweep.fig10_nodes``
   while the same stage run standalone lands under ``sweep.fig10_nodes``;
-* **gauges** — last-value-wins samples (``gauge``): operator sizes,
-  table spreads — "what was it at the end", not "how much in total";
+* **gauges** — last-value-wins samples (``gauge``): the process's peak
+  RSS — "what was it at the end", not "how much in total";
 * **histograms** — value *distributions* (``histogram``): count, sum,
   min, max plus fixed log2 buckets, so per-run signals (transient step
-  counts, DTM throttle runs, store latencies) keep their shape instead
-  of vanishing into a total.
+  counts, DTM steps per enforcement, store latencies) keep their shape
+  instead of vanishing into a total.
 
 The registry is **disabled by default** and every recording call begins
 with one boolean check — the null fast path.  Instrumented hot loops
@@ -31,29 +31,14 @@ so two snapshots can be subtracted (:meth:`Registry.diff`) and merged
 measurements back into the parent registry.  Gauges merge last-writer-
 wins and histogram min/max merge by min/max (a ``diff`` reports the
 min/max of the *current* state, since extremes cannot be subtracted).
-
-**Tracing** is a second, independent switch (:meth:`enable_trace`): when
-on, every span additionally records begin/end wall-clock *events* with
-pid, tid and optional ``key=value`` attributes, building a per-process
-timeline that :mod:`repro.obs.trace` exports as Chrome trace-event JSON
-(loadable in Perfetto / ``chrome://tracing``).  Event timestamps are
-microseconds since the registry's *origin* — a ``perf_counter`` anchor
-captured at construction and paired with an epoch anchor, so a worker
-process's events can be re-based onto the parent's timeline
-(:meth:`merge_trace`) using the shared epoch clock.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
-import threading
 import time
-import tracemalloc
-from typing import Mapping, Optional
-
-from repro.units import MICRO
+from typing import Optional
 
 #: Snapshot schema version, recorded in every export.  Version 2 added
 #: the ``gauges`` and ``histograms`` aggregate kinds (version-1
@@ -99,10 +84,7 @@ def diff_snapshots(now: dict, before: dict) -> dict:
     timer or span counts as changed when its count or total moved, a
     histogram when its count, sum or any bucket moved).
 
-    :meth:`Registry.diff` is this applied to a live snapshot; the
-    :class:`~repro.obs.sampler.SnapshotSampler` calls it directly with
-    two snapshots it captured, so the interval boundaries are the same
-    dicts on both sides of consecutive ticks.
+    :meth:`Registry.diff` is this applied to a live snapshot.
     """
     out = {
         "version": SNAPSHOT_VERSION,
@@ -195,33 +177,14 @@ class _Timer:
 class _Span:
     """Context manager recording one duration under the span stack."""
 
-    __slots__ = ("_registry", "_name", "_attrs", "_start", "_mem0")
+    __slots__ = ("_registry", "_name", "_start")
 
-    def __init__(
-        self,
-        registry: "Registry",
-        name: str,
-        attrs: Optional[Mapping] = None,
-    ) -> None:
+    def __init__(self, registry: "Registry", name: str) -> None:
         self._registry = registry
         self._name = name
-        self._attrs = attrs
 
     def __enter__(self) -> "_Span":
-        registry = self._registry
-        # Record the begin event *before* pushing, so a failure while
-        # recording cannot leave a name on the stack that no __exit__
-        # will ever pop (the `with` body is not entered when __enter__
-        # raises).
-        if registry._tracing:
-            path = ".".join((*registry._stack, self._name))
-            registry._trace_record("B", path, self._attrs)
-        if registry._attribution and tracemalloc.is_tracing():
-            self._mem0 = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-        else:
-            self._mem0 = None
-        registry._stack.append(self._name)
+        self._registry._stack.append(self._name)
         self._start = time.perf_counter()
         return self
 
@@ -229,19 +192,7 @@ class _Span:
         elapsed = time.perf_counter() - self._start
         registry = self._registry
         try:
-            path = ".".join(registry._stack)
-            registry._finish_span(path, elapsed)
-            if (
-                self._mem0 is not None
-                and registry._attribution
-                and tracemalloc.is_tracing()
-            ):
-                current, peak = tracemalloc.get_traced_memory()
-                registry.histogram(path + ".mem.alloc_bytes", current - self._mem0)
-                registry.histogram(path + ".mem.peak_bytes", max(peak - self._mem0, 0))
-                # Re-arm the peak for the enclosing span's tail: peak
-                # attribution is innermost-wins (see obs/resources.py).
-                tracemalloc.reset_peak()
+            registry._finish_span(".".join(registry._stack), elapsed)
         finally:
             # Pop unconditionally: whatever the bookkeeping above did,
             # the stack must unwind or every later span in the process
@@ -266,15 +217,6 @@ class Registry:
         # name -> [count, sum, min, max, {bucket: count}]
         self._hists: dict[str, list] = {}
         self._stack: list[str] = []
-        self._tracing = False
-        self._attribution = False
-        self._owns_tracemalloc = False
-        self._trace_events: list[dict] = []
-        # Clock anchors pairing the event clock (perf_counter) with the
-        # cross-process epoch clock: merge_trace() re-bases a worker's
-        # events onto this registry's timeline via the epoch difference.
-        self._trace_origin_perf = time.perf_counter()
-        self._trace_origin_epoch = time.time()
 
     # -- state --------------------------------------------------------
 
@@ -320,51 +262,6 @@ class Registry:
         """Stop recording (accumulated data is kept until ``reset``)."""
         self._enabled = False
 
-    @property
-    def trace_enabled(self) -> bool:
-        """Whether spans additionally record timeline events."""
-        return self._tracing
-
-    def enable_trace(self) -> None:
-        """Record begin/end timeline events for every span.
-
-        Implies :meth:`enable` — a trace without aggregates would
-        describe a run nothing else can see.
-        """
-        self._enabled = True
-        self._tracing = True
-
-    def disable_trace(self) -> None:
-        """Stop recording timeline events (collected events are kept)."""
-        self._tracing = False
-
-    @property
-    def attribution_enabled(self) -> bool:
-        """Whether closing spans record memory-delta histograms."""
-        return self._attribution
-
-    def enable_attribution(self) -> None:
-        """Record per-span memory deltas (``<span>.mem.*`` histograms).
-
-        Implies :meth:`enable`, like tracing.  Starts :mod:`tracemalloc`
-        when nothing else did (and remembers ownership, so
-        :meth:`disable_attribution` only stops what it started).  This
-        is the *opt-in* resource-attribution mode: with it off, a span
-        pays zero extra cost beyond one boolean test.
-        """
-        self._enabled = True
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._owns_tracemalloc = True
-        self._attribution = True
-
-    def disable_attribution(self) -> None:
-        """Stop recording per-span memory deltas (data kept)."""
-        self._attribution = False
-        if self._owns_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-        self._owns_tracemalloc = False
-
     def reset(self) -> None:
         """Drop every accumulated measurement (enabled state unchanged)."""
         self._counters.clear()
@@ -373,7 +270,6 @@ class Registry:
         self._gauges.clear()
         self._hists.clear()
         self._stack.clear()
-        self._trace_events.clear()
 
     # -- recording ----------------------------------------------------
 
@@ -434,91 +330,26 @@ class Registry:
             self._check_name(name)
         return _Timer(self, name)
 
-    def span(self, name: str, attrs: Optional[Mapping] = None):
+    def span(self, name: str):
         """Context manager timing its body under the hierarchical path.
 
         Nested spans join with dots: ``span("a")`` containing
         ``span("b")`` records under ``"a"`` and ``"a.b"``.
-
-        Args:
-            name: span name (one path component).
-            attrs: optional ``key=value`` attributes attached to the
-                begin trace event when tracing is on (e.g.
-                ``{"node": "8nm", "cells": 96}``); ignored otherwise.
         """
         if not self._enabled:
             return NULL_SPAN
         if self._validate_names:
             self._check_name(name)
-        return _Span(self, name, attrs)
+        return _Span(self, name)
 
     def _finish_span(self, path: str, elapsed: float) -> None:
-        """Record one completed span (aggregate + optional trace event)."""
-        if self._tracing:
-            self._trace_record("E", path)
+        """Record one completed span's aggregate."""
         bucket = self._spans.get(path)
         if bucket is None:
             self._spans[path] = [1, elapsed]
         else:
             bucket[0] += 1
             bucket[1] += elapsed
-
-    # -- trace timeline -----------------------------------------------
-
-    def _trace_record(
-        self, ph: str, path: str, attrs: Optional[Mapping] = None
-    ) -> None:
-        event = {
-            "name": path,
-            "ph": ph,
-            "ts": (time.perf_counter() - self._trace_origin_perf) / MICRO,
-            "pid": os.getpid(),
-            "tid": threading.get_native_id(),
-        }
-        if attrs:
-            event["args"] = dict(attrs)
-        self._trace_events.append(event)
-
-    def trace_mark(self) -> int:
-        """Current event count — pass to :meth:`trace_state` to slice."""
-        return len(self._trace_events)
-
-    def trace_events(self) -> list[dict]:
-        """A copy of every collected event, sorted by timestamp."""
-        return sorted(
-            (dict(e) for e in self._trace_events), key=lambda e: e["ts"]
-        )
-
-    def trace_state(self, since: int = 0) -> dict:
-        """Events from index ``since`` on, with this registry's anchor.
-
-        The returned ``{"origin_epoch", "events"}`` dict is what a
-        worker ships back to its parent; :meth:`merge_trace` on the
-        parent re-bases the events using the epoch difference.
-        """
-        return {
-            "origin_epoch": self._trace_origin_epoch,
-            "events": [dict(e) for e in self._trace_events[since:]],
-        }
-
-    def merge_trace(self, state: Optional[dict]) -> None:
-        """Fold another registry's trace events into this timeline.
-
-        Timestamps are shifted by the difference of the two epoch
-        anchors, landing the worker's events where they actually
-        happened on this registry's clock.  Under a forked worker both
-        anchors are copies of the parent's, so the shift is zero and
-        the (process-shared) monotonic clock already agrees.  ``None``
-        merges nothing; merging ignores the tracing flag — like
-        :meth:`merge`, this is bookkeeping, not measurement.
-        """
-        if not state:
-            return
-        offset_us = (state["origin_epoch"] - self._trace_origin_epoch) / MICRO
-        for event in state["events"]:
-            shifted = dict(event)
-            shifted["ts"] = event["ts"] + offset_us
-            self._trace_events.append(shifted)
 
     # -- aggregation --------------------------------------------------
 

@@ -4,8 +4,8 @@ A **budget** is one declarative expectation about a metric — "at
 least one right-hand side was solved", "p95 of the TSP budget
 histogram stays below this bound" — loaded from JSON
 (``benchmarks/budgets.json`` ships the project's own), evaluated
-against *any* snapshot: a finished run's export, a live registry, one
-interval delta from the sampler's JSONL stream.  Evaluation produces
+against *any* snapshot: a finished run's export, a live registry, or
+one worker's delta.  Evaluation produces
 :class:`Verdict` rows; ``darksilicon obs watch`` prints them and fails
 on hard violations (``make obs-smoke`` runs it on a real snapshot).
 

@@ -14,7 +14,7 @@ it and stay numerically equivalent (<= 1e-9 K) to the direct
 :class:`repro.thermal.steady_state.SteadyStateSolver` path.
 
 Both classes report to the :mod:`repro.obs` registry when it is enabled
-(``perf.batched.*``, ``tsp.*``, ``sweep.*`` — see
+(``tsp.*``, ``sweep.*`` — see
 ``docs/observability.md``); when disabled — the default — each event
 costs one boolean test.
 """

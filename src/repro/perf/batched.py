@@ -47,12 +47,6 @@ class BatchedSteadyState:
         self._b = model.influence_matrix()
         # Row-major transpose so P_batch @ B^T hits contiguous memory.
         self._bt = np.ascontiguousarray(self._b.T)
-        # Resident footprint of the frozen operator (B plus its
-        # transposed copy) — the engine's dominant allocation.
-        obs.gauge(
-            "perf.batched.influence_bytes",
-            float(self._b.nbytes + self._bt.nbytes),
-        )
         self._ambient = model.ambient
         self._n = model.n_cores
         # TSP artefacts, shared by every ThermalSafePower on this chip.
@@ -118,14 +112,11 @@ class BatchedSteadyState:
                 raise ConfigurationError(
                     f"expected {self._n} core powers, got shape {p.shape}"
                 )
-            obs.incr("perf.batched.single_solves")
             return self._ambient + self._b @ p
         if p.ndim != 2 or p.shape[1] != self._n:
             raise ConfigurationError(
                 f"expected a (k, {self._n}) power batch, got shape {p.shape}"
             )
-        obs.incr("perf.batched.batch_solves")
-        obs.incr("perf.batched.batch_rows", p.shape[0])
         return self._ambient + p @ self._bt
 
     def peak_temperatures(self, power_batch: Sequence[Sequence[float]]) -> np.ndarray:
@@ -200,7 +191,6 @@ class BatchedSteadyState:
         key = (float(headroom), float(inactive_power))
         cached = self._tsp_tables.get(key)
         if cached is not None:
-            obs.incr("tsp.table_hits")
             return cached
         obs.incr("tsp.table_builds")
         order = self.concentration_order()

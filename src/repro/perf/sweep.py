@@ -13,10 +13,7 @@ the stage's end-to-end wall clock lands under the span
 crucially — measurements taken *inside worker processes* (solver calls,
 cache hits, TSP builds) are captured as exact per-cell snapshot deltas
 and merged back into the parent registry, so a parallel sweep reports
-the same totals as a serial one.  Under tracing, each worker also ships
-the timeline events it recorded during the cell, and the parent
-re-bases them onto its own clock — the exported Chrome trace shows
-worker spans on their own pid tracks at their true wall-clock position.
+the same totals as a serial one.
 
 Parallel execution uses :mod:`concurrent.futures`; the cell function and
 its inputs must then be picklable (module-level functions, or
@@ -50,47 +47,30 @@ def _timed_cell(fn: Callable[[K], V], cell: K) -> tuple[V, float]:
 
 def _worker_cell(
     fn: Callable[[K], V], cell: K
-) -> tuple[V, float, Optional[dict], Optional[dict]]:
-    """Worker-side cell evaluation: result, wall time, registry delta,
-    trace state.
+) -> tuple[V, float, Optional[dict]]:
+    """Worker-side cell evaluation: result, wall time, registry delta.
 
     The delta is the worker's global-registry diff across the cell, so
     whatever state the worker inherited (a forked parent's counts, a
-    previous cell on the same worker) cancels exactly.  When tracing is
-    on, the events recorded *during this cell* ship back alongside the
-    worker's epoch anchor, which the parent uses to re-base them onto
-    its own timeline (inherited/previous events are sliced off the same
-    way the diff cancels inherited counts).
+    previous cell on the same worker) cancels exactly.
     """
     before = obs.snapshot() if obs.enabled() else None
-    mark = obs.trace_mark() if obs.trace_enabled() else None
     start = time.perf_counter()
     result = fn(cell)
     elapsed = time.perf_counter() - start
     delta = obs.diff(before) if before is not None else None
-    trace = obs.trace_state(mark) if mark is not None else None
-    return result, elapsed, delta, trace
+    return result, elapsed, delta
 
 
-def _init_worker(
-    parent_obs_enabled: bool,
-    parent_trace_enabled: bool = False,
-    parent_attribution_enabled: bool = False,
-) -> None:
-    """Worker initialiser: mirror the parent's observability switches.
+def _init_worker(parent_obs_enabled: bool) -> None:
+    """Worker initialiser: mirror the parent's observability switch.
 
     Needed wherever the pool uses the ``spawn`` start method (fresh
     interpreters do not inherit the parent's registry state); harmless
-    under ``fork``.  With the attribution switch mirrored, workers
-    record ``<span>.mem.*`` histograms exactly like the parent and
-    the aggregates travel home inside the ordinary cell deltas.
+    under ``fork``.
     """
     if parent_obs_enabled:
         obs.enable()
-    if parent_trace_enabled:
-        obs.enable_trace()
-    if parent_attribution_enabled:
-        obs.enable_attribution()
 
 
 class SweepRunner:
@@ -156,29 +136,22 @@ class SweepRunner:
         Returns:
             ``[fn(cell) for cell in cells]``.
         """
-        attrs = {"cells": len(cells), "workers": self._max_workers or 1}
-        with obs.span(f"sweep.{stage}", attrs=attrs):
+        with obs.span(f"sweep.{stage}"):
             start = time.perf_counter()
             if self.parallel and len(cells) > 1:
                 with ProcessPoolExecutor(
                     max_workers=self._max_workers,
                     initializer=_init_worker,
-                    initargs=(
-                        obs.enabled(),
-                        obs.trace_enabled(),
-                        obs.attribution_enabled(),
-                    ),
+                    initargs=(obs.enabled(),),
                 ) as pool:
                     timed = list(
                         pool.map(_worker_cell, itertools.repeat(fn), cells)
                     )
                 # Worker measurements would otherwise die with the pool:
-                # fold every cell's exact delta into the parent registry,
-                # and re-base its trace events onto the parent timeline.
-                for _, _, delta, trace in timed:
+                # fold every cell's exact delta into the parent registry.
+                for _, _, delta in timed:
                     obs.merge(delta)
-                    obs.merge_trace(trace)
-                timed = [(r, t) for r, t, _, _ in timed]
+                timed = [(r, t) for r, t, _ in timed]
             else:
                 timed = [_timed_cell(fn, cell) for cell in cells]
             wall = time.perf_counter() - start
@@ -207,8 +180,8 @@ class SweepRunner:
         single BLAS matmul over stacked power vectors.  A serial runner
         hands ``batch_fn`` the whole grid in one call; a parallel runner
         splits the grid into one contiguous chunk per worker (each chunk
-        still one batched call), with the same registry-delta and trace
-        merging as :meth:`map`.
+        still one batched call), with the same registry-delta merging as
+        :meth:`map`.
 
         Args:
             cells: the grid cells.
@@ -225,8 +198,7 @@ class SweepRunner:
             ConfigurationError: when a batch call returns a result count
                 different from its cell count.
         """
-        attrs = {"cells": len(cells), "workers": self._max_workers or 1}
-        with obs.span(f"sweep.{stage}", attrs=attrs):
+        with obs.span(f"sweep.{stage}"):
             start = time.perf_counter()
             if self.parallel and len(cells) > 1:
                 workers = min(self._max_workers, len(cells))
@@ -238,19 +210,14 @@ class SweepRunner:
                 with ProcessPoolExecutor(
                     max_workers=self._max_workers,
                     initializer=_init_worker,
-                    initargs=(
-                        obs.enabled(),
-                        obs.trace_enabled(),
-                        obs.attribution_enabled(),
-                    ),
+                    initargs=(obs.enabled(),),
                 ) as pool:
                     batched = list(
                         pool.map(_worker_cell, itertools.repeat(batch_fn), chunks)
                     )
-                for _, _, delta, trace in batched:
+                for _, _, delta in batched:
                     obs.merge(delta)
-                    obs.merge_trace(trace)
-                timed = [(r, t) for r, t, _, _ in batched]
+                timed = [(r, t) for r, t, _ in batched]
             else:
                 chunks = [cells]
                 timed = [_timed_cell(batch_fn, cells)]

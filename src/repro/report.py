@@ -1,9 +1,9 @@
 """The rendered performance report: ``darksilicon report``.
 
 Turns two raw observability artefacts — an obs snapshot exported by
-``--profile-out`` (the file ``obs watch`` and ``obs prom`` read) and the
-store's ``runs.jsonl`` provenance ledger — into one markdown dashboard
-under ``reports/``:
+``--profile-out`` (the file ``obs watch`` reads) and the store's
+``runs.jsonl`` provenance ledger — into one markdown dashboard under
+``reports/``:
 
 * **Hottest spans** — the snapshot's span aggregates, ranked by total
   time;
@@ -104,10 +104,8 @@ def _ledger_section(
     if not manifests:
         lines += ["No runs recorded.", ""]
         return lines
-    lines.append(
-        "| timestamp | experiment | status | wall_s | fingerprint | trace |"
-    )
-    lines.append("|---|---|---|---|---|---|")
+    lines.append("| timestamp | experiment | status | wall_s | fingerprint |")
+    lines.append("|---|---|---|---|---|")
     for m in list(manifests)[-recent:]:
         if m.error is not None:
             status = "FAILED"
@@ -115,10 +113,9 @@ def _ledger_section(
             status = "cached"
         else:
             status = "executed"
-        trace = f"`{m.trace_path}`" if m.trace_path else "—"
         lines.append(
             f"| {m.timestamp} | {m.experiment} | {status} "
-            f"| {m.wall_s:.3f} | `{m.fingerprint}` | {trace} |"
+            f"| {m.wall_s:.3f} | `{m.fingerprint}` |"
         )
     lines.append("")
     return lines

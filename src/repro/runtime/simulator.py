@@ -165,13 +165,10 @@ class OnlineSimulator:
                 threads = self._policy.threads_for(job)
                 cores = self._placer.place(chip, threads, occupied)
                 if cores is None:
-                    obs.incr("runtime.placement_deferrals")
                     return True
                 decision = self._policy.admit(chip, job, core_powers, cores)
                 if decision is None:
-                    obs.incr("runtime.policy_deferrals")
                     return True
-                obs.incr("runtime.admissions")
                 if decision.threads != len(cores):
                     # Power and duration are computed from the decision
                     # while cores were placed for threads_for(job); a
@@ -201,7 +198,7 @@ class OnlineSimulator:
                 heapq.heappush(running, (finish, job.job_id, record))
             return False
 
-        with obs.span("runtime.run", attrs={"jobs": len(arrivals)}):
+        with obs.span("runtime.run"):
             while arrivals or queue or running:
                 next_arrival = arrivals[0].arrival if arrivals else np.inf
                 next_finish = running[0][0] if running else np.inf
@@ -219,7 +216,6 @@ class OnlineSimulator:
                     advance(next_finish)
                     _, _, record = heapq.heappop(running)
                     records.append(record)
-                    obs.incr("runtime.completions")
                     core_powers[list(record.cores)] = 0.0
                     occupied.difference_update(record.cores)
                     peak = None
@@ -227,10 +223,6 @@ class OnlineSimulator:
                 if not blocked:
                     blocked = try_admissions()
 
-        obs.incr("runtime.simulations")
-        # Simulated (not wall) seconds; the timer aggregate gives the
-        # mean makespan over runs as total_s / count.
-        obs.observe("runtime.simulated_s", now)
         return RuntimeResult(
             records=tuple(records),
             makespan=now,

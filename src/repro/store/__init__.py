@@ -18,9 +18,10 @@ evaluation pipeline.
   across worker processes via :class:`repro.perf.SweepRunner`, serving
   warm cells without spawning workers).
 
-Hit/miss/invalidation/write counters land in the global
-:mod:`repro.obs` registry under ``store.*`` and on each store instance
-(:attr:`ArtifactStore.counters`) for programmatic assertions.
+Hit/miss/invalidation/write/bypass counts land on each store instance
+(:attr:`ArtifactStore.counters`) for programmatic assertions; hits,
+misses and writes also land in the global :mod:`repro.obs` registry
+under ``store.*``.
 """
 
 from repro.store.artifacts import ArtifactStore

@@ -45,7 +45,7 @@ from repro import obs
 from repro.errors import ConfigurationError
 from repro.io import PAYLOAD_SCHEMA_VERSION, decode_value
 
-#: Counter names mirrored into :mod:`repro.obs` (prefix ``store.``).
+#: Keys of :attr:`ArtifactStore.counters`.
 COUNTER_NAMES = ("hits", "misses", "invalidations", "writes", "bypasses")
 
 
@@ -59,12 +59,8 @@ class ArtifactStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         #: Per-instance counts of hits/misses/invalidations/writes/bypasses
-        #: (the same events are mirrored to ``obs.store.*`` globally).
+        #: (hits, misses and writes also land in ``obs`` as ``store.*``).
         self.counters: dict[str, int] = {name: 0 for name in COUNTER_NAMES}
-
-    def _count(self, name: str) -> None:
-        self.counters[name] += 1
-        obs.incr(f"store.{name}")
 
     @staticmethod
     def address(experiment: str, canonical_params: str) -> str:
@@ -96,7 +92,7 @@ class ArtifactStore:
         actually costs next to the hit/miss counts.
         """
         if force:
-            self._count("bypasses")
+            self.counters["bypasses"] += 1
             return None
         started = time.perf_counter()
         path = self.path_for(experiment, canonical_params)
@@ -104,7 +100,8 @@ class ArtifactStore:
             with path.open() as handle:
                 envelope = json.load(handle)
         except FileNotFoundError:
-            self._count("misses")
+            self.counters["misses"] += 1
+            obs.incr("store.misses")
             obs.histogram(
                 "store.miss_latency_s", time.perf_counter() - started
             )
@@ -121,13 +118,15 @@ class ArtifactStore:
         ):
             self._invalidate(path)
             return None
-        self._count("hits")
+        self.counters["hits"] += 1
+        obs.incr("store.hits")
         obs.histogram("store.hit_latency_s", time.perf_counter() - started)
         return envelope["payload"]
 
     def _invalidate(self, path: Path) -> None:
-        self._count("invalidations")
-        self._count("misses")
+        self.counters["invalidations"] += 1
+        self.counters["misses"] += 1
+        obs.incr("store.misses")
         try:
             path.unlink()
         except OSError:  # pragma: no cover - already gone / read-only
@@ -179,7 +178,8 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
-        self._count("writes")
+        self.counters["writes"] += 1
+        obs.incr("store.writes")
         return path
 
     def put(

@@ -44,7 +44,6 @@ def fetch_or_run(
     params: Mapping[str, Any],
     store: Optional[ArtifactStore] = None,
     force: bool = False,
-    trace_path: Optional[str] = None,
 ) -> tuple[Any, bool]:
     """One cell through the store: ``(result, served_from_cache)``.
 
@@ -59,8 +58,6 @@ def fetch_or_run(
             persists or records provenance).
         force: execute even when the store holds the cell, then
             overwrite its artifact.
-        trace_path: recorded in the manifest when the caller is writing
-            a trace for this run.
     """
     if store is None:
         return spec.run(params), False
@@ -81,7 +78,6 @@ def fetch_or_run(
             fingerprint,
             cached=was_cached,
             wall_s=time.perf_counter() - started,
-            trace_path=trace_path,
         ),
     )
     return result, was_cached
@@ -179,15 +175,13 @@ class BatchRunner:
         self,
         cells: Sequence[BatchCell],
         force: bool = False,
-        trace_path: Optional[str] = None,
     ) -> list[BatchOutcome]:
         """Execute every cell; returns outcomes in input order.
 
         Cell failures are captured per-outcome (``error`` set), never
         raised — callers decide whether a partial batch is fatal.  With
         a store, one manifest line per cell (including failed ones)
-        lands in ``runs.jsonl``; ``trace_path`` is recorded on each
-        when the caller is tracing the batch.
+        lands in ``runs.jsonl``.
         """
         from repro.experiments import registry
 
@@ -243,7 +237,6 @@ class BatchRunner:
                         specs[i].fingerprint(),
                         cached=outcome.cached,
                         wall_s=outcome.seconds,
-                        trace_path=trace_path,
                         error=outcome.error,
                     ),
                 )

@@ -92,10 +92,7 @@ class DenseFactorization:
     def __init__(self, matrix) -> None:
         a = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
         self._lu_piv = dense_linalg.lu_factor(a)
-        self._n = a.shape[0]
         obs.incr("solver.cost.factorizations")
-        # Dense LU stores (and factored) the full n^2 entries.
-        obs.incr("solver.cost.nnz_factored", self._n * self._n)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         r, was_vector = _as_2d(rhs)
@@ -123,9 +120,7 @@ class SparseFactorization:
             permc_spec="MMD_AT_PLUS_A",
             options={"SymmetricMode": True},
         )
-        self._n = csc.shape[0]
         obs.incr("solver.cost.factorizations")
-        obs.incr("solver.cost.nnz_factored", int(self._lu.nnz))
 
     @property
     def superlu(self):

@@ -41,7 +41,6 @@ from typing import Union
 
 import numpy as np
 
-from repro import obs
 from repro.errors import ConfigurationError
 from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.stack import LayerStack, interface_overlaps
@@ -365,7 +364,6 @@ def build_thermal_model(
     # with the bonding layer at its TIM/TSV-parallel conductivity.
     layer_si_idx = [si_idx]
     if stack.n_layers > 1:
-        obs.incr("thermal.stack.multilayer_builds")
         prev_layer = base
         prev_idx = si_idx
         for li in range(1, stack.n_layers):
@@ -402,7 +400,6 @@ def build_thermal_model(
             net.add_resistances(
                 prev_idx[ov_i], idx_k[ov_j], r_vertical, tag=INTERLAYER_TAG
             )
-            obs.incr("thermal.stack.interlayer_edges", ov_area.size)
             layer_si_idx.append(idx_k)
             prev_layer = layer
             prev_idx = idx_k

@@ -289,7 +289,6 @@ class ThermalModel:
         symmetric (reciprocity) and entrywise positive.
         """
         if self._influence is None:
-            obs.incr("thermal.model.influence_builds")
             factorization = self.factorization()
             units = np.zeros((self.n_nodes, self.n_cores))
             units[self._core_indices, np.arange(self.n_cores)] = 1.0

@@ -45,7 +45,6 @@ class SteadyStateSolver:
         ``(k, n)``); a batch is one multi-RHS solve against the model's
         shared factorisation, not ``k`` sequential solves.
         """
-        obs.incr("thermal.steady.solves")
         p = np.asarray(core_powers, dtype=float)
         if p.ndim == 2:
             return self._model.core_steady_state_batch(p)

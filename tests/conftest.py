@@ -13,9 +13,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.apps.parsec import PARSEC, app_by_name
 from repro.chip import Chip
 from repro.tech.library import NODE_11NM, NODE_16NM
+
+
+@pytest.fixture()
+def global_obs():
+    """Enable the global registry for a test, restoring it afterwards."""
+    was_enabled = obs.enabled()
+    obs.enable()
+    obs.reset()
+    yield obs
+    obs.reset()
+    if not was_enabled:
+        obs.disable()
 
 
 @pytest.fixture(scope="session")

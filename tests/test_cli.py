@@ -12,11 +12,8 @@ from repro.cli import main
 def restore_obs():
     """Run a CLI profiling command, then restore global registry state."""
     was_enabled = obs.enabled()
-    was_tracing = obs.trace_enabled()
     yield
     obs.reset()
-    if not was_tracing:
-        obs.disable_trace()
     if not was_enabled:
         obs.disable()
 
@@ -95,9 +92,11 @@ class TestObservabilityCli:
         }
         # The acceptance bar: one invocation covers >= 4 subsystems.
         assert len(subsystems) >= 4
-        for expected in ("thermal", "tsp", "runtime", "sweep"):
+        for expected in ("thermal", "tsp", "sweep"):
             assert expected in subsystems
         assert snap["spans"]["experiment.obs-demo"]["count"] == 1
+        # The online runtime reports through its span only.
+        assert snap["spans"]["experiment.obs-demo.runtime.run"]["count"] == 1
 
     def test_obs_command_writes_snapshot_file(
         self, capsys, tmp_path, restore_obs
@@ -114,6 +113,7 @@ class TestObservabilityCli:
         payload = out.split("=== observability ===", 1)[1]
         snap = json.loads(payload)
         assert snap["spans"]["experiment.fig1"]["count"] == 1
+        assert snap["gauges"]["process.max_rss_bytes"] > 0
 
     def test_profile_out_csv(self, capsys, tmp_path, restore_obs):
         target = tmp_path / "snap.csv"
@@ -133,7 +133,7 @@ class TestObservabilityCli:
             assert obs.snapshot() == before
 
 
-class TestContinuousTelemetryCli:
+class TestObsWatchCli:
     @pytest.fixture()
     def snapshot_file(self, capsys, tmp_path, restore_obs):
         """A real demo snapshot exported to disk."""
@@ -141,50 +141,6 @@ class TestContinuousTelemetryCli:
         assert main(["obs", "--profile-out", str(target)]) == 0
         capsys.readouterr()
         return target
-
-    def test_sample_out_streams_interval_deltas(
-        self, capsys, tmp_path, restore_obs
-    ):
-        from repro.obs import read_jsonl
-
-        stream = tmp_path / "samples.jsonl"
-        assert (
-            main(
-                [
-                    "fig1",
-                    "--sample-out",
-                    str(stream),
-                    "--sample-interval",
-                    "0.05",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        records = list(read_jsonl(stream))
-        # The closing sample is taken even when the run outpaces the
-        # interval, so the stream is never empty.
-        assert records
-        assert records[0]["seq"] == 0
-        assert records[-1]["process"]["rss_bytes"] > 0
-        assert "delta" in records[-1]
-
-    def test_attribution_flag_records_mem_histograms(
-        self, capsys, tmp_path, restore_obs
-    ):
-        target = tmp_path / "attr.json"
-        assert main(["fig1", "--attribution", "--profile-out", str(target)]) == 0
-        capsys.readouterr()
-        hists = json.loads(target.read_text())["histograms"]
-        assert any(name.endswith(".mem.alloc_bytes") for name in hists)
-        assert any(name.endswith(".mem.peak_bytes") for name in hists)
-        assert not obs.attribution_enabled()
-
-    def test_obs_prom_renders_snapshot(self, capsys, snapshot_file):
-        assert main(["obs", "prom", "--snapshot", str(snapshot_file)]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_" in out
-        assert "repro_experiment_obs_demo_span_seconds_count 1" in out
 
     def test_obs_watch_passes_shipped_budgets(self, capsys, snapshot_file):
         assert main(["obs", "watch", "--snapshot", str(snapshot_file)]) == 0
@@ -239,109 +195,6 @@ class TestContinuousTelemetryCli:
             == 2
         )
         assert "not JSON" in capsys.readouterr().err
-
-    def test_obs_tail_requires_follow(self, capsys):
-        assert main(["obs", "tail"]) == 2
-        assert "--follow" in capsys.readouterr().err
-
-    def test_obs_tail_drains_a_sample_stream(
-        self, capsys, tmp_path, restore_obs
-    ):
-        stream = tmp_path / "samples.jsonl"
-        assert (
-            main(
-                [
-                    "fig1",
-                    "--sample-out",
-                    str(stream),
-                    "--sample-interval",
-                    "0.05",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["obs", "tail", "--follow", str(stream)]) == 0
-        out = capsys.readouterr().out
-        assert "sample #" in out
-        assert "rss" in out
-
-
-def _assert_chrome_trace_valid(doc: dict, expect_pids: int = 1) -> None:
-    """Schema checks the acceptance criteria pin down: B/E pairing per
-    (pid, tid) track, non-decreasing timestamps, pid/tid on every event."""
-    events = doc["traceEvents"]
-    assert events, "trace must contain events"
-    ts = [e["ts"] for e in events]
-    assert ts == sorted(ts)
-    stacks: dict[tuple, list] = {}
-    for e in events:
-        assert e["ph"] in ("B", "E")
-        assert isinstance(e["pid"], int) and isinstance(e["tid"], int)
-        stack = stacks.setdefault((e["pid"], e["tid"]), [])
-        if e["ph"] == "B":
-            stack.append(e["name"])
-        else:
-            assert stack and stack[-1] == e["name"], (
-                f"unbalanced E for {e['name']!r}"
-            )
-            stack.pop()
-    assert all(not s for s in stacks.values()), "unclosed B events"
-    assert len(stacks) >= expect_pids
-
-
-class TestTraceCli:
-    def test_trace_out_writes_schema_valid_chrome_trace(
-        self, capsys, tmp_path, restore_obs
-    ):
-        target = tmp_path / "trace.json"
-        assert main(
-            ["run", "fig10", "--profile", "--trace-out", str(target)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "=== trace" in out
-        assert "experiment.fig10" in out
-        doc = json.loads(target.read_text())
-        assert doc["displayTimeUnit"] == "ms"
-        _assert_chrome_trace_valid(doc)
-        names = {e["name"] for e in doc["traceEvents"]}
-        assert any(n.startswith("experiment.fig10") for n in names)
-
-    def test_trace_out_implies_profile(self, capsys, tmp_path, restore_obs):
-        target = tmp_path / "trace.json"
-        assert main(["run", "fig1", "--trace-out", str(target)]) == 0
-        out = capsys.readouterr().out
-        # --profile was implied, so the snapshot banner appears too.
-        assert "=== observability ===" in out
-        assert target.exists()
-
-    def test_batch_trace_with_workers_rebases_worker_events(
-        self, capsys, tmp_path, restore_obs
-    ):
-        target = tmp_path / "batch_trace.json"
-        # fig5 sweeps frequencies through a nested SweepRunner, so its
-        # worker records spans that must come home on the worker's pid.
-        assert main(
-            [
-                "batch", "fig1", "fig5", "--quick", "--workers", "2",
-                "--trace-out", str(target),
-            ]
-        ) == 0
-        capsys.readouterr()
-        doc = json.loads(target.read_text())
-        # Worker spans come home on their own pid track, re-based onto
-        # the parent clock (monotonic ts across the merged timeline).
-        _assert_chrome_trace_valid(doc, expect_pids=2)
-
-    def test_obs_with_trace_out_keeps_stdout_pure_json(
-        self, capsys, tmp_path, restore_obs
-    ):
-        target = tmp_path / "obs_trace.json"
-        assert main(["obs", "--trace-out", str(target)]) == 0
-        snap = json.loads(capsys.readouterr().out)
-        assert snap["version"] == 2
-        _assert_chrome_trace_valid(json.loads(target.read_text()))
-
 
 class TestManifestCli:
     def test_run_with_store_appends_manifest_lines(self, tmp_path, capsys):

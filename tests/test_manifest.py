@@ -41,7 +41,7 @@ def _manifest(**overrides) -> RunManifest:
 
 class TestRunManifest:
     def test_line_roundtrip(self):
-        manifest = _manifest(obs_digest="b" * 16, trace_path="t.json")
+        manifest = _manifest(obs_digest="b" * 16)
         line = manifest.to_line()
         assert line.endswith("\n")
         assert RunManifest.from_line(line) == manifest
@@ -50,6 +50,20 @@ class TestRunManifest:
         record = json.loads(_manifest().to_line())
         assert record["version"] == 1
         assert list(record) == sorted(record)
+
+    def test_pre_change_line_with_trace_path_still_parses(self, tmp_path):
+        # A line written while manifests still carried the Chrome-trace
+        # path; read_manifests must not skip it as malformed.
+        line = (
+            '{"cached": false, "error": null, "experiment": "fig1", '
+            '"fingerprint": "aaaaaaaaaaaaaaaa", "host": "box", '
+            '"obs_digest": null, "params": "{}", "python": "3.11.7", '
+            '"timestamp": "2026-08-06T00:00:00+0000", '
+            '"trace_path": "trace.json", "version": 1, "wall_s": 1.25}\n'
+        )
+        assert RunManifest.from_line(line) == _manifest()
+        runs_path(tmp_path).write_text(line)
+        assert read_manifests(tmp_path) == [_manifest()]
 
     def test_error_field_survives(self):
         manifest = _manifest(error="ValueError: boom")
@@ -113,13 +127,12 @@ class TestWiring:
         spec = registry.get("fig1")
         params = spec.resolve()
         fetch_or_run(spec, params, store=store)
-        fetch_or_run(spec, params, store=store, trace_path="t.json")
+        fetch_or_run(spec, params, store=store)
         manifests = read_manifests(store.root)
         assert [m.cached for m in manifests] == [False, True]
         assert manifests[0].experiment == "fig1"
         assert manifests[0].params == spec.canonical_params(params)
         assert manifests[0].fingerprint == spec.fingerprint()
-        assert manifests[1].trace_path == "t.json"
 
     def test_fetch_or_run_without_store_records_nothing(self, tmp_path):
         spec = registry.get("fig1")

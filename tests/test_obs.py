@@ -5,24 +5,14 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs import Registry
+from repro.obs import Registry, diff_snapshots
+
+KINDS = ("counters", "timers", "spans", "gauges", "histograms")
 
 
 @pytest.fixture()
 def registry():
     return Registry(enabled=True)
-
-
-@pytest.fixture()
-def global_obs():
-    """Enable the global registry for a test, restoring it afterwards."""
-    was_enabled = obs.enabled()
-    obs.enable()
-    obs.reset()
-    yield obs
-    obs.reset()
-    if not was_enabled:
-        obs.disable()
 
 
 class TestCounters:
@@ -244,6 +234,87 @@ class TestMergeDiff:
         with registry.span("sweep.stage"):
             pass
         assert registry.subsystems() == {"thermal", "tsp", "sweep"}
+
+
+class TestDiffSnapshots:
+    """Consecutive deltas telescope: baseline plus deltas is the final state."""
+
+    def test_baseline_plus_deltas_reproduce_final_state(self, registry):
+        registry.incr("pre.counter", 7)
+        registry.histogram("pre.hist", 3.0)
+        snaps = [registry.snapshot()]
+
+        registry.incr("tick.counter", 2)
+        registry.gauge("tick.gauge", 1.5)
+        with registry.span("tick"):
+            pass
+        snaps.append(registry.snapshot())
+
+        registry.incr("tick.counter", 5)
+        registry.histogram("pre.hist", -1.0)
+        registry.gauge("tick.gauge", 2.5)
+        with registry.timer("tick.stage"):
+            pass
+        snaps.append(registry.snapshot())
+
+        merged = Registry(enabled=True)
+        merged.merge(snaps[0])
+        for before, now in zip(snaps, snaps[1:]):
+            merged.merge(diff_snapshots(now, before))
+        final = registry.snapshot()
+        for kind in KINDS:
+            assert merged.snapshot()[kind] == final[kind], kind
+
+    def test_torn_histogram_delta_is_kept(self):
+        # The earlier snapshot caught a record after its count update
+        # but before its sum and bucket updates.
+        hist = {"count": 5, "sum": 4.0, "min": 0.5, "max": 1.0}
+        before = {"histograms": {"h": {**hist, "buckets": {"0": 4}}}}
+        now = {
+            "counters": {},
+            "timers": {},
+            "spans": {},
+            "gauges": {},
+            "histograms": {"h": {**hist, "sum": 5.0, "buckets": {"0": 5}}},
+        }
+        delta = diff_snapshots(now, before)["histograms"]
+        assert delta == {
+            "h": {"count": 0, "sum": 1.0, "min": 0.5, "max": 1.0, "buckets": {"0": 1}}
+        }
+
+    def test_torn_timer_and_span_deltas_telescope(self):
+        # snaps[1] caught a timer record and a span record after their
+        # count updates but before their total_s updates.  The totals are
+        # dyadic, so every float below is exact.
+        def snap(timer, span):
+            return {
+                "counters": {},
+                "timers": {"t": {"count": timer[0], "total_s": timer[1]}},
+                "spans": {"s": {"count": span[0], "total_s": span[1]}},
+                "gauges": {},
+                "histograms": {},
+            }
+
+        snaps = [
+            snap((2, 0.5), (1, 0.25)),
+            snap((3, 0.5), (2, 0.25)),
+            snap((3, 0.75), (2, 1.5)),
+            snap((5, 1.125), (4, 2.0)),
+        ]
+        deltas = [diff_snapshots(now, before) for before, now in zip(snaps, snaps[1:])]
+        for kind, name in (("timers", "t"), ("spans", "s")):
+            count = sum(d[kind][name]["count"] for d in deltas if name in d[kind])
+            total = sum(d[kind][name]["total_s"] for d in deltas if name in d[kind])
+            first, last = snaps[0][kind][name], snaps[-1][kind][name]
+            assert count == last["count"] - first["count"], kind
+            assert total == last["total_s"] - first["total_s"], kind
+
+    def test_diff_snapshots_matches_registry_diff(self, registry):
+        before = registry.snapshot()
+        registry.incr("x.y", 3)
+        assert registry.diff(before) == diff_snapshots(
+            registry.snapshot(), before
+        )
 
 
 class TestGlobalHelpers:

@@ -4,7 +4,9 @@ Every predicate (``max``/``min``/``p95_le``/``ratio_ge``) is exercised
 against hand-built snapshots, wildcards fan out, ``required`` flips the
 vacuous-pass default, and the integration half pins that the *shipped*
 ``benchmarks/budgets.json`` passes on a real snapshot of the current
-tree.
+tree.  The percentile estimator behind ``p95_le`` and the report's
+percentile table must be exact on single-value distributions (every
+sample in one bucket with ``min == max``).
 """
 
 import json
@@ -13,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import Registry
+from repro.obs.export import annotate_percentiles, hist_percentile
 from repro.obs.watch import (
     Budget,
     check_snapshot,
@@ -295,3 +299,63 @@ class TestShippedBudgets:
         )
         assert verdicts, "shipped budgets evaluated nothing"
         assert hard == [], render_verdicts(hard)
+
+
+class TestPercentiles:
+    def test_single_value_distribution_is_exact_at_every_quantile(self):
+        r = Registry(enabled=True)
+        for _ in range(10):
+            r.histogram("h", 3.0)
+        agg = r.snapshot()["histograms"]["h"]
+        for q in (0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0):
+            assert hist_percentile(agg, q) == 3.0
+
+    def test_single_bucket_distribution_clamps_to_extremes(self):
+        r = Registry(enabled=True)
+        r.histogram("h", 2.5)
+        r.histogram("h", 3.5)  # both in (2, 4]
+        agg = r.snapshot()["histograms"]["h"]
+        assert hist_percentile(agg, 0.0) == 2.5
+        assert hist_percentile(agg, 1.0) == 3.5
+        assert 2.5 <= hist_percentile(agg, 0.5) <= 3.5
+
+    def test_quantile_is_monotone_across_buckets(self):
+        r = Registry(enabled=True)
+        for value in (1.0, 2.0, 4.0, 8.0, 16.0, 100.0):
+            r.histogram("h", value)
+        agg = r.snapshot()["histograms"]["h"]
+        estimates = [hist_percentile(agg, q / 20) for q in range(21)]
+        assert estimates == sorted(estimates)
+        assert estimates[0] == 1.0
+        assert estimates[-1] == 100.0
+
+    def test_empty_histogram_has_no_percentile(self):
+        assert (
+            hist_percentile(
+                {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "buckets": {}},
+                0.5,
+            )
+            is None
+        )
+
+    def test_out_of_range_quantile_rejected(self):
+        agg = {"count": 1, "sum": 1.0, "min": 1.0, "max": 1.0, "buckets": {"0": 1}}
+        with pytest.raises(ConfigurationError):
+            hist_percentile(agg, 1.5)
+        with pytest.raises(ConfigurationError):
+            hist_percentile(agg, -0.1)
+
+    def test_out_of_range_quantile_rejected_on_empty_histogram(self):
+        with pytest.raises(ConfigurationError, match="quantile"):
+            hist_percentile({"count": 0}, 5.0)
+
+    def test_annotate_percentiles_stamps_without_mutating(self):
+        r = Registry(enabled=True)
+        for _ in range(4):
+            r.histogram("h", 5.0)
+        snap = r.snapshot()
+        annotated = annotate_percentiles(snap)
+        assert annotated["histograms"]["h"]["p50"] == 5.0
+        assert annotated["histograms"]["h"]["p90"] == 5.0
+        assert annotated["histograms"]["h"]["p99"] == 5.0
+        assert "p50" not in snap["histograms"]["h"]

@@ -134,6 +134,13 @@ class TestSharedTspTables:
         with pytest.raises(ConfigurationError, match="active-core count"):
             engine.tsp_for_count(engine.n_cores + 1, 55.0, 0.0)
 
+    def test_table_is_built_once_per_chip_and_parameters(self, global_obs):
+        chip = Chip.grid_chip(NODE_16NM, 3, 3)
+        ThermalSafePower(chip).table()
+        ThermalSafePower(chip).worst_case(4)
+        counters = global_obs.snapshot()["counters"]
+        assert counters["tsp.table_builds"] == 1
+
     def test_tsp_instances_share_one_engine(self):
         chip = Chip.grid_chip(NODE_16NM, 3, 3)
         a = ThermalSafePower(chip)

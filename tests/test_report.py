@@ -54,7 +54,6 @@ MANIFESTS = [
         timestamp="2026-08-02T11:05:00+0000",
         host="box",
         python="3.11.7",
-        trace_path="trace.json",
     ),
     RunManifest(
         experiment="fig4",
@@ -103,7 +102,6 @@ class TestRenderReport:
     def test_failed_run_flagged_in_ledger(self):
         text = render_report(None, MANIFESTS)
         assert "FAILED" in text
-        assert "`trace.json`" in text
 
 
 class TestGenerate:

@@ -25,6 +25,12 @@ class TestSteadyState:
         temps = model.core_steady_state([1.0] * 9)
         assert np.all(temps > model.ambient)
 
+    def test_batch_is_one_counted_solve(self, model, global_obs):
+        model.core_steady_state_batch(np.ones((5, 9)))
+        counters = global_obs.snapshot()["counters"]
+        assert counters["thermal.model.solves"] == 1
+        assert counters["solver.cost.rhs_columns"] == 5
+
     def test_linearity(self, model):
         t1 = model.core_steady_state([1.0] * 9) - model.ambient
         t2 = model.core_steady_state([2.0] * 9) - model.ambient

@@ -60,6 +60,13 @@ class TestLeakageFixedPoint:
         # Fixed point: the returned powers equal base + leak(temps).
         assert np.allclose(powers, base + leak(temps), atol=1e-3)
 
+    def test_iterations_are_counted(self, solver, global_obs):
+        # A constant leakage moves the first iterate and leaves the
+        # second unchanged: exactly two iterations.
+        solver.solve_with_leakage(np.full(9, 1.0), lambda t: np.full(9, 0.5))
+        counters = global_obs.snapshot()["counters"]
+        assert counters["thermal.steady.leakage_iterations"] == 2
+
     def test_fixed_point_hotter_than_leakless(self, solver):
         base = np.full(9, 2.0)
         temps, _ = solver.solve_with_leakage(
