@@ -25,13 +25,14 @@ lint:
 	python -m repro.cli lint src tests --cache .lint-cache
 
 # Cold + warm batch pass against a throwaway artifact store: the first
-# run computes every registered experiment in quick mode, the second
-# must be served entirely from the store (--expect-cached exits 3 on
-# any recomputation; --profile prints the store.* hit counters).
-# Catches cache-key, canonicalisation or fingerprint drift.
+# run computes every registered experiment in quick mode across two
+# spawned workers, the second (serial) must be served entirely from the
+# store (--expect-cached exits 3 on any recomputation; --profile prints
+# the store.* hit counters).  Catches cache-key, canonicalisation or
+# fingerprint drift, including keys that differ between processes.
 figures-smoke:
 	rm -rf .figures-smoke-store
-	python -m repro.cli batch --quick --store .figures-smoke-store
+	python -m repro.cli batch --quick --store .figures-smoke-store --workers 2
 	python -m repro.cli batch --quick --store .figures-smoke-store --expect-cached --profile
 	rm -rf .figures-smoke-store
 

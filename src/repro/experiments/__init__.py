@@ -7,6 +7,9 @@ paper checks under ``tests/paper/`` both consume these — the checks
 additionally assert the headline *shapes* the paper reports (who wins,
 in which direction, by roughly what factor).
 
+Importing the package loads none of the experiment modules; the
+registry (:mod:`repro.experiments.registry`) loads them on first lookup.
+
 Figure -> module map (see DESIGN.md for the full experiment index):
 
 ====== ===============================================
@@ -28,55 +31,9 @@ Fig 14 :mod:`repro.experiments.fig14_ntc`
 """
 
 from repro.experiments.common import get_chip, format_table
-
-# Importing the package populates the experiment registry: every module
-# registers its ExperimentSpec at import time, in this (display) order.
-from repro.experiments import (  # noqa: E402  (registration side effect)
-    fig01_scaling,
-    fig02_vf_curve,
-    fig03_power_fit,
-    fig04_speedup,
-    fig05_tdp_dark_silicon,
-    fig06_temperature_constraint,
-    fig07_dvfs,
-    fig08_patterning,
-    fig09_dsrem,
-    fig10_tsp,
-    fig11_boosting_transient,
-    fig12_boosting_sweep,
-    fig13_boosting_apps,
-    fig14_ntc,
-    ext_runtime,
-    ext_projection,
-    ext_sensitivity,
-    ext_3d_amdahl,
-    ext_3d_tsp,
-    summary,
-)
 from repro.experiments import registry
 
-__all__ = [
-    "get_chip",
-    "format_table",
-    "registry",
-    "fig01_scaling",
-    "fig02_vf_curve",
-    "fig03_power_fit",
-    "fig04_speedup",
-    "fig05_tdp_dark_silicon",
-    "fig06_temperature_constraint",
-    "fig07_dvfs",
-    "fig08_patterning",
-    "fig09_dsrem",
-    "fig10_tsp",
-    "fig11_boosting_transient",
-    "fig12_boosting_sweep",
-    "fig13_boosting_apps",
-    "fig14_ntc",
-    "ext_runtime",
-    "ext_projection",
-    "ext_sensitivity",
-    "ext_3d_amdahl",
-    "ext_3d_tsp",
-    "summary",
-]
+# No experiment module is imported here (see registry.MODULES);
+# ``from repro.experiments import fig05_tdp_dark_silicon`` still works
+# as a submodule import.
+__all__ = ["get_chip", "format_table", "registry"]

@@ -1,10 +1,17 @@
 """Declarative experiment registry: specs, parameter schemas, dispatch.
 
 Every experiment module under :mod:`repro.experiments` registers one
-:class:`ExperimentSpec` at import time — its CLI name, a typed parameter
-schema (defaults, quick-mode overrides, backwards-compatible aliases)
-and the ``run()`` callable.  The registry turns the experiments into
-first-class, addressable units of work:
+:class:`ExperimentSpec` when it is imported — its CLI name, a typed
+parameter schema (defaults, quick-mode overrides, backwards-compatible
+aliases) and the ``run()`` callable.  The modules are not imported with
+the package: the first lookup (:func:`get`, :func:`names`,
+:func:`all_specs`) loads every module in :data:`MODULES` once, and
+lookups list the specs in that display order whatever was imported
+before.  A run that never consults the registry never pays for the
+experiment modules' imports.
+
+The registry turns the experiments into first-class, addressable units
+of work:
 
 * the CLI dispatches ``run``/``batch``/``list``/``describe`` through it
   instead of a hard-coded dict,
@@ -20,7 +27,7 @@ as plain keyword arguments on the module ``run()`` functions and never
 participate in cache keys.
 
 ``tests/test_registry.py`` asserts completeness: every module in the
-package registers exactly one spec.
+package is listed in :data:`MODULES` and registers exactly one spec.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import hashlib
 import inspect
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -274,9 +282,36 @@ def _import_module(name: str):
     return importlib.import_module(name)
 
 
-#: Process-global registry, populated at experiment-module import time
-#: (importing :mod:`repro.experiments` pulls in every module).
+#: Experiment modules under :mod:`repro.experiments`, in display order:
+#: the order of ``list``, ``run all`` and ``batch``.
+MODULES: tuple[str, ...] = (
+    "fig01_scaling",
+    "fig02_vf_curve",
+    "fig03_power_fit",
+    "fig04_speedup",
+    "fig05_tdp_dark_silicon",
+    "fig06_temperature_constraint",
+    "fig07_dvfs",
+    "fig08_patterning",
+    "fig09_dsrem",
+    "fig10_tsp",
+    "fig11_boosting_transient",
+    "fig12_boosting_sweep",
+    "fig13_boosting_apps",
+    "fig14_ntc",
+    "ext_runtime",
+    "ext_projection",
+    "ext_sensitivity",
+    "ext_3d_amdahl",
+    "ext_3d_tsp",
+    "summary",
+)
+
+#: Process-global registry.  Modules register into it when imported, in
+#: whatever order that happens; lookups sort by :data:`MODULES`.
 _REGISTRY: dict[str, ExperimentSpec] = {}
+
+_DISPLAY_RANK = {f"repro.experiments.{m}": i for i, m in enumerate(MODULES)}
 
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:
@@ -300,8 +335,8 @@ def get(name: str) -> ExperimentSpec:
     """The spec registered under ``name``.
 
     Raises:
-        ConfigurationError: when no such experiment exists (the package
-            is imported first, so lookup never depends on import order).
+        ConfigurationError: when no such experiment exists (every module
+            is loaded first, so lookup never depends on import order).
     """
     _ensure_loaded()
     try:
@@ -313,20 +348,28 @@ def get(name: str) -> ExperimentSpec:
 
 
 def names() -> list[str]:
-    """Registered experiment names, in registration (display) order."""
-    _ensure_loaded()
-    return list(_REGISTRY)
+    """Registered experiment names, in display (:data:`MODULES`) order."""
+    return [spec.name for spec in all_specs()]
 
 
 def all_specs() -> list[ExperimentSpec]:
-    """Every registered spec, in registration order."""
+    """Every registered spec, in display (:data:`MODULES`) order.
+
+    A module imported before the first lookup (``from repro.experiments
+    import ext_projection``) registered ahead of its display position,
+    so the order comes from :data:`MODULES`, not from registration.
+    """
     _ensure_loaded()
-    return list(_REGISTRY.values())
+    return sorted(
+        _REGISTRY.values(), key=lambda spec: _DISPLAY_RANK[spec.module]
+    )
 
 
+@lru_cache(maxsize=None)
 def _ensure_loaded() -> None:
-    """Import the experiments package so every module has registered."""
-    _import_module("repro.experiments")
+    """Import every experiment module, once per process."""
+    for module in MODULES:
+        _import_module(f"repro.experiments.{module}")
 
 
 #: Shared schema fragments (the boosting experiments standardize on

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.errors import ConfigurationError
 from repro.power.leakage import LeakageModel
@@ -96,6 +95,11 @@ def fit_power_model(
         [unit_leak.power(vi, temperature) for vi in v]
     )
     design = np.column_stack([dyn_basis, leak_basis, np.ones_like(f)])
+    # Imported here, not at module level: scipy.optimize pulls in
+    # scipy.special, scipy.fft and scipy.spatial, a large share of the
+    # package's import time, and only the fitting step needs it.
+    from scipy.optimize import nnls
+
     coeffs, _ = nnls(design, p)
     ceff, i0, pind = coeffs
 

@@ -59,6 +59,11 @@ class TransientResult:
         return self.core_powers.sum(axis=1)
 
 
+#: Relative tolerance within which a duration or a recording interval
+#: counts as a whole number of steps (absorbs ``0.3 / 1e-3`` rounding).
+_WHOLE_STEP_RTOL = 1e-9
+
+
 def step_plan(
     duration: Seconds, dt: Seconds, record_interval: Optional[Seconds] = None
 ) -> tuple[int, int]:
@@ -69,8 +74,8 @@ def step_plan(
             (within float tolerance) — silently rounding would simulate a
             different duration than requested.
         dt: integration step, s.
-        record_interval: spacing of recorded samples, s; ``None`` records
-            every step.
+        record_interval: spacing of recorded samples, s; a whole number
+            of steps, for the same reason.  ``None`` records every step.
 
     Returns:
         The number of steps and the recording stride in steps.
@@ -78,7 +83,8 @@ def step_plan(
     Raises:
         ConfigurationError: on a non-positive duration, a duration
             shorter than one step, one that is not an integer multiple of
-            ``dt``, or a ``record_interval`` shorter than ``dt``.
+            ``dt``, a ``record_interval`` shorter than ``dt``, or one that
+            is not an integer multiple of ``dt``.
     """
     if duration <= 0:
         raise ConfigurationError(f"duration must be positive, got {duration}")
@@ -87,7 +93,7 @@ def step_plan(
         raise ConfigurationError(
             f"duration {duration} s is shorter than one step ({dt} s)"
         )
-    if abs(n_steps * dt - duration) > 1e-9 * max(duration, dt):  # repro-lint: disable=DS101 - relative tolerance, not a unit
+    if abs(n_steps * dt - duration) > _WHOLE_STEP_RTOL * max(duration, dt):
         raise ConfigurationError(
             f"duration {duration} s is not a whole number of {dt} s "
             f"steps (nearest is {n_steps} steps = {n_steps * dt} s); "
@@ -99,7 +105,14 @@ def step_plan(
         raise ConfigurationError(
             f"record_interval ({record_interval} s) must be >= dt ({dt} s)"
         )
-    return n_steps, max(1, int(round(record_interval / dt)))
+    every = int(round(record_interval / dt))
+    if abs(every * dt - record_interval) > _WHOLE_STEP_RTOL * record_interval:
+        raise ConfigurationError(
+            f"record_interval {record_interval} s is not a whole number of "
+            f"{dt} s steps (nearest is {every} steps = {every * dt} s); "
+            f"pass an integer multiple of dt"
+        )
+    return n_steps, every
 
 
 def count_simulations(n_steps: int, k: int = 1) -> None:

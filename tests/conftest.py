@@ -11,6 +11,11 @@ Two chip sizes are used throughout:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import obs
@@ -29,6 +34,34 @@ def global_obs():
     obs.reset()
     if not was_enabled:
         obs.disable()
+
+
+@pytest.fixture()
+def fresh_python():
+    """Run ``python -c code`` in a fresh interpreter; returns its stdout.
+
+    The package under test is first on the path, so what the code
+    imports (and leaves out of ``sys.modules``) is this tree's doing.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ),
+    }
+
+    def run(code: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

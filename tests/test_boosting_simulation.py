@@ -199,12 +199,15 @@ class TestTransients:
             ({"duration": 2.5e-3}, "whole number"),
             ({"duration": 0.4e-3}, "shorter than one step"),
             ({"duration": 0.01, "record_interval": 0.4e-3}, "record_interval"),
+            ({"duration": 0.01, "record_interval": 2.5e-3}, "record_interval .* whole number"),
+            ({"duration": 0.01, "record_interval": 3.5e-3}, "record_interval .* whole number"),
         ],
     )
     def test_partial_steps_rejected(self, small_chip, placed, timing, match):
         # Regression: these used to be rounded to whole steps while the
         # energy was still reported for the requested duration (2.5 ms
-        # simulated 2 steps and reported 25% too much energy).
+        # simulated 2 steps and reported 25% too much energy), and a
+        # 2.5 ms / 3.5 ms record_interval sampled every 2 / 4 steps.
         ctrl = BoostingController(
             f_min=small_chip.node.f_min,
             f_max=small_chip.node.f_max,

@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -167,20 +164,56 @@ def test_every_manifest_name_has_a_reader():
     )
 
 
-def test_cli_import_leaves_http_server_unloaded():
+def test_cli_import_leaves_http_server_unloaded(fresh_python):
     code = "import sys, repro, repro.cli; print('http.server' in sys.modules)"
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
-        ),
+    assert fresh_python(code).strip() == "False"
+
+
+_IMPORT_HYGIENE = """
+import json, sys
+import repro, repro.cli
+from repro.experiments.common import get_chip
+from repro.experiments import registry
+
+def state():
+    return {
+        "optimize": "scipy.optimize" in sys.modules,
+        "experiments": [
+            m for m in registry.MODULES
+            if "repro.experiments." + m in sys.modules
+        ],
     }
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-    )
-    assert out.stdout.strip() == "False"
+
+cold = state()
+names = registry.names()
+looked_up = state()
+from repro.power import fit_power_model
+from repro.power.leakage import LeakageModel
+from repro.power.model import CorePowerModel
+from repro.power.vf_curve import VFCurve
+from repro.tech.library import NODE_22NM
+truth = CorePowerModel(
+    ceff=2e-9, pind=0.5, leakage=LeakageModel(i0=0.3),
+    curve=VFCurve.for_node(NODE_22NM),
+)
+fs = [(0.3 + 0.3 * i) * 1e9 for i in range(12)]
+fit = fit_power_model(
+    fs, [truth.power(f, temperature=80.0) for f in fs], truth.curve,
+    LeakageModel(i0=1.0), temperature=80.0,
+)
+print(json.dumps({
+    "cold": cold, "looked_up": looked_up, "names": len(names),
+    "modules": len(registry.MODULES), "ceff": fit.model.ceff,
+}))
+"""
+
+
+def test_cold_start_leaves_optimizer_and_experiments_unloaded(fresh_python):
+    # A run pays for scipy.optimize only when it fits a power model, and
+    # for the experiment modules only when it consults the registry.
+    out = json.loads(fresh_python(_IMPORT_HYGIENE))
+    assert out["cold"] == {"optimize": False, "experiments": []}
+    assert out["modules"] == out["names"] == 20
+    assert out["looked_up"]["optimize"] is False
+    assert len(out["looked_up"]["experiments"]) == 20
+    assert out["ceff"] == pytest.approx(2e-9, rel=1e-4)

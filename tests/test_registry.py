@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pkgutil
 
 import pytest
@@ -34,12 +35,32 @@ class TestCompleteness:
 
     def test_registry_covers_exactly_the_package(self):
         assert len(registry.names()) == len(_experiment_modules()) == 20
+        assert sorted(registry.MODULES) == _experiment_modules()
 
     def test_names_are_display_ordered(self):
         names = registry.names()
         assert names[0] == "fig1"
         assert names[:14] == [f"fig{i}" for i in range(1, 15)]
         assert names[-1] == "summary"
+
+    def test_display_order_does_not_depend_on_import_history(
+        self, fresh_python
+    ):
+        # Modules imported before the first lookup register first; the
+        # lookup must still list every spec in MODULES order.
+        code = (
+            "import json, importlib\n"
+            "import repro.experiments.ext_projection\n"
+            "import repro.experiments.fig12_boosting_sweep\n"
+            "from repro.experiments import registry\n"
+            "names = registry.names()\n"
+            "canonical = [importlib.import_module("
+            "'repro.experiments.' + m).SPEC.name for m in registry.MODULES]\n"
+            "print(json.dumps([names, canonical]))\n"
+        )
+        names, canonical = json.loads(fresh_python(code))
+        assert names == canonical
+        assert names[0] == "fig1" and names[15] == "projection"
 
     def test_specs_carry_result_types(self):
         for spec in registry.all_specs():

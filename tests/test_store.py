@@ -212,3 +212,29 @@ class TestBatchRunner:
         # summary's sibling fetches populated the store beyond the two
         # explicit cells.
         assert len(store.entries()) > 2
+
+
+def test_worker_count_does_not_change_any_payload(tmp_path):
+    # Every quick cell, run serially and across two spawned workers (which
+    # resolve their specs through the lazily loaded registry), must store
+    # byte-identical envelopes under identical keys.
+    from repro.perf.sweep import SweepRunner
+
+    cells = [
+        BatchCell(name, registry.get(name).resolve(quick=True))
+        for name in registry.names()
+    ]
+    envelopes = []
+    for workers, root in ((1, tmp_path / "serial"), (2, tmp_path / "pool")):
+        store = ArtifactStore(root)
+        runner = BatchRunner(store=store, sweep=SweepRunner(max_workers=workers))
+        outcomes = runner.run(cells)
+        assert [o.error for o in outcomes if not o.ok] == []
+        envelopes.append(
+            {p.relative_to(root): p.read_bytes() for p in store.entries()}
+        )
+    serial, pool = envelopes
+    assert len(serial) >= len(cells)
+    assert sorted(serial) == sorted(pool)
+    differing = [str(p) for p in serial if serial[p] != pool[p]]
+    assert differing == []
