@@ -14,8 +14,11 @@ from typing import Sequence
 
 from repro.apps.speedup import amdahl_speedup, amdahl_utilisation, fit_scaling
 from repro.errors import ConfigurationError
+from repro.power.calibration import fit_power_model
 from repro.power.leakage import LeakageModel
 from repro.power.model import CorePowerModel
+from repro.power.vf_curve import VFCurve
+from repro.tech.library import NODE_22NM
 from repro.tech.node import TechNode
 
 
@@ -106,12 +109,6 @@ class AppProfile:
             )
         (n_a, s_a), (n_b, s_b) = scaling_points
         p, gamma = fit_scaling(n_a, s_a, n_b, s_b)
-
-        # Imported here: repro.power.calibration depends on scipy only;
-        # keeping it out of module import keeps AppProfile lightweight.
-        from repro.power.calibration import fit_power_model
-        from repro.power.vf_curve import VFCurve
-        from repro.tech.library import NODE_22NM
 
         frequencies = [f for f, _ in power_samples]
         powers = [w for _, w in power_samples]

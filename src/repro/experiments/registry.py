@@ -4,9 +4,10 @@ Every experiment module under :mod:`repro.experiments` registers one
 :class:`ExperimentSpec` when it is imported — its CLI name, a typed
 parameter schema (defaults, quick-mode overrides, backwards-compatible
 aliases) and the ``run()`` callable.  The modules are not imported with
-the package: the first lookup (:func:`get`, :func:`names`,
+the package: :func:`get` imports only the looked-up experiment's module
+(:data:`MODULE_OF`), the first listing (:func:`names`,
 :func:`all_specs`) loads every module in :data:`MODULES` once, and
-lookups list the specs in that display order whatever was imported
+listings give the specs in that display order whatever was imported
 before.  A run that never consults the registry never pays for the
 experiment modules' imports.
 
@@ -282,30 +283,34 @@ def _import_module(name: str):
     return importlib.import_module(name)
 
 
-#: Experiment modules under :mod:`repro.experiments`, in display order:
-#: the order of ``list``, ``run all`` and ``batch``.
-MODULES: tuple[str, ...] = (
-    "fig01_scaling",
-    "fig02_vf_curve",
-    "fig03_power_fit",
-    "fig04_speedup",
-    "fig05_tdp_dark_silicon",
-    "fig06_temperature_constraint",
-    "fig07_dvfs",
-    "fig08_patterning",
-    "fig09_dsrem",
-    "fig10_tsp",
-    "fig11_boosting_transient",
-    "fig12_boosting_sweep",
-    "fig13_boosting_apps",
-    "fig14_ntc",
-    "ext_runtime",
-    "ext_projection",
-    "ext_sensitivity",
-    "ext_3d_amdahl",
-    "ext_3d_tsp",
-    "summary",
-)
+#: Experiment name -> its module under :mod:`repro.experiments`, in
+#: display order: the order of ``list``, ``run all`` and ``batch``.
+#: :func:`get` imports only the module of the name it looks up.
+MODULE_OF: dict[str, str] = {
+    "fig1": "fig01_scaling",
+    "fig2": "fig02_vf_curve",
+    "fig3": "fig03_power_fit",
+    "fig4": "fig04_speedup",
+    "fig5": "fig05_tdp_dark_silicon",
+    "fig6": "fig06_temperature_constraint",
+    "fig7": "fig07_dvfs",
+    "fig8": "fig08_patterning",
+    "fig9": "fig09_dsrem",
+    "fig10": "fig10_tsp",
+    "fig11": "fig11_boosting_transient",
+    "fig12": "fig12_boosting_sweep",
+    "fig13": "fig13_boosting_apps",
+    "fig14": "fig14_ntc",
+    "runtime": "ext_runtime",
+    "projection": "ext_projection",
+    "sensitivity": "ext_sensitivity",
+    "ext_3d_amdahl": "ext_3d_amdahl",
+    "ext_3d_tsp": "ext_3d_tsp",
+    "summary": "summary",
+}
+
+#: The experiment modules, in display order.
+MODULES: tuple[str, ...] = tuple(MODULE_OF.values())
 
 #: Process-global registry.  Modules register into it when imported, in
 #: whatever order that happens; lookups sort by :data:`MODULES`.
@@ -334,11 +339,15 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
 def get(name: str) -> ExperimentSpec:
     """The spec registered under ``name``.
 
+    Imports only the module :data:`MODULE_OF` names for it, so a batch
+    worker running one cell loads one experiment module.
+
     Raises:
-        ConfigurationError: when no such experiment exists (every module
-            is loaded first, so lookup never depends on import order).
+        ConfigurationError: when no such experiment exists.
     """
-    _ensure_loaded()
+    module = MODULE_OF.get(name)
+    if module is not None:
+        _import_module(f"repro.experiments.{module}")
     try:
         return _REGISTRY[name]
     except KeyError:

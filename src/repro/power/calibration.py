@@ -43,6 +43,42 @@ class CalibrationResult:
     max_error: float
 
 
+def nnls(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Exact non-negative least squares for a design of a few columns.
+
+    Minimises ``||design @ x - target||`` subject to ``x >= 0`` by
+    enumeration: the optimum is the unconstrained least-squares solution
+    on its own support (KKT), so among the least-squares solutions on
+    every column subset (and ``x = 0``) the feasible one with the least
+    residual is the optimum.  Columns are scaled to unit norm first, so
+    badly scaled bases (``alpha V^2 f`` ~ 1e9 against a unit column)
+    condition each solve well.  The cost is ``2^n - 1`` small solves, so
+    this is meant for Eq. (1)'s three columns.
+
+    Returns:
+        The non-negative coefficients, one per column.
+    """
+    a = np.asarray(design, dtype=float)
+    b = np.asarray(target, dtype=float)
+    norms = np.linalg.norm(a, axis=0)
+    scale = np.where(norms > 0, norms, 1.0)
+    scaled = a / scale
+    n = a.shape[1]
+    best = np.zeros(n)
+    best_residual = np.linalg.norm(b)
+    for subset in range(1, 1 << n):
+        cols = [j for j in range(n) if subset >> j & 1]
+        solution = np.linalg.lstsq(scaled[:, cols], b, rcond=None)[0]
+        if np.any(solution < 0):
+            continue
+        residual = np.linalg.norm(scaled[:, cols] @ solution - b)
+        if residual < best_residual:
+            best = np.zeros(n)
+            best[cols] = solution
+            best_residual = residual
+    return best / scale
+
+
 def fit_power_model(
     frequencies: Sequence[float],
     powers: Sequence[float],
@@ -95,15 +131,9 @@ def fit_power_model(
         [unit_leak.power(vi, temperature) for vi in v]
     )
     design = np.column_stack([dyn_basis, leak_basis, np.ones_like(f)])
-    # Imported here, not at module level: scipy.optimize pulls in
-    # scipy.special, scipy.fft and scipy.spatial, a large share of the
-    # package's import time, and only the fitting step needs it.
-    from scipy.optimize import nnls
+    ceff, i0, pind = nnls(design, p)
 
-    coeffs, _ = nnls(design, p)
-    ceff, i0, pind = coeffs
-
-    # nnls may return an exact zero for a physically-positive coefficient
+    # The fit may return an exact zero for a physically-positive coefficient
     # when the data cannot distinguish it; keep ceff strictly positive so
     # the resulting model is constructible.
     ceff = max(ceff, 1e-18)

@@ -206,7 +206,7 @@ class TransientSimulator:
         with one multi-RHS steady solve.
         """
         p = self._core_powers(core_powers)
-        full = np.zeros((self._model.n_nodes,) + p.shape[:-1])
+        full = np.zeros((self._model.n_nodes,) + p.shape[:-1], order="F")
         full[self._model.core_indices] = p.T
         self._state = self._model.steady_state(full) - self._model.ambient
 

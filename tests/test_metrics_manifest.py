@@ -202,18 +202,19 @@ fit = fit_power_model(
     LeakageModel(i0=1.0), temperature=80.0,
 )
 print(json.dumps({
-    "cold": cold, "looked_up": looked_up, "names": len(names),
+    "cold": cold, "looked_up": looked_up, "fitted": state(), "names": len(names),
     "modules": len(registry.MODULES), "ceff": fit.model.ceff,
 }))
 """
 
 
 def test_cold_start_leaves_optimizer_and_experiments_unloaded(fresh_python):
-    # A run pays for scipy.optimize only when it fits a power model, and
-    # for the experiment modules only when it consults the registry.
+    # No run pays for scipy.optimize, not even a power-model fit, and a
+    # run pays for the experiment modules only when it lists them.
     out = json.loads(fresh_python(_IMPORT_HYGIENE))
     assert out["cold"] == {"optimize": False, "experiments": []}
     assert out["modules"] == out["names"] == 20
     assert out["looked_up"]["optimize"] is False
     assert len(out["looked_up"]["experiments"]) == 20
+    assert out["fitted"]["optimize"] is False
     assert out["ceff"] == pytest.approx(2e-9, rel=1e-4)

@@ -1,11 +1,13 @@
 """Eq. (1) coefficient recovery (paper Figure 3)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.power.calibration import fit_power_model
+from repro.power import calibration
+from repro.power.calibration import fit_power_model, nnls
 from repro.power.leakage import LeakageModel
 from repro.power.model import CorePowerModel
 from repro.power.vf_curve import VFCurve
@@ -104,3 +106,57 @@ class TestValidation:
             fit_power_model(
                 [0.0, 2e9, 3e9], [1.0, 2.0, 3.0], truth.curve, LeakageModel(i0=1.0)
             )
+
+
+def _assert_matches_scipy(design, target):
+    from scipy.optimize import nnls as scipy_nnls
+
+    x = nnls(design, target)
+    reference, _ = scipy_nnls(design, target)
+    residual = np.linalg.norm(design @ x - target)
+    expected = np.linalg.norm(design @ reference - target)
+    assert np.all(x >= 0)
+    assert residual == pytest.approx(expected, rel=1e-9)
+    return x, reference
+
+
+class TestNnls:
+    def test_matches_scipy_on_badly_scaled_random_problems(self):
+        rng = np.random.default_rng(2015)
+        for trial in range(500):
+            rows = int(rng.integers(5, 20))
+            scales = 10.0 ** rng.uniform(-9, 3, size=3)
+            design = rng.standard_normal((rows, 3)) * scales
+            if trial % 2:
+                design = np.abs(design)
+            target = rng.standard_normal(rows) * 10.0 ** rng.uniform(-3, 3)
+            _assert_matches_scipy(design, target)
+
+    def test_matches_scipy_on_the_figure3_design(self, monkeypatch):
+        from repro.experiments import fig03_power_fit
+
+        seen = []
+
+        def spy(design, target):
+            seen.append((design, target))
+            return nnls(design, target)
+
+        monkeypatch.setattr(calibration, "nnls", spy)
+        fig03_power_fit.run()
+        (design, target), = seen
+        assert design.shape == (17, 3)
+        x, reference = _assert_matches_scipy(design, target)
+        assert x == pytest.approx(reference, rel=1e-9, abs=1e-12 * np.max(reference))
+
+    def test_zero_coefficient_at_the_optimum(self):
+        # The target leans against column 1, so the optimum drops it.
+        design = np.array(
+            [[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [3.0, 1.0, 2.0], [4.0, 1.0, 3.0]]
+        )
+        target = design @ np.array([2.0, -3.0, 0.5])
+        x, reference = _assert_matches_scipy(design, target)
+        assert x[1] == 0.0 and reference[1] == 0.0
+
+    def test_all_negative_target_gives_zero(self):
+        design = np.abs(np.random.default_rng(1).standard_normal((6, 3)))
+        assert np.all(nnls(design, -np.ones(6)) == 0.0)

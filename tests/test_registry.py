@@ -62,6 +62,25 @@ class TestCompleteness:
         assert names == canonical
         assert names[0] == "fig1" and names[15] == "projection"
 
+    def test_module_map_agrees_with_every_spec(self):
+        specs = registry.all_specs()
+        assert list(registry.MODULE_OF) == [spec.name for spec in specs]
+        for spec in specs:
+            module = registry.MODULE_OF[spec.name]
+            assert spec.module == f"repro.experiments.{module}"
+
+    def test_get_imports_only_the_looked_up_module(self, fresh_python):
+        code = (
+            "import json, sys\n"
+            "from repro.experiments import registry\n"
+            "spec = registry.get('fig1')\n"
+            "print(json.dumps([spec.name, [m for m in registry.MODULES "
+            "if 'repro.experiments.' + m in sys.modules]]))\n"
+        )
+        name, loaded = json.loads(fresh_python(code))
+        assert name == "fig1"
+        assert loaded == ["fig01_scaling"]
+
     def test_specs_carry_result_types(self):
         for spec in registry.all_specs():
             assert spec.result_type is not None, spec.name
@@ -74,8 +93,9 @@ class TestCompleteness:
 
 class TestLookup:
     def test_get_unknown_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown experiment"):
+        with pytest.raises(ConfigurationError, match="unknown experiment") as err:
             registry.get("fig99")
+        assert str(err.value).endswith("known: " + ", ".join(registry.MODULE_OF))
 
     def test_duplicate_registration_same_module_is_idempotent(self):
         spec = registry.get("fig1")
