@@ -41,14 +41,10 @@ DS501    no arithmetic or comparison mixing physical dimensions
          graph
 DS502    no argument whose dimension contradicts the callee
          parameter's (seconds passed where hertz is expected)
-DS601    no write to a lock-guarded attribute outside its lock —
-         DS401's discipline lifted to class call-graph reachability
 DS602    no pool-dispatched worker that transitively mutates
          module-level state (lost under the spawn start method)
-DS701    every started resource (``tracemalloc``, samplers, metric
-         servers) is stopped, handed off, or ``with``-managed
-DS702    every opened sink/file is closed, handed off, or
-         ``with``-managed
+DS702    every ``open()`` / ``.open()`` handle is closed, handed off,
+         or ``with``-managed
 =======  ==========================================================
 
 Findings can be silenced two ways: an inline comment on the offending

@@ -10,26 +10,20 @@ rather than over one file's AST:
   come from :mod:`repro.units` helper provenance, annotation aliases,
   and name-suffix conventions, propagated through assignments and call
   returns by the call-graph fixpoint.
-* **DS6xx lock/spawn discipline** — DS601 generalizes DS401 from
-  syntax to the class call graph: an attribute written under its class
-  lock *somewhere* is "guarded", and any other write outside the lock
-  (and outside ``__init__``, and not in a private method whose call
-  sites all hold the lock) is flagged.  DS602 walks the call graph from
-  every pool-dispatched worker and flags workers that transitively
-  mutate module-level state — mutations that silently vanish under the
-  spawn start method.
-* **DS7xx resource lifecycle** — DS701 (must-stop) and DS702
-  (must-close) do a per-function escape analysis: a started sampler /
-  metric server / tracemalloc session, or an opened sink/file, must be
-  stopped/closed in the same function, handed off (returned, stored,
-  passed on), or managed by ``with`` — unless the function *is* the
-  lifecycle API (``start*``/``enable*``/``open*``/``acquire*``/
-  ``serve*``).
+* **DS602 spawn discipline** — walks the call graph from every
+  pool-dispatched worker and flags workers that transitively mutate
+  module-level state — mutations that silently vanish under the spawn
+  start method.
+* **DS702 file handles** — a per-function escape analysis: a handle
+  from ``open()``/``.open()`` must be closed in the same function,
+  handed off (returned, stored, passed on), or managed by ``with`` —
+  unless the function *is* the lifecycle API (``start*``/``enable*``/
+  ``open*``/``acquire*``/``serve*``).
 
 Program rules subclass :class:`ProgramRule` and register with
 :func:`program_rule`; :func:`analyze_program` runs them and applies the
 per-file inline suppressions recorded in the summaries, so
-``# repro-lint: disable=DS601 - reason`` works identically to phase 1.
+``# repro-lint: disable=DS602 - reason`` works identically to phase 1.
 """
 
 from __future__ import annotations
@@ -41,8 +35,8 @@ from repro.lint.callgraph import Program
 from repro.lint.engine import Finding, SUPPRESS_ALL
 from repro.lint.summaries import MUTATORS, ModuleSummary
 
-#: Function-name prefixes exempt from DS701/DS702: these *are* the
-#: lifecycle API, and handing back a running resource is their job.
+#: Function-name prefixes exempt from DS702: these *are* the lifecycle
+#: API, and handing back an open handle is their job.
 LIFECYCLE_PREFIXES = ("start", "enable", "open", "acquire", "serve")
 
 
@@ -222,76 +216,6 @@ class DimensionArgument(ProgramRule):
                         )
 
 
-def _lock_held_methods(facts: dict) -> set[str]:
-    """Private methods whose in-class call sites all hold the lock."""
-    sites: dict[str, list[dict]] = {}
-    for call in facts["self_calls"]:
-        sites.setdefault(call["method"], []).append(call)
-    held: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for method in facts["methods"]:
-            if method in held or not method.startswith("_"):
-                continue
-            if method.startswith("__") and method.endswith("__"):
-                continue
-            calls = sites.get(method)
-            if not calls:
-                continue
-            if all(c["locked"] or c["caller"] in held for c in calls):
-                held.add(method)
-                changed = True
-    return held
-
-
-@program_rule
-class UnlockedGuardedWrite(ProgramRule):
-    """DS601: write to a lock-guarded attribute outside the lock."""
-
-    code = "DS601"
-    summary = "write to a lock-guarded attribute outside the lock"
-
-    def check(self, program: Program) -> Iterator[Finding]:
-        for class_qual, facts in program.classes.items():
-            if not facts["lock_attrs"]:
-                continue
-            module = class_qual.rsplit(".", 1)[0]
-            summary = program.modules.get(module)
-            if summary is None:
-                continue
-            held = _lock_held_methods(facts)
-
-            def effective_locked(write: dict) -> bool:
-                return write["locked"] or write["method"] in held
-
-            guarded: set[str] = {
-                write["attr"]
-                for write in facts["attr_writes"]
-                if write["method"] != "__init__" and effective_locked(write)
-            }
-            lock_label = "/".join(facts["lock_attrs"])
-            class_name = class_qual.rsplit(".", 1)[-1]
-            for write in facts["attr_writes"]:
-                if (
-                    write["attr"] not in guarded
-                    or write["method"] == "__init__"
-                    or effective_locked(write)
-                ):
-                    continue
-                yield Finding(
-                    code=self.code,
-                    path=summary.path,
-                    line=write["ln"],
-                    col=write["col"],
-                    message=(
-                        f"self.{write['attr']} is guarded by "
-                        f"self.{lock_label} elsewhere but written without "
-                        f"it in {class_name}.{write['method']}()"
-                    ),
-                )
-
-
 def _module_mutations(
     program: Program, qual: str
 ) -> list[str]:
@@ -389,49 +313,11 @@ def _lifecycle_exempt(qual_local: str) -> bool:
 
 
 @program_rule
-class UnstoppedResource(ProgramRule):
-    """DS701: started resource neither stopped nor handed off."""
-
-    code = "DS701"
-    summary = "started resource is never stopped and does not escape"
-
-    def check(self, program: Program) -> Iterator[Finding]:
-        for qual, facts, summary in _iter_functions(
-            program, library_only=False
-        ):
-            local = _local_name(program, qual)
-            if _lifecycle_exempt(local):
-                continue
-            resources = facts["resources"]
-            stops = set(resources["stops"])
-            escapes = set(resources["escapes"])
-            managed = set(resources["with"])
-            for start in resources["starts"]:
-                if start["kind"] == "tracemalloc":
-                    if "tracemalloc" in stops:
-                        continue
-                elif start["var"] is not None:
-                    var = start["var"]
-                    if var in stops or var in escapes or var in managed:
-                        continue
-                yield Finding(
-                    code=self.code,
-                    path=summary.path,
-                    line=start["ln"],
-                    col=start["col"],
-                    message=(
-                        f"{start['what']} started in {local}() but never "
-                        f"stopped, handed off, or managed by 'with'"
-                    ),
-                )
-
-
-@program_rule
 class UnclosedResource(ProgramRule):
-    """DS702: opened sink/file neither closed nor handed off."""
+    """DS702: opened file handle neither closed nor handed off."""
 
     code = "DS702"
-    summary = "opened sink or file is never closed and does not escape"
+    summary = "opened file handle is never closed and does not escape"
 
     def check(self, program: Program) -> Iterator[Finding]:
         for qual, facts, summary in _iter_functions(
@@ -440,13 +326,13 @@ class UnclosedResource(ProgramRule):
             local = _local_name(program, qual)
             if _lifecycle_exempt(local):
                 continue
-            resources = facts["resources"]
-            stops = set(resources["stops"])
-            escapes = set(resources["escapes"])
-            managed = set(resources["with"])
-            for opened in facts["resources"]["opens"]:
+            handles = facts["handles"]
+            released = {
+                *handles["closes"], *handles["escapes"], *handles["with"]
+            }
+            for opened in handles["opens"]:
                 var = opened["var"]
-                if var in stops or var in escapes or var in managed:
+                if var in released:
                     continue
                 yield Finding(
                     code=self.code,
@@ -454,7 +340,7 @@ class UnclosedResource(ProgramRule):
                     line=opened["ln"],
                     col=opened["col"],
                     message=(
-                        f"{opened['what']}(...) opened as '{var}' in "
+                        f"open(...) opened as '{var}' in "
                         f"{local}() but never closed, handed off, or "
                         f"managed by 'with'"
                     ),

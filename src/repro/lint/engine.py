@@ -365,12 +365,7 @@ def _phase1_file(
     manifest: Optional[MetricManifest],
     select: Optional[Sequence[str]],
 ) -> tuple[list[Finding], "ModuleSummary"]:
-    """Phase 1 for one file: per-file findings plus its module summary.
-
-    Module-level on purpose: ``lint --jobs N`` hands this to a process
-    pool, and spawn workers can only pickle module-level callables
-    (rule DS401's own discipline).
-    """
+    """Phase 1 for one file: per-file findings plus its module summary."""
     path = Path(path_str)
     rel = _library_rel(path)
     in_library = rel is not None
@@ -399,12 +394,6 @@ def _phase1_file(
         suppressions=silenced,
     )
     return kept, summary
-
-
-def _phase1_worker(args: tuple) -> tuple[list[Finding], "ModuleSummary"]:
-    """Picklable pool entry point for ``lint --jobs N``."""
-    path_str, source, manifest, select = args
-    return _phase1_file(path_str, source, manifest, select)
 
 
 #: Directories containing this marker file are excluded from directory
@@ -437,13 +426,6 @@ def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
     return out
 
 
-#: SARIF 2.1.0 schema URI emitted by :meth:`LintReport.to_sarif`.
-SARIF_SCHEMA = (
-    "https://docs.oasis-open.org/sarif/sarif/v2.1.0/errata01/os/schemas/"
-    "sarif-schema-2.1.0.json"
-)
-
-
 @dataclass
 class LintReport:
     """The outcome of one :func:`lint_paths` run."""
@@ -474,53 +456,6 @@ class LintReport:
             "baseline_suppressed": self.baseline_suppressed,
             "timings": self.timings,
             "findings": [f.to_dict() for f in self.findings],
-        }
-
-    def to_sarif(self) -> dict:
-        """The ``--format sarif`` document (SARIF 2.1.0)."""
-        from repro.lint.dataflow import all_program_rules
-
-        rules_meta = [
-            {
-                "id": cls.code,
-                "shortDescription": {"text": cls.summary},
-            }
-            for cls in (*all_rules(), *all_program_rules())
-        ]
-        results = [
-            {
-                "ruleId": f.code,
-                "level": "error",
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.path},
-                            "region": {
-                                "startLine": max(f.line, 1),
-                                "startColumn": f.col + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-            for f in self.findings
-        ]
-        return {
-            "$schema": SARIF_SCHEMA,
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "repro-lint",
-                            "informationUri": "docs/linting.md",
-                            "rules": rules_meta,
-                        }
-                    },
-                    "results": results,
-                }
-            ],
         }
 
     def render_text(self) -> str:
@@ -564,18 +499,17 @@ def lint_paths(
     baseline: Optional["Baseline"] = None,
     select: Optional[Sequence[str]] = None,
     cache_dir: Optional[str | Path] = None,
-    jobs: int = 1,
     program: bool = True,
     stale_manifest: Optional[bool] = None,
 ) -> LintReport:
     """Lint every python file under ``paths`` — the two-phase pass.
 
-    Phase 1 runs the per-file rules and builds module summaries, in
-    parallel when ``jobs > 1`` and content-addressed through the
-    summary cache when ``cache_dir`` is given (unchanged files are
-    served findings + summary without re-parsing).  Phase 2 links the
-    summaries into a :class:`~repro.lint.callgraph.Program` and runs
-    the interprocedural DS5xx/DS6xx/DS7xx rules plus the DS302
+    Phase 1 runs the per-file rules and builds module summaries,
+    content-addressed through the summary cache when ``cache_dir`` is
+    given (unchanged files are served findings + summary without
+    re-parsing).  Phase 2 links the summaries into a
+    :class:`~repro.lint.callgraph.Program` and runs the
+    interprocedural DS501/DS502/DS602/DS702 rules plus the DS302
     stale-manifest check (auto-enabled on whole-tree runs with a
     file-loaded manifest; force with ``stale_manifest=True/False``).
 
@@ -594,7 +528,6 @@ def lint_paths(
     t0 = time.perf_counter()
     findings: list[Finding] = []
     summaries: list[ModuleSummary] = []
-    pending: list[tuple[Path, str, Optional[str]]] = []
     for f in files:
         source = f.read_text()
         if cache is not None:
@@ -608,33 +541,12 @@ def lint_paths(
                     ModuleSummary.from_payload(payload["summary"])
                 )
                 continue
-            pending.append((f, source, digest))
-        else:
-            pending.append((f, source, None))
-
-    if jobs > 1 and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _phase1_worker,
-                    [
-                        (f.as_posix(), source, manifest, select)
-                        for f, source, _ in pending
-                    ],
-                    chunksize=8,
-                )
-            )
-    else:
-        results = [
-            _phase1_file(f.as_posix(), source, manifest, select)
-            for f, source, _ in pending
-        ]
-    for (f, _, digest), (file_findings, summary) in zip(pending, results):
+        file_findings, summary = _phase1_file(
+            f.as_posix(), source, manifest, select
+        )
         findings.extend(file_findings)
         summaries.append(summary)
-        if cache is not None and digest is not None:
+        if cache is not None:
             cache.put(
                 f.as_posix(), digest, manifest_digest, summary, file_findings
             )
@@ -668,7 +580,6 @@ def lint_paths(
     timings: dict = {
         "phase1_s": phase1_s,
         "phase2_s": phase2_s,
-        "jobs": jobs,
     }
     if cache is not None:
         timings["cache_hits"] = cache.hits

@@ -13,12 +13,9 @@ reason *across* files without re-reading them:
   :data:`repro.units.SUFFIX_DIMENSIONS` name suffixes), assignments,
   add/sub/compare operand terms and call sites, all expressed in a tiny
   serialisable expression IR (*dterms*, below);
-* per-class lock facts for DS6xx — which ``self`` attributes are
-  written where, whether the write sits lexically inside a
-  ``with self.<lock>`` block, and the intra-class call sites needed to
-  decide whether a private method always runs with the lock held;
-* resource lifecycle facts for DS7xx — start/stop/open/close events,
-  ``with``-managed names and escapes (returns, stores, argument passes);
+* file-handle facts for DS702 — ``open()``/``.open()`` handles, their
+  ``.close()`` calls, ``with``-managed names and escapes (returns,
+  stores, argument passes);
 * spawn-dispatch sites (workers handed to process pools) and the
   harvested metric names/prefixes used by the stale-manifest check;
 * the file's inline-suppression map, so phase-2 findings respect
@@ -45,12 +42,12 @@ import ast
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro import units
 
 #: Summary schema version: bump to invalidate every cached summary.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: Cache fingerprint (see ArtifactStore.get_payload): encodes the
 #: summary schema and the rule-engine generation, so either bumping
@@ -58,8 +55,8 @@ SUMMARY_VERSION = 1
 CACHE_FINGERPRINT = f"repro-lint-cache-v{SUMMARY_VERSION}"
 
 #: Method names that mutate their receiver in place — a call
-#: ``self.attr.append(...)`` counts as a *write* to ``attr`` for the
-#: DS601 lock-discipline analysis.
+#: ``CACHE.update(...)`` on a module global counts as a module-state
+#: mutation for DS602.
 MUTATORS = frozenset(
     {
         "append",
@@ -85,17 +82,9 @@ MUTATORS = frozenset(
 #: ``registry``/``_registry``, and those emissions must count as "used".
 HARVEST_RECEIVERS = frozenset({"obs", "REGISTRY", "registry", "_registry"})
 
-#: ``.start()``-style calls that begin a must-stop resource.
-START_METHODS = frozenset({"start"})
-
-#: Calls that end a must-stop resource.
-STOP_METHODS = frozenset({"stop", "shutdown", "server_close", "close", "join"})
-
-#: Free functions / methods whose *return value* is a running resource.
-SERVER_FACTORIES = frozenset({"start_metrics_server", "serve_prometheus"})
-
-#: Constructors that open an underlying file handle (DS702).
-OPENERS = frozenset({"JsonlSink", "open"})
+#: Function or method name that returns a file handle for DS702
+#: (``open(...)``, ``Path(...).open(...)``).
+OPENER = "open"
 
 
 def _dotted_name(node: ast.AST) -> Optional[str]:
@@ -149,7 +138,7 @@ class ModuleSummary:
     module_globals: list[str] = field(default_factory=list)
     #: qualname ("func" / "Class.method") -> function fact dict.
     functions: dict[str, dict] = field(default_factory=dict)
-    #: class name -> lock/attribute fact dict.
+    #: class name -> {"ln": line}; phase 2 resolves constructors by it.
     classes: dict[str, dict] = field(default_factory=dict)
     spawn_dispatches: list[dict] = field(default_factory=list)
     metric_names: list[str] = field(default_factory=list)
@@ -196,7 +185,7 @@ class ModuleSummary:
 
 
 class _FunctionSummarizer(ast.NodeVisitor):
-    """Collects one function body's dterm/lock/resource facts."""
+    """Collects one function body's dterm and file-handle facts."""
 
     def __init__(
         self,
@@ -204,7 +193,6 @@ class _FunctionSummarizer(ast.NodeVisitor):
         class_name: Optional[str],
     ) -> None:
         self.node = node
-        self.class_name = class_name
         self.is_method = class_name is not None
         args = node.args
         all_args = [*args.posonlyargs, *args.args, *args.kwonlyargs]
@@ -225,15 +213,10 @@ class _FunctionSummarizer(ast.NodeVisitor):
         self.calls: list[dict] = []
         self.returns: list[list] = []
         self.global_writes: list[str] = []
-        self.attr_writes: list[dict] = []
-        self.self_calls: list[dict] = []
-        self.lock_attrs: set[str] = set()
-        self.starts: list[dict] = []
-        self.stops: list[str] = []
         self.opens: list[dict] = []
+        self.closes: set[str] = set()
         self.escapes: set[str] = set()
         self.with_vars: set[str] = set()
-        self._lock_depth = 0
         self._global_names: set[str] = set()
         for stmt in node.body:
             self.visit(stmt)
@@ -321,24 +304,13 @@ class _FunctionSummarizer(ast.NodeVisitor):
     def _record_assign_target(self, target: ast.AST, value: ast.AST) -> None:
         if isinstance(target, ast.Name):
             self.assigns.append([target.id, self._dterm(value)])
-            # v = SnapshotSampler(...).start()  /  v = start_metrics_server(...)
-            started = self._started_resource(value)
-            if started is not None:
-                self.starts.append(
-                    {
-                        "kind": "var",
-                        "var": target.id,
-                        "what": started,
-                        "ln": value.lineno,
-                        "col": value.col_offset,
-                    }
-                )
-            opened = self._opened_resource(value)
-            if opened is not None:
+            if isinstance(value, ast.Call) and OPENER in (
+                getattr(value.func, "id", None),
+                getattr(value.func, "attr", None),
+            ):
                 self.opens.append(
                     {
                         "var": target.id,
-                        "what": opened,
                         "ln": value.lineno,
                         "col": value.col_offset,
                     }
@@ -347,37 +319,6 @@ class _FunctionSummarizer(ast.NodeVisitor):
             # Stores into attributes/containers make the value escape.
             if isinstance(value, ast.Name):
                 self.escapes.add(value.id)
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                self.attr_writes.append(
-                    {
-                        "attr": target.attr,
-                        "ln": target.lineno,
-                        "col": target.col_offset,
-                        "locked": self._lock_depth > 0,
-                        "kind": "assign",
-                    }
-                )
-            if isinstance(target, ast.Subscript) and isinstance(
-                target.value, ast.Attribute
-            ):
-                inner = target.value
-                if (
-                    isinstance(inner.value, ast.Name)
-                    and inner.value.id == "self"
-                ):
-                    self.attr_writes.append(
-                        {
-                            "attr": inner.attr,
-                            "ln": target.lineno,
-                            "col": target.col_offset,
-                            "locked": self._lock_depth > 0,
-                            "kind": "mutate",
-                        }
-                    )
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._record_assign_target(element, value)
@@ -404,20 +345,6 @@ class _FunctionSummarizer(ast.NodeVisitor):
         target = node.target
         if isinstance(target, ast.Name) and target.id in self._global_names:
             self.global_writes.append(target.id)
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            self.attr_writes.append(
-                {
-                    "attr": target.attr,
-                    "ln": target.lineno,
-                    "col": target.col_offset,
-                    "locked": self._lock_depth > 0,
-                    "kind": "assign",
-                }
-            )
         self.generic_visit(node)
 
     def visit_Return(self, node: ast.Return) -> None:
@@ -438,89 +365,17 @@ class _FunctionSummarizer(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_With(self, node: ast.With) -> None:
-        lockish = 0
         for item in node.items:
-            expr = item.context_expr
-            dotted = _dotted_name(expr)
-            if dotted is not None and "lock" in dotted.rsplit(".", 1)[-1].lower():
-                lockish += 1
-                if dotted.startswith("self."):
-                    self.lock_attrs.add(dotted.split(".", 1)[1])
+            dotted = _dotted_name(item.context_expr)
             if dotted is not None and not dotted.startswith("self."):
                 self.with_vars.add(dotted)
             if isinstance(item.optional_vars, ast.Name):
                 self.with_vars.add(item.optional_vars.id)
-            # ``with SnapshotSampler(...):`` manages the resource itself.
-            if isinstance(expr, ast.Call):
-                name = _dotted_name(expr.func)
-                if name is not None:
-                    terminal = name.rsplit(".", 1)[-1]
-                    if terminal in OPENERS or terminal in SERVER_FACTORIES:
-                        if isinstance(item.optional_vars, ast.Name):
-                            self.with_vars.add(item.optional_vars.id)
-        if lockish:
-            self._lock_depth += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        if lockish:
-            self._lock_depth -= 1
-        for item in node.items:
-            self.visit(item.context_expr)
+        self.generic_visit(node)
 
     visit_AsyncWith = visit_With
 
-    def visit_Expr(self, node: ast.Expr) -> None:
-        # A server factory whose handle is discarded outright can never
-        # be stopped — record it with no variable (DS701 always fires).
-        value = node.value
-        if isinstance(value, ast.Call):
-            name = _dotted_name(value.func)
-            if (
-                name is not None
-                and name.rsplit(".", 1)[-1] in SERVER_FACTORIES
-            ):
-                self.starts.append(
-                    {
-                        "kind": "var",
-                        "var": None,
-                        "what": name.rsplit(".", 1)[-1],
-                        "ln": value.lineno,
-                        "col": value.col_offset,
-                    }
-                )
-        self.generic_visit(node)
-
     # -- calls ---------------------------------------------------------
-
-    def _started_resource(self, node: ast.AST) -> Optional[str]:
-        """Display text when ``node`` evaluates to a running resource."""
-        if not isinstance(node, ast.Call):
-            return None
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in START_METHODS
-            and isinstance(func.value, ast.Call)
-        ):
-            # Constructor-chained start: SnapshotSampler(...).start()
-            inner = _dotted_name(func.value.func)
-            if inner is not None:
-                return f"{inner.rsplit('.', 1)[-1]}().start()"
-        name = _dotted_name(func)
-        if name is not None and name.rsplit(".", 1)[-1] in SERVER_FACTORIES:
-            return name.rsplit(".", 1)[-1]
-        return None
-
-    def _opened_resource(self, node: ast.AST) -> Optional[str]:
-        if not isinstance(node, ast.Call):
-            return None
-        name = _dotted_name(node.func)
-        if name is None:
-            return None
-        terminal = name.rsplit(".", 1)[-1]
-        if terminal in OPENERS:
-            return terminal
-        return None
 
     def visit_Call(self, node: ast.Call) -> None:
         callee = _dotted_name(node.func)
@@ -542,66 +397,9 @@ class _FunctionSummarizer(ast.NodeVisitor):
                     or any(kw.arg is None for kw in node.keywords),
                 }
             )
-            terminal = callee.rsplit(".", 1)[-1]
-            receiver = callee.rsplit(".", 1)[0] if "." in callee else None
-            # Resource lifecycle events.
-            if callee == "tracemalloc.start":
-                self.starts.append(
-                    {
-                        "kind": "tracemalloc",
-                        "var": None,
-                        "what": "tracemalloc.start()",
-                        "ln": node.lineno,
-                        "col": node.col_offset,
-                    }
-                )
-            elif callee == "tracemalloc.stop":
-                self.stops.append("tracemalloc")
-            elif terminal in STOP_METHODS and receiver is not None:
-                self.stops.append(receiver)
-            elif terminal in SERVER_FACTORIES:
-                # A factory whose handle is discarded leaks the server;
-                # assignment targets were recorded by visit_Assign.
-                pass
-            elif (
-                terminal in START_METHODS
-                and receiver is not None
-                and receiver != "self"
-                and not receiver.startswith("self.")
-            ):
-                self.starts.append(
-                    {
-                        "kind": "var",
-                        "var": receiver,
-                        "what": f"{receiver}.start()",
-                        "ln": node.lineno,
-                        "col": node.col_offset,
-                    }
-                )
-            # self-calls for the lock-held fixpoint.
-            if callee.startswith("self.") and callee.count(".") == 1:
-                self.self_calls.append(
-                    {
-                        "method": callee.split(".", 1)[1],
-                        "locked": self._lock_depth > 0,
-                        "ln": node.lineno,
-                    }
-                )
-            # Mutator calls on self attributes are writes (DS601).
-            if (
-                callee.startswith("self.")
-                and callee.count(".") == 2
-                and terminal in MUTATORS
-            ):
-                self.attr_writes.append(
-                    {
-                        "attr": callee.split(".")[1],
-                        "ln": node.lineno,
-                        "col": node.col_offset,
-                        "locked": self._lock_depth > 0,
-                        "kind": "mutate",
-                    }
-                )
+            receiver, _, terminal = callee.rpartition(".")
+            if terminal == "close" and receiver:
+                self.closes.add(receiver)
         # Names passed as arguments escape the function's custody.
         for arg in node.args:
             if isinstance(arg, ast.Name):
@@ -624,10 +422,9 @@ class _FunctionSummarizer(ast.NodeVisitor):
             "calls": self.calls,
             "returns": self.returns,
             "global_writes": sorted(set(self.global_writes)),
-            "resources": {
-                "starts": self.starts,
-                "stops": sorted(set(self.stops)),
+            "handles": {
                 "opens": self.opens,
+                "closes": sorted(self.closes),
                 "escapes": sorted(self.escapes),
                 "with": sorted(self.with_vars),
             },
@@ -826,33 +623,11 @@ def summarize_source(
             fs = _FunctionSummarizer(stmt, class_name=None)
             summary.functions[stmt.name] = fs.facts()
         elif isinstance(stmt, ast.ClassDef):
-            class_facts: dict[str, Any] = {
-                "ln": stmt.lineno,
-                "methods": [],
-                "lock_attrs": [],
-                "attr_writes": [],
-                "self_calls": [],
-            }
-            lock_attrs: set[str] = set()
+            summary.classes[stmt.name] = {"ln": stmt.lineno}
             for member in stmt.body:
-                if not isinstance(
-                    member, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    continue
-                fs = _FunctionSummarizer(member, class_name=stmt.name)
-                summary.functions[f"{stmt.name}.{member.name}"] = fs.facts()
-                class_facts["methods"].append(member.name)
-                lock_attrs.update(fs.lock_attrs)
-                for write in fs.attr_writes:
-                    class_facts["attr_writes"].append(
-                        {**write, "method": member.name}
-                    )
-                for call in fs.self_calls:
-                    class_facts["self_calls"].append(
-                        {**call, "caller": member.name}
-                    )
-            class_facts["lock_attrs"] = sorted(lock_attrs)
-            summary.classes[stmt.name] = class_facts
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    fs = _FunctionSummarizer(member, class_name=stmt.name)
+                    summary.functions[f"{stmt.name}.{member.name}"] = fs.facts()
     summary.module_globals = sorted(set(summary.module_globals))
     return summary
 

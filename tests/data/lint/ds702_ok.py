@@ -1,12 +1,12 @@
-"""DS702 clean pass: with-managed, closed, or handed-off sinks."""
+"""DS702 clean pass: with-managed, closed, or handed-off handles."""
 
-from repro.obs.exporters import JsonlSink
+from pathlib import Path
 
 
 def dump_samples(records, path):
-    with JsonlSink(path) as sink:
+    with Path(path).open("w") as fh:
         for record in records:
-            sink.write(record)
+            fh.write(record)
     return len(records)
 
 
@@ -16,7 +16,7 @@ def append_line(path, line):
     fh.close()
 
 
-def open_sink(path):
-    # A lifecycle API by name: the caller owns the returned sink.
-    sink = JsonlSink(path)
-    return sink
+def open_log(path):
+    # A lifecycle API by name: the caller owns the returned handle.
+    fh = Path(path).open("a")
+    return fh

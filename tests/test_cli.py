@@ -115,6 +115,20 @@ class TestObservabilityCli:
         assert snap["spans"]["experiment.fig1"]["count"] == 1
         assert snap["gauges"]["process.max_rss_bytes"] > 0
 
+    def test_max_rss_is_this_process_peak_not_its_launchers(self, fresh_python):
+        # The launcher holds about 150 MiB when it starts the demo, which
+        # itself peaks near 70 MB.  Linux's ru_maxrss would report the
+        # launcher's peak in the child.
+        launcher = (
+            "import subprocess, sys\n"
+            "ballast = b'x' * (150 * 2**20)\n"
+            "demo = [sys.executable, '-m', 'repro.cli', 'obs']\n"
+            "sys.stdout.write(subprocess.run("
+            "demo, capture_output=True, text=True, check=True).stdout)\n"
+        )
+        snap = json.loads(fresh_python(launcher))
+        assert 0 < snap["gauges"]["process.max_rss_bytes"] < 120e6
+
     def test_profile_out_csv(self, capsys, tmp_path, restore_obs):
         target = tmp_path / "snap.csv"
         assert main(["fig1", "--profile-out", str(target)]) == 0

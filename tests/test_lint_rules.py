@@ -32,9 +32,7 @@ PLANTED = {
     # Whole-program rules (phase 2; dispatched via analyze_source).
     "DS501": 2,
     "DS502": 2,
-    "DS601": 2,
     "DS602": 2,
-    "DS701": 3,
     "DS702": 2,
 }
 
@@ -42,9 +40,7 @@ PLANTED = {
 #: stale-manifest check) is also a program rule but needs a whole-tree
 #: walk plus a manifest file, so it is exercised in
 #: tests/test_lint_program.py rather than by a fixture pair here.
-PROGRAM_CODES = frozenset(
-    {"DS501", "DS502", "DS601", "DS602", "DS701", "DS702"}
-)
+PROGRAM_CODES = frozenset({"DS501", "DS502", "DS602", "DS702"})
 
 
 def lint_fixture(filename: str, code: str) -> list[lint.Finding]:

@@ -284,18 +284,12 @@ class TestShippedBudgets:
     def test_shipped_budgets_pass_on_a_real_snapshot(self, fresh_python):
         """The committed budgets.json must not gate on the current tree.
 
-        The demo runs as a CLI run does, in its own interpreter started
-        by a small one.  Linux carries the forking process's peak RSS
-        into the child's ``ru_maxrss``, so a demo started straight from
-        the test session would report the session's peak.
+        The demo runs as a CLI run does, in its own interpreter, so its
+        ``process.max_rss_bytes`` is its own peak.
         """
-        launcher = (
-            "import subprocess, sys\n"
-            "demo = [sys.executable, '-m', 'repro.cli', 'obs']\n"
-            "sys.stdout.write(subprocess.run("
-            "demo, capture_output=True, text=True, check=True).stdout)\n"
+        snapshot = json.loads(
+            fresh_python("from repro.cli import main; main(['obs'])")
         )
-        snapshot = json.loads(fresh_python(launcher))
         verdicts, hard = check_snapshot(
             snapshot, REPO_ROOT / "benchmarks" / "budgets.json"
         )
