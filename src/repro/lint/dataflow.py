@@ -44,7 +44,6 @@ class ProgramRule:
     """Base class for one whole-program DS rule."""
 
     code: str = ""
-    summary: str = ""
 
     def check(self, program: Program) -> Iterator[Finding]:
         """Yield findings over the linked program."""
@@ -87,7 +86,6 @@ class DimensionMixing(ProgramRule):
     """DS501: arithmetic/comparison across different dimension labels."""
 
     code = "DS501"
-    summary = "arithmetic or comparison mixes physical dimensions"
 
     def check(self, program: Program) -> Iterator[Finding]:
         for qual, facts, summary in _iter_functions(
@@ -128,7 +126,6 @@ class DimensionArgument(ProgramRule):
     """DS502: argument dimension contradicts the callee's parameter."""
 
     code = "DS502"
-    summary = "argument dimension contradicts the callee parameter"
 
     def check(self, program: Program) -> Iterator[Finding]:
         from repro import units
@@ -239,7 +236,6 @@ class SpawnWorkerMutation(ProgramRule):
     """DS602: pool worker transitively mutates module-level state."""
 
     code = "DS602"
-    summary = "spawn worker reaches a module-state mutation"
 
     def check(self, program: Program) -> Iterator[Finding]:
         for summary in program.summaries:
@@ -282,7 +278,6 @@ class StaleManifestEntry(ProgramRule):
     """
 
     code = "DS302"
-    summary = "stale metric-manifest entry matches no emitted metric"
 
     def check(self, program: Program) -> Iterator[Finding]:
         manifest = program.manifest
@@ -317,7 +312,6 @@ class UnclosedResource(ProgramRule):
     """DS702: opened file handle neither closed nor handed off."""
 
     code = "DS702"
-    summary = "opened file handle is never closed and does not escape"
 
     def check(self, program: Program) -> Iterator[Finding]:
         for qual, facts, summary in _iter_functions(

@@ -207,13 +207,12 @@ class FileContext:
 class Rule:
     """Base class for one DS rule.
 
-    Subclasses set :attr:`code`, :attr:`summary` and :attr:`visits`, and
-    implement :meth:`visit`.  One instance is created per file, so
-    per-file state can live on ``self``.
+    Subclasses set :attr:`code` and :attr:`visits`, and implement
+    :meth:`visit`; the class docstring says what the rule flags.  One
+    instance is created per file, so per-file state can live on ``self``.
     """
 
     code: str = ""
-    summary: str = ""
     #: AST node classes this rule wants dispatched to :meth:`visit`.
     visits: tuple = ()
 
@@ -302,7 +301,22 @@ def lint_source(
     Returns:
         Findings not silenced by inline suppressions, in source order.
     """
-    path = Path(path)
+    _, _, kept = _lint_file(source, Path(path), manifest, library, select)
+    return kept
+
+
+def _lint_file(
+    source: str,
+    path: Path,
+    manifest: Optional[MetricManifest],
+    library: Optional[bool],
+    select: Optional[Sequence[str]],
+) -> tuple[FileContext, dict[int, set[str]], list[Finding]]:
+    """Parse one file and run the per-file rules over it.
+
+    Returns its context, its inline suppressions and the findings they
+    do not silence, in source order.
+    """
     rel = _library_rel(path)
     in_library = rel is not None if library is None else library
     try:
@@ -321,7 +335,7 @@ def lint_source(
     silenced = _suppressions(source)
     kept = _apply_suppressions(findings, silenced)
     kept.sort(key=lambda f: (f.line, f.col, f.code))
-    return kept
+    return ctx, silenced, kept
 
 
 def _run_rules(
@@ -366,31 +380,13 @@ def _phase1_file(
     select: Optional[Sequence[str]],
 ) -> tuple[list[Finding], "ModuleSummary"]:
     """Phase 1 for one file: per-file findings plus its module summary."""
-    path = Path(path_str)
-    rel = _library_rel(path)
-    in_library = rel is not None
-    try:
-        tree = ast.parse(source, filename=path_str)
-    except SyntaxError as exc:
-        raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
-    ctx = FileContext(
-        path=path.as_posix(),
-        tree=tree,
-        source=source,
-        in_library=in_library,
-        library_rel=rel,
-        manifest=manifest,
-    )
-    findings = _run_rules(ctx, select)
-    silenced = _suppressions(source)
-    kept = _apply_suppressions(findings, silenced)
-    kept.sort(key=lambda f: (f.line, f.col, f.code))
+    ctx, silenced, kept = _lint_file(source, Path(path_str), manifest, None, select)
     summary = summarize_source(
         source,
         ctx.path,
-        tree,
-        library_rel=rel,
-        in_library=in_library,
+        ctx.tree,
+        library_rel=ctx.library_rel,
+        in_library=ctx.in_library,
         suppressions=silenced,
     )
     return kept, summary

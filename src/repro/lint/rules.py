@@ -85,7 +85,6 @@ class MagicUnitLiteral(Rule):
     """
 
     code = "DS101"
-    summary = "raw magic-unit literal; use the named units constant"
     visits = (ast.BinOp,)
 
     def applies(self, ctx: FileContext) -> bool:
@@ -120,7 +119,6 @@ class FloatEqualityOnQuantity(Rule):
     """
 
     code = "DS102"
-    summary = "float-literal equality without a named sentinel"
     visits = (ast.Compare,)
 
     def visit(self, node: ast.Compare, ctx: FileContext) -> Iterator[Finding]:
@@ -156,7 +154,6 @@ class BareStdlibRaise(Rule):
     """
 
     code = "DS201"
-    summary = "bare stdlib exception raised in library code"
     visits = (ast.Raise,)
 
     def visit(self, node: ast.Raise, ctx: FileContext) -> Iterator[Finding]:
@@ -192,7 +189,6 @@ class MetricNameConvention(Rule):
     """
 
     code = "DS301"
-    summary = "obs metric name violates grammar or manifest"
     visits = (ast.Call,)
 
     def applies(self, ctx: FileContext) -> bool:
@@ -281,7 +277,6 @@ class SpawnUnsafeWorker(Rule):
     """
 
     code = "DS401"
-    summary = "spawn-unsafe callable handed to a process pool"
     visits = (ast.Call,)
 
     def applies(self, ctx: FileContext) -> bool:
@@ -379,7 +374,6 @@ class NondeterministicModelCode(Rule):
     """
 
     code = "DS402"
-    summary = "nondeterminism in model/experiment code"
     visits = (ast.Call,)
 
     def applies(self, ctx: FileContext) -> bool:

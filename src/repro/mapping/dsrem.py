@@ -15,6 +15,10 @@ This module implements that three-phase heuristic:
    the remaining power and cores, then upgrade frequencies with leftover
    power.  High-TLP applications naturally end up with many threads at
    moderate v/f; high-ILP applications with few threads at high v/f.
+   The upgrade pass takes one-level upgrades from a heap keyed on
+   (-performance gain per extra watt, instance index), so the best score
+   wins and the lowest index breaks ties; it tracks each instance's grid
+   level and rebuilds every upgraded instance once when it ends.
 2. **Repair phase** — while the steady-state peak temperature exceeds
    T_DTM, step down the v/f of the instance heating the hottest core
    (removing it when already at the lowest level).
@@ -33,6 +37,7 @@ step between them by index.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -58,13 +63,37 @@ class DsRemConfig:
         frequencies: candidate v/f levels (default: node ladder).
         exploit_margin: headroom (K) below T_DTM at which the exploit
             phase stops trying upgrades.
-        max_steps: safety bound on repair/exploit iterations.
+        max_steps: safety bound on upgrade/repair/exploit iterations.
+
+    Raises:
+        ConfigurationError: an empty ``threads_options`` or a thread
+            count below 1, an empty ``frequencies``, a negative
+            ``exploit_margin`` or a ``max_steps`` below 1.
     """
 
     threads_options: Optional[Sequence[int]] = None
     frequencies: Optional[Sequence[float]] = None
     exploit_margin: float = 0.25
     max_steps: int = 2000
+
+    def __post_init__(self) -> None:
+        if self.threads_options is not None and (
+            not self.threads_options or min(self.threads_options) < 1
+        ):
+            raise ConfigurationError(
+                "threads_options must be non-empty thread counts >= 1, "
+                f"got {self.threads_options!r}"
+            )
+        if self.frequencies is not None and not self.frequencies:
+            raise ConfigurationError(
+                f"frequencies must be non-empty, got {self.frequencies!r}"
+            )
+        if not self.exploit_margin >= 0:
+            raise ConfigurationError(
+                f"exploit_margin must be >= 0 K, got {self.exploit_margin}"
+            )
+        if self.max_steps < 1:
+            raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 class _Config(NamedTuple):
@@ -238,55 +267,81 @@ def _budget_phase(
     free_cores = state.chip.n_cores
 
     # Density greedy: best performance per watt that still fits.  The
-    # sort is stable, so equal densities keep candidate order.
+    # sort is stable, so equal densities keep candidate order.  Free
+    # cores and remaining power only fall, so a configuration that does
+    # not fit once never fits again: each scan resumes at the last pick,
+    # which may be picked again.
     by_density = sorted(configs, key=lambda c: c.performance / c.power, reverse=True)
+    start: Optional[int] = 0
     while True:
-        pick = next(
+        start = next(
             (
-                c for c in by_density
-                if c.threads <= free_cores and c.power <= remaining_power
+                k for k in range(start, len(by_density))
+                if by_density[k].threads <= free_cores
+                and by_density[k].power <= remaining_power
             ),
             None,
         )
-        if pick is None or not state.add(pick):
+        if start is None or not state.add(by_density[start]):
             break
         added = state.placed[-1]
         remaining_power -= added.core_power * len(added.cores)
         free_cores -= len(added.cores)
 
     # Upgrade pass: spend leftover power on one-level frequency increases,
-    # largest performance gain per extra watt first.  Only the instance
-    # that moved changes its (extra W, gain, score) entry.
-    moves = [_upgrade_move(state, i) for i in range(len(state.placed))]
+    # largest performance gain per extra watt first, lowest index on ties.
+    # Levels are tracked here and each upgraded instance is rebuilt once
+    # at the end, since a placed instance depends only on its level.
+    points = [state.point(i) for i in range(len(state.placed))]
+    levels = [level for _, level in points]
+    heap = [
+        move
+        for i, (table, level) in enumerate(points)
+        if (move := _upgrade_move(state, table, i, level)) is not None
+    ]
+    heapq.heapify(heap)
+    # A move costing more than what remains is set aside: while upgrades
+    # cost power the remainder only falls, so the move cannot fit again.
+    # An upgrade that costs nothing or frees power puts them back.
+    set_aside = []
     for _ in range(cfg.max_steps):
-        best = None
-        for i, move in enumerate(moves):
-            if move is None or move[0] > remaining_power:
-                continue
-            if best is None or move[2] > moves[best][2]:
-                best = i
-        if best is None:
+        while heap and heap[0][2] > remaining_power:
+            set_aside.append(heapq.heappop(heap))
+        if not heap:
             break
-        extra = moves[best][0]
-        _, level = state.point(best)
-        state.replace(best, level + 1)
+        _, i, extra = heapq.heappop(heap)
+        levels[i] += 1
         remaining_power -= extra
-        moves[best] = _upgrade_move(state, best)
+        if extra <= 0:
+            for move in set_aside:
+                heapq.heappush(heap, move)
+            set_aside.clear()
+        move = _upgrade_move(state, points[i][0], i, levels[i])
+        if move is not None:
+            heapq.heappush(heap, move)
+    for i, (_, level) in enumerate(points):
+        if levels[i] != level:
+            state.replace(i, levels[i])
 
 
-def _upgrade_move(state: _State, index: int) -> Optional[tuple[float, float, float]]:
-    """(extra W, gain, score) of a one-level upgrade, or None if there is none."""
-    placed = state.placed[index]
-    table, level = state.point(index)
+def _upgrade_move(
+    state: _State, table: OperatingPoints, index: int, level: int
+) -> Optional[tuple[float, int, float]]:
+    """(-score, index, extra W) of upgrading placed instance ``index`` from
+    ``level`` by one level, or None if there is no such upgrade.
+
+    The score is the performance gain per extra watt.
+    """
     if level + 1 == len(table.frequencies):
         return None
+    placed = state.placed[index]
     n = placed.instance.threads
-    new_power = n * table.power[n - 1][level + 1]
-    extra = new_power - placed.core_power * len(placed.cores)
-    gain = table.performance[n - 1][level + 1] - table.performance[n - 1][level]
+    power, performance = table.power[n - 1], table.performance[n - 1]
+    extra = n * power[level + 1] - power[level] * len(placed.cores)
+    gain = performance[level + 1] - performance[level]
     if gain <= 0:
         return None
-    return extra, gain, gain / max(extra, 1e-9)
+    return -(gain / max(extra, 1e-9)), index, extra
 
 
 # -- phase 2: thermal repair ------------------------------------------

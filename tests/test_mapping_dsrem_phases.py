@@ -87,3 +87,36 @@ class TestEndToEnd:
         )
         result = ds_rem(small_chip, [PARSEC["dedup"]], tdp=20.0, config=cfg)
         assert all(p.instance.threads == 4 for p in result.placed)
+
+
+class TestConfigValidation:
+    """A config that would silently map nothing, or skip the upgrade,
+    repair and exploit loops, is rejected when it is built."""
+
+    @pytest.mark.parametrize("threads_options", [(), [0, 4], (-1,)])
+    def test_threads_options_must_be_positive_counts(self, threads_options):
+        with pytest.raises(ConfigurationError, match="threads_options"):
+            DsRemConfig(threads_options=threads_options)
+
+    @pytest.mark.parametrize("frequencies", [(), []])
+    def test_frequencies_must_be_non_empty(self, frequencies):
+        with pytest.raises(ConfigurationError, match="frequencies"):
+            DsRemConfig(frequencies=frequencies)
+
+    @pytest.mark.parametrize("max_steps", [-1, 0])
+    def test_max_steps_must_be_positive(self, max_steps):
+        with pytest.raises(ConfigurationError, match="max_steps"):
+            DsRemConfig(max_steps=max_steps)
+
+    @pytest.mark.parametrize("margin", [-0.25, float("nan")])
+    def test_exploit_margin_must_not_be_negative(self, margin):
+        with pytest.raises(ConfigurationError, match="exploit_margin"):
+            DsRemConfig(exploit_margin=margin)
+
+    def test_boundary_values_are_accepted(self, small_chip):
+        cfg = DsRemConfig(
+            threads_options=(1,), frequencies=COARSE.frequencies,
+            exploit_margin=0.0, max_steps=1,
+        )
+        result = ds_rem(small_chip, [PARSEC["x264"]], tdp=10.0, config=cfg)
+        assert result.placed
