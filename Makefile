@@ -52,14 +52,15 @@ obs-smoke:
 # The end-to-end benchmark (benchmarks/e2e, BENCHMARK.json): the
 # harness's own tests (~30 s), then one traced run each of dsrem_mixes
 # (the mapping layer's smoke run), boost_transients (the transient
-# layer's) and steady_online (the online runtime's), which print every
-# per-layer metric and check the outputs against the stored reference
-# for seed 0.
+# layer's), steady_online (the online runtime's) and quick_batch (every
+# registry cell through the batch runner), which print every per-layer
+# metric and check the outputs against the stored reference for seed 0.
 bench-e2e:
 	python -m pytest benchmarks/e2e -q
 	python3 benchmarks/e2e/run.py --workload dsrem_mixes --seed 0 --seconds 5 --trace 1
 	python3 benchmarks/e2e/run.py --workload boost_transients --seed 0 --seconds 5 --trace 1
 	python3 benchmarks/e2e/run.py --workload steady_online --seed 0 --seconds 5 --trace 1
+	python3 benchmarks/e2e/run.py --workload quick_batch --seed 0 --seconds 5 --trace 1
 
 # Render an obs snapshot (REPORT_SNAPSHOT=FILE, a --profile-out export)
 # and any runs.jsonl ledger (REPORT_STORE=DIR) into the markdown

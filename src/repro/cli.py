@@ -8,7 +8,7 @@ Usage::
     darksilicon fig5                     # same (legacy spelling)
     darksilicon run fig11 --quick        # shortened transients
     darksilicon run fig11 --params duration=1.5 n_instances=6
-    darksilicon run all --keep-going     # everything; report failures
+    darksilicon run all                  # everything; report failures
     darksilicon run fig10 --store .cache # serve/persist via the store
     darksilicon batch --quick --store .cache   # all cells, cached
     darksilicon batch --quick --store .cache --expect-cached
@@ -19,18 +19,23 @@ Usage::
 
 Every experiment is dispatched through
 :mod:`repro.experiments.registry`: ``--params key=value`` overrides are
-validated against the experiment's typed schema (aliases like
-``boost_duration`` still work), ``--quick`` applies the schema's
-quick-mode values, and ``--store DIR`` routes execution through the
-content-addressed artifact store (:mod:`repro.store`) so repeated runs
-are served from disk.  ``--force`` bypasses the store and overwrites.
+validated against the experiment's typed schema, ``--quick`` applies
+the schema's quick-mode values, and ``--store DIR`` routes execution
+through the content-addressed artifact store (:mod:`repro.store`) so
+repeated runs are served from disk.  ``--force`` bypasses the store and
+overwrites.
 
-``batch`` executes a set of cells through
-:class:`repro.store.BatchRunner`: warm cells come straight from the
-store (no worker processes), cold cells optionally fan out across
-``--workers`` processes, and ``summary`` runs last so it consumes the
-sibling artifacts the same batch just produced.  ``--expect-cached``
-makes a warm run a testable assertion (used by ``make figures-smoke``).
+``run`` and ``batch`` both execute their cells through
+:class:`repro.store.BatchRunner` and print one report: a status line
+per cell (a failed cell's traceback under it), its table (always for
+``run``, with ``--tables`` for ``batch``), a ``[batch]`` footer and,
+with a store, a ``[store]`` counter line.  Every cell runs; any failure
+makes the exit code 1.  ``run`` is serial; ``batch`` serves warm cells
+straight from the store (no worker processes), optionally fans cold
+cells out across ``--workers`` processes, and runs ``summary`` last so
+it consumes the sibling artifacts the same batch just produced.
+``--expect-cached`` makes a warm run a testable assertion (used by
+``make figures-smoke``).
 
 ``--profile`` enables the :mod:`repro.obs` registry for the run and
 appends its snapshot (solver calls, store hits/misses, sweep stages,
@@ -241,7 +246,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    """``describe``: one experiment's schema, defaults and aliases."""
+    """``describe``: one experiment's schema and defaults."""
     try:
         spec = registry.get(args.experiment)
     except ConfigurationError:
@@ -264,15 +269,14 @@ def _cmd_describe(args) -> int:
     print("parameters:")
     for p in spec.params:
         quick = "" if p.quick is registry.UNSET else f"  [quick: {p.quick!r}]"
-        aliases = f"  (aliases: {', '.join(p.aliases)})" if p.aliases else ""
-        print(f"  {p.name} ({p.kind}) = {p.default!r}{quick}{aliases}")
+        print(f"  {p.name} ({p.kind}) = {p.default!r}{quick}")
         if p.help:
             print(f"      {p.help}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    """``run``: one experiment, or ``all`` of them sequentially."""
+    """``run``: one experiment, or ``all`` of them, as a serial batch."""
     if args.experiment == "obs":
         return _cmd_obs(args)
     known = registry.names()
@@ -287,14 +291,9 @@ def _cmd_run(args) -> int:
         print("--params requires a single experiment, not 'all'", file=sys.stderr)
         return 2
 
-    if args.profile:
-        obs.enable()
-    store = _open_store(args)
-    csv_dir = _csv_dir(args)
+    from repro.store.batch import BatchCell
 
-    from repro.store.batch import fetch_or_run
-
-    failures: list[tuple[str, str]] = []
+    cells = []
     for name in names:
         spec = registry.get(name)
         try:
@@ -303,36 +302,8 @@ def _cmd_run(args) -> int:
         except ConfigurationError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        started = time.perf_counter()
-        try:
-            with experiment_span(name):
-                result, cached = fetch_or_run(
-                    spec, params, store=store, force=args.force
-                )
-        except Exception as exc:  # noqa: BLE001 - per-experiment report
-            if not args.keep_going:
-                raise
-            failures.append((name, f"{type(exc).__name__}: {exc}"))
-            print(f"=== {name} FAILED ({type(exc).__name__}: {exc}) ===")
-            print()
-            continue
-        elapsed = time.perf_counter() - started
-        origin = ", cached" if cached else ""
-        print(f"=== {name} ({elapsed:.1f} s{origin}) ===")
-        print(result.table())
-        _export_rows(result, name, csv_dir)
-        print()
-
-    if args.keep_going and len(names) > 1:
-        print("=== run report ===")
-        failed = {name for name, _ in failures}
-        for name in names:
-            print(f"{name:<12} {'FAIL' if name in failed else 'ok'}")
-        for name, reason in failures:
-            print(f"[{name}] {reason}")
-    if args.profile:
-        _export_snapshot(_profile_snapshot(), args.profile_out)
-    return 1 if failures else 0
+        cells.append(BatchCell(name, params))
+    return _run_cells(args, cells)
 
 
 def _cmd_batch(args) -> int:
@@ -346,18 +317,33 @@ def _cmd_batch(args) -> int:
             file=sys.stderr,
         )
         return 2
+
+    from repro.store.batch import BatchCell
+
+    cells = [
+        BatchCell(name, registry.get(name).resolve(quick=args.quick))
+        for name in names
+    ]
+    return _run_cells(args, cells)
+
+
+def _run_cells(args, cells) -> int:
+    """Run ``cells`` through :class:`repro.store.BatchRunner` and report.
+
+    One status line per cell (a failed cell's traceback under it), its
+    table when ``args.tables`` is set, then the ``[batch]`` footer and,
+    with a store, the ``[store]`` counters.  Exits 1 when any cell
+    failed, 3 when ``--expect-cached`` finds a cell that was not served
+    from the store.
+    """
     if args.profile:
         obs.enable()
     store = _open_store(args)
     csv_dir = _csv_dir(args)
 
     from repro.perf.sweep import SweepRunner
-    from repro.store.batch import BatchCell, BatchRunner
+    from repro.store.batch import BatchRunner
 
-    cells = [
-        BatchCell(name, registry.get(name).resolve(quick=args.quick))
-        for name in names
-    ]
     runner = BatchRunner(store=store, sweep=SweepRunner(args.workers))
     started = time.perf_counter()
     outcomes = runner.run(cells, force=args.force)
@@ -369,6 +355,8 @@ def _cmd_batch(args) -> int:
         if o.error:
             line += f"  {o.error}"
         print(line)
+        if o.trace:
+            print(o.trace, end="")
         if o.ok and args.tables:
             print(o.result.table())
             print()
@@ -601,12 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="schema-validated parameter overrides "
         "(e.g. --params duration=1.5 n_instances=6)",
     )
-    p_run.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="with 'all': keep running after a failing experiment, "
-        "report per-experiment pass/fail, exit non-zero if any failed",
-    )
     _add_common(p_run)
 
     p_batch = sub.add_parser(
@@ -787,7 +769,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_lint.set_defaults(func=_cmd_lint)
-    p_run.set_defaults(func=_cmd_run)
+    # ``run`` is a serial batch that always prints its tables.
+    p_run.set_defaults(
+        func=_cmd_run, workers=None, tables=True, expect_cached=False
+    )
     p_batch.set_defaults(func=_cmd_batch)
     p_list.set_defaults(func=_cmd_list)
     p_desc.set_defaults(func=_cmd_describe)

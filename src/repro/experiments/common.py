@@ -60,8 +60,8 @@ def get_stacked_chip(
 def experiment_span(name: str):
     """Span covering one figure/extension run (``experiment.<name>``).
 
-    The CLI wraps every experiment it dispatches in one of these, so a
-    profiled run attributes solver calls, cache traffic and sweep stages
+    The batch runner wraps every cell it executes in one of these, so
+    a profiled run attributes solver calls, cache traffic and sweep stages
     to the figure that caused them (nested spans land under
     ``experiment.<name>.sweep.<stage>`` etc.).  A no-op when the global
     registry is disabled.

@@ -95,7 +95,6 @@ def run(
     threads: int = 8,
     duration: float = 5.0,
     power_cap: float = 500.0,
-    boost_duration: Optional[float] = None,
 ) -> Fig12Result:
     """Run the Figure 12 sweep.
 
@@ -106,11 +105,7 @@ def run(
         threads: threads per instance.
         duration: transient seconds per boosting measurement.
         power_cap: electrical constraint for boosting, W.
-        boost_duration: deprecated alias of ``duration`` (kept for
-            backwards compatibility; wins when given).
     """
-    if boost_duration is not None:
-        duration = boost_duration
     chip = chip or get_chip("16nm")
     app = app_by_name(app_name)
     if core_counts is None:
@@ -174,10 +169,7 @@ SPEC = register(
             ),
             Param("threads", "int", 8, help="threads per instance"),
             duration_param(
-                5.0,
-                2.0,
-                "transient seconds per boosting measurement",
-                aliases=("boost_duration",),
+                5.0, 2.0, "transient seconds per boosting measurement"
             ),
             Param("power_cap", "float", 500.0, help="boosting power cap, W"),
         ),

@@ -113,15 +113,8 @@ def run(
     threads: int = 8,
     duration: float = 5.0,
     power_cap: float = 500.0,
-    boost_duration: Optional[float] = None,
 ) -> Fig13Result:
-    """Run every Figure 13 case.
-
-    ``boost_duration`` is a deprecated alias of the standardized
-    ``duration`` keyword (it wins when given).
-    """
-    if boost_duration is not None:
-        duration = boost_duration
+    """Run every Figure 13 case."""
     chip = chip or get_chip("11nm")
     curve = VFCurve.for_node(chip.node)
     placed_cases = []
@@ -188,10 +181,7 @@ SPEC = register(
             ),
             Param("threads", "int", 8, help="threads per instance"),
             duration_param(
-                5.0,
-                2.0,
-                "transient seconds per boosting measurement",
-                aliases=("boost_duration",),
+                5.0, 2.0, "transient seconds per boosting measurement"
             ),
             Param("power_cap", "float", 500.0, help="boosting power cap, W"),
         ),

@@ -2,14 +2,13 @@
 
 Every experiment module under :mod:`repro.experiments` registers one
 :class:`ExperimentSpec` when it is imported — its CLI name, a typed
-parameter schema (defaults, quick-mode overrides, backwards-compatible
-aliases) and the ``run()`` callable.  The modules are not imported with
-the package: :func:`get` imports only the looked-up experiment's module
-(:data:`MODULE_OF`), the first listing (:func:`names`,
-:func:`all_specs`) loads every module in :data:`MODULES` once, and
-listings give the specs in that display order whatever was imported
-before.  A run that never consults the registry never pays for the
-experiment modules' imports.
+parameter schema (defaults and quick-mode overrides) and the ``run()``
+callable.  The modules are not imported with the package: :func:`get`
+imports only the looked-up experiment's module (:data:`MODULE_OF`),
+the first listing (:func:`names`, :func:`all_specs`) loads every
+module in :data:`MODULES` once, and listings give the specs in that
+display order whatever was imported before.  A run that never
+consults the registry never pays for the experiment modules' imports.
 
 The registry turns the experiments into first-class, addressable units
 of work:
@@ -85,8 +84,6 @@ class Param:
         quick: value substituted under ``--quick`` (UNSET: same as
             default).
         help: one-line description for ``describe``.
-        aliases: historical keyword names still accepted as overrides
-            (e.g. ``boost_duration`` for the standardized ``duration``).
     """
 
     name: str
@@ -94,7 +91,6 @@ class Param:
     default: Any
     quick: Any = UNSET
     help: str = ""
-    aliases: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in _PARSERS:
@@ -141,22 +137,21 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         seen: set[str] = set()
         for p in self.params:
-            for key in (p.name, *p.aliases):
-                if key in seen:
-                    raise ConfigurationError(
-                        f"experiment {self.name!r}: duplicate parameter "
-                        f"name/alias {key!r}"
-                    )
-                seen.add(key)
+            if p.name in seen:
+                raise ConfigurationError(
+                    f"experiment {self.name!r}: duplicate parameter "
+                    f"{p.name!r}"
+                )
+            seen.add(p.name)
 
     def param(self, name: str) -> Param:
-        """Look a parameter up by canonical name or alias.
+        """Look a parameter up by name.
 
         Raises:
             ConfigurationError: on unknown names.
         """
         for p in self.params:
-            if name == p.name or name in p.aliases:
+            if name == p.name:
                 return p
         known = ", ".join(p.name for p in self.params) or "(none)"
         raise ConfigurationError(
@@ -185,25 +180,12 @@ class ExperimentSpec:
     ) -> dict[str, Any]:
         """Full parameter dict: defaults, quick overrides, then user ones.
 
-        Alias keys in ``overrides`` are folded onto their canonical
-        names.
-
         Raises:
-            ConfigurationError: on unknown override names, or when two
-                override keys (an alias and its canonical name) name the
-                same parameter.
+            ConfigurationError: on unknown override names.
         """
         params = self.defaults(quick=quick)
-        assigned: dict[str, str] = {}
         for key, value in (overrides or {}).items():
-            canonical = self.param(key).name
-            if canonical in assigned:
-                raise ConfigurationError(
-                    f"experiment {self.name!r}: both {assigned[canonical]!r} "
-                    f"and {key!r} set parameter {canonical!r}"
-                )
-            assigned[canonical] = key
-            params[canonical] = value
+            params[self.param(key).name] = value
         return params
 
     def parse_overrides(self, pairs: Sequence[str]) -> dict[str, Any]:
@@ -381,17 +363,10 @@ def _ensure_loaded() -> None:
         _import_module(f"repro.experiments.{module}")
 
 
-#: Shared schema fragments (the boosting experiments standardize on
-#: ``duration``; the historical keywords survive as aliases).
-def duration_param(
-    default: float, quick: float, help: str, aliases: tuple[str, ...] = ()
-) -> Param:
+#: Shared schema fragment: the boosting experiments standardize on
+#: ``duration`` for their transient length.
+def duration_param(default: float, quick: float, help: str) -> Param:
     """A standardized transient-duration parameter."""
     return Param(
-        name="duration",
-        kind="float",
-        default=default,
-        quick=quick,
-        help=help,
-        aliases=aliases,
+        name="duration", kind="float", default=default, quick=quick, help=help
     )

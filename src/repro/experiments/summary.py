@@ -13,8 +13,9 @@ of being recomputed — a warm store makes the summary nearly free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
+from repro.errors import ReproError
 from repro.experiments.common import format_table
 from repro.experiments.registry import (
     ExperimentSpec,
@@ -46,22 +47,24 @@ def _sibling(name: str, store: Any, force: bool, **overrides: Any) -> Any:
     The parameters are the sibling's schema defaults plus ``overrides``
     — exactly the cell a ``batch`` run stores, so a summary following a
     batch with matching parameters recomputes nothing.
+
+    Raises:
+        ReproError: naming the sibling and its error when it fails.
     """
     from repro.experiments import registry
-    from repro.store.batch import fetch_or_run
+    from repro.store.batch import BatchCell, BatchRunner
 
-    spec = registry.get(name)
-    result, _ = fetch_or_run(
-        spec, spec.resolve(overrides), store=store, force=force
-    )
-    return result
+    cell = BatchCell(name, registry.get(name).resolve(overrides))
+    (outcome,) = BatchRunner(store).run([cell], force=force)
+    if not outcome.ok:
+        raise ReproError(f"summary: sibling {name!r} failed: {outcome.error}")
+    return outcome.result
 
 
 def run(
     duration: float = 2.0,
     store: Any = None,
     force: bool = False,
-    transient_duration: Optional[float] = None,
 ) -> SummaryResult:
     """Recompute every figure's headline metric.
 
@@ -73,11 +76,7 @@ def run(
             figures are served from it when their artifacts exist and
             written to it when they do not.
         force: recompute siblings even when the store has them.
-        transient_duration: deprecated alias of ``duration`` (wins when
-            given).
     """
-    if transient_duration is not None:
-        duration = transient_duration
     entries: list[tuple[str, str, str, str]] = []
 
     f3 = _sibling("fig3", store, force)
@@ -197,10 +196,7 @@ SPEC = register(
         runner=run,
         params=(
             duration_param(
-                5.0,
-                2.0,
-                "transient seconds for the boosting figures",
-                aliases=("transient_duration",),
+                5.0, 2.0, "transient seconds for the boosting figures"
             ),
         ),
         result_type=SummaryResult,

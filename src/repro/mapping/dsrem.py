@@ -237,7 +237,12 @@ def _candidate_configs(
     tables: dict[AppProfile, OperatingPoints],
     cfg: DsRemConfig,
 ) -> list[_Config]:
-    """Every (app, threads, level) candidate, in mix, thread and grid order."""
+    """Every (app, threads, level) candidate, in mix, thread and grid order.
+
+    Raises:
+        ConfigurationError: when no thread option fits any app, which
+            would otherwise map nothing without a word.
+    """
     configs = []
     for app in apps:
         table = tables[app]
@@ -254,6 +259,12 @@ def _candidate_configs(
                 configs.append(
                     _Config(table, n, level, power, table.instance_performance(n, f))
                 )
+    if not configs:
+        limits = ", ".join(f"{app.name} {app.max_threads}" for app in apps)
+        raise ConfigurationError(
+            f"threads_options {cfg.threads_options!r} exceed every "
+            f"app's max_threads ({limits}): no candidate configuration"
+        )
     return configs
 
 

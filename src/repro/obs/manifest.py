@@ -2,10 +2,9 @@
 
 The artifact store answers "what result does this cell have"; the
 manifest ledger answers "**which runs produced it** and what did they
-cost".  Every :class:`repro.experiments.registry.ExperimentSpec`
-execution routed through the store — CLI ``run``/``batch``,
-``fetch_or_run``, ``summary``'s sibling fetches — appends one JSON line
-to ``<store-root>/runs.jsonl``:
+cost".  Every cell :class:`repro.store.BatchRunner` serves or
+executes against a store — CLI ``run``/``batch``, ``summary``'s sibling
+fetches — appends one JSON line to ``<store-root>/runs.jsonl``:
 
 .. code-block:: json
 

@@ -13,10 +13,10 @@ evaluation pipeline.
   version and a per-experiment code fingerprint.  Writes are atomic
   (temp file + ``os.replace``); stale envelopes (schema or fingerprint
   mismatch) count as invalidations and are treated as misses.
-* :mod:`~repro.store.batch` — ``fetch_or_run`` (one cell through the
-  store) and :class:`~repro.store.batch.BatchRunner` (a set of cells
-  across worker processes via :class:`repro.perf.SweepRunner`, serving
-  warm cells without spawning workers).
+* :class:`~repro.store.batch.BatchRunner` — the one way a cell is
+  executed: a set of cells across worker processes via
+  :class:`repro.perf.SweepRunner`, serving warm cells without spawning
+  workers.
 
 Hit/miss/invalidation/write/bypass counts land on each store instance
 (:attr:`ArtifactStore.counters`) for programmatic assertions; hits,
@@ -25,12 +25,11 @@ under ``store.*``.
 """
 
 from repro.store.artifacts import ArtifactStore
-from repro.store.batch import BatchCell, BatchOutcome, BatchRunner, fetch_or_run
+from repro.store.batch import BatchCell, BatchOutcome, BatchRunner
 
 __all__ = [
     "ArtifactStore",
     "BatchCell",
     "BatchOutcome",
     "BatchRunner",
-    "fetch_or_run",
 ]

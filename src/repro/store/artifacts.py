@@ -21,7 +21,7 @@ Envelope schema (JSON)::
 The address hashes only ``(experiment, canonical-params)`` — the two
 coordinates a caller can name.  The code fingerprint is *verified on
 read* instead of being part of the address: when the experiment's code
-changes, the next ``get`` observes the mismatch, counts an
+changes, the next ``get_payload`` observes the mismatch, counts an
 **invalidation**, drops the stale envelope and reports a miss, so the
 cell is recomputed and overwritten in place (no orphaned entries
 accumulate under dead fingerprints).
@@ -39,11 +39,10 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 from repro import obs
-from repro.errors import ConfigurationError
-from repro.io import PAYLOAD_SCHEMA_VERSION, decode_value
+from repro.io import PAYLOAD_SCHEMA_VERSION
 
 #: Keys of :attr:`ArtifactStore.counters`.
 COUNTER_NAMES = ("hits", "misses", "invalidations", "writes", "bypasses")
@@ -132,21 +131,6 @@ class ArtifactStore:
         except OSError:  # pragma: no cover - already gone / read-only
             pass
 
-    def get(
-        self,
-        experiment: str,
-        canonical_params: str,
-        fingerprint: str,
-        force: bool = False,
-    ) -> Optional[Any]:
-        """The cell's decoded result, or ``None`` on miss."""
-        payload = self.get_payload(
-            experiment, canonical_params, fingerprint, force=force
-        )
-        if payload is None:
-            return None
-        return decode_value(payload)
-
     def put_payload(
         self,
         experiment: str,
@@ -181,23 +165,6 @@ class ArtifactStore:
         self.counters["writes"] += 1
         obs.incr("store.writes")
         return path
-
-    def put(
-        self,
-        experiment: str,
-        canonical_params: str,
-        fingerprint: str,
-        result: Any,
-    ) -> Path:
-        """Encode and atomically write one cell's result."""
-        if not hasattr(result, "to_payload"):
-            raise ConfigurationError(
-                f"result of {experiment!r} is not payload-serialisable "
-                f"({type(result).__name__} has no to_payload())"
-            )
-        return self.put_payload(
-            experiment, canonical_params, fingerprint, result.to_payload()
-        )
 
     def entries(self) -> list[Path]:
         """Every envelope currently in the store, sorted by path."""

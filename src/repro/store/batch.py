@@ -1,11 +1,10 @@
-"""Store-backed execution: one cell or a concurrent batch of cells.
+"""Store-backed execution of ``(experiment, params)`` cells.
 
-:func:`fetch_or_run` is the single-cell primitive — serve from the
-artifact store when warm, execute and persist when cold.  The CLI's
-``run`` command, ``summary``'s sibling lookups and the batch runner all
-go through it, so every layer shares one cache-key discipline.
+:class:`BatchRunner` is the one code path that turns a cell into a
+result: the CLI's ``run`` and ``batch`` commands and ``summary``'s
+sibling lookups all go through it, so every caller shares one
+cache-key discipline.
 
-:class:`BatchRunner` executes a set of ``(experiment, params)`` cells.
 Warm cells are served straight from the store in the parent process —
 no worker is spawned for them.  Cold cells fan out through
 :class:`repro.perf.SweepRunner`, which merges each worker's
@@ -18,8 +17,8 @@ Store-aware experiments (``summary``) run in a second wave, after every
 ordinary cell's artifact has been written, so their sibling lookups hit
 the store even on a cold batch.
 
-Every store-routed run — served or executed, single or batched — also
-appends a :class:`repro.obs.manifest.RunManifest` line to the store's
+Every store-routed cell — served, executed or failed — also appends a
+:class:`repro.obs.manifest.RunManifest` line to the store's
 ``runs.jsonl`` ledger, so the provenance trail (which run produced which
 artifact, at what cost, under which code fingerprint) accumulates next
 to the artifacts themselves.
@@ -30,57 +29,14 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
+from repro.errors import ConfigurationError
 from repro.experiments.registry import ExperimentSpec
 from repro.io import decode_value
 from repro.obs.manifest import append_manifest, build_manifest
 from repro.perf.sweep import SweepRunner
 from repro.store.artifacts import ArtifactStore
-
-
-def fetch_or_run(
-    spec: ExperimentSpec,
-    params: Mapping[str, Any],
-    store: Optional[ArtifactStore] = None,
-    force: bool = False,
-) -> tuple[Any, bool]:
-    """One cell through the store: ``(result, served_from_cache)``.
-
-    When a store is given, a :class:`~repro.obs.manifest.RunManifest`
-    line is appended to its ``runs.jsonl`` ledger whether the cell was
-    served or executed.
-
-    Args:
-        spec: the experiment.
-        params: fully resolved parameters (see ``ExperimentSpec.resolve``).
-        store: artifact store; ``None`` always executes (and never
-            persists or records provenance).
-        force: execute even when the store holds the cell, then
-            overwrite its artifact.
-    """
-    if store is None:
-        return spec.run(params), False
-    canonical = spec.canonical_params(params)
-    fingerprint = spec.fingerprint()
-    started = time.perf_counter()
-    cached = store.get(spec.name, canonical, fingerprint, force=force)
-    if cached is None:
-        result, was_cached = spec.run(params, store=store, force=force), False
-        store.put(spec.name, canonical, fingerprint, result)
-    else:
-        result, was_cached = cached, True
-    append_manifest(
-        store.root,
-        build_manifest(
-            spec.name,
-            canonical,
-            fingerprint,
-            cached=was_cached,
-            wall_s=time.perf_counter() - started,
-        ),
-    )
-    return result, was_cached
 
 
 @dataclass(frozen=True)
@@ -101,6 +57,7 @@ class BatchOutcome:
         cached: True when served from the store without executing.
         seconds: execution (or load) wall-clock, s.
         error: ``"ExcType: message"`` when the cell failed, else ``None``.
+        trace: the failing cell's (worker-side) traceback, else ``None``.
     """
 
     cell: BatchCell
@@ -108,6 +65,7 @@ class BatchOutcome:
     cached: bool = False
     seconds: float = 0.0
     error: Optional[str] = None
+    trace: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -120,6 +78,10 @@ def _execute_cell(
 ) -> dict:
     """Worker-side cell execution (module-level: picklable).
 
+    The run sits in an ``experiment.<name>`` span, so a profiled batch
+    attributes time per experiment.  A result without ``to_payload()``
+    fails the cell with a :class:`ConfigurationError` naming it.
+
     Args:
         item: ``(experiment, canonical-params-json, store-root, force)``.
             The store root is only passed for store-aware experiments,
@@ -127,13 +89,14 @@ def _execute_cell(
 
     Returns:
         ``{"payload": ..., "seconds": ...}`` on success,
-        ``{"error": ..., "seconds": ...}`` on failure — exceptions never
-        cross the process boundary, so one failing cell cannot abort the
-        pool (the batch reports it per-cell instead).
+        ``{"error": ..., "trace": ..., "seconds": ...}`` on failure —
+        exceptions never cross the process boundary, so one failing cell
+        cannot abort the pool (the batch reports it per-cell instead).
     """
     import json
 
     from repro.experiments import registry
+    from repro.experiments.common import experiment_span
 
     name, params_json, store_root, force = item
     started = time.perf_counter()
@@ -141,7 +104,13 @@ def _execute_cell(
         spec = registry.get(name)
         params = json.loads(params_json)
         store = ArtifactStore(store_root) if store_root is not None else None
-        result = spec.run(params, store=store, force=force)
+        with experiment_span(name):
+            result = spec.run(params, store=store, force=force)
+        if not hasattr(result, "to_payload"):
+            raise ConfigurationError(
+                f"result of {name!r} is not payload-serialisable "
+                f"({type(result).__name__} has no to_payload())"
+            )
         payload = result.to_payload()
     except Exception as exc:  # noqa: BLE001 - reported per-cell
         return {
@@ -271,6 +240,7 @@ class BatchRunner:
                 cell=cell,
                 seconds=out["seconds"],
                 error=out["error"],
+                trace=out["trace"],
             )
         payload = out["payload"]
         if self.store is not None:

@@ -4,7 +4,7 @@ from repro.experiments import fig12_boosting_sweep
 
 
 def test_fig12_boosting_sweep():
-    result = fig12_boosting_sweep.run(boost_duration=2.0)
+    result = fig12_boosting_sweep.run(duration=2.0)
 
     points = result.points
     assert len(points) >= 10  # 8..96 in steps of 8, plus more

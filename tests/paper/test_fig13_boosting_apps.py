@@ -6,7 +6,7 @@ from repro.units import GIGA
 
 
 def test_fig13_boosting_apps():
-    result = fig13_boosting_apps.run(boost_duration=2.0)
+    result = fig13_boosting_apps.run(duration=2.0)
 
     # Every case: boosting's average performance is at least the
     # constant scheme's, at higher peak power.

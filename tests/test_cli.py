@@ -1,11 +1,28 @@
 """The darksilicon CLI."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
 from repro import obs
 from repro.cli import main
+
+
+def _explode(**kwargs):
+    raise ValueError("exploded")
+
+
+def _break(monkeypatch, name):
+    """Swap ``name``'s runner for one that raises ``ValueError``."""
+    from repro.experiments import registry as reg
+
+    monkeypatch.setitem(
+        reg._REGISTRY,
+        name,
+        dataclasses.replace(reg.get(name), runner=_explode, params=()),
+    )
 
 
 @pytest.fixture()
@@ -112,7 +129,8 @@ class TestObservabilityCli:
         assert "=== observability ===" in out
         payload = out.split("=== observability ===", 1)[1]
         snap = json.loads(payload)
-        assert snap["spans"]["experiment.fig1"]["count"] == 1
+        # The serial batch's stage span encloses the experiment's.
+        assert snap["spans"]["sweep.batch.experiment.fig1"]["count"] == 1
         assert snap["gauges"]["process.max_rss_bytes"] > 0
 
     def test_max_rss_is_this_process_peak_not_its_launchers(self, fresh_python):
@@ -245,7 +263,7 @@ class TestReportCli:
         assert "report written" in capsys.readouterr().out
         text = out.read_text()
         assert "# Performance report" in text
-        assert "| `experiment.fig1` | 1 |" in text
+        assert "| `sweep.batch.experiment.fig1` | 1 |" in text
 
     def test_report_includes_store_ledger(self, tmp_path, capsys):
         store = str(tmp_path / "store")
@@ -298,12 +316,21 @@ class TestSummary:
     def test_summary_module_runs_quick(self):
         from repro.experiments import summary
 
-        result = summary.run(transient_duration=0.5)
+        result = summary.run(duration=0.5)
         rows = {r[0]: r for r in result.rows()}
         # Every figure with a quantitative headline appears once.
         for fig in ("fig3", "fig5", "fig9", "fig10", "fig11", "fig14"):
             assert fig in rows
         assert "x264" in result.table() or "fig3" in result.table()
+
+    def test_failing_sibling_is_named(self, monkeypatch):
+        from repro.errors import ReproError
+        from repro.experiments import summary
+
+        _break(monkeypatch, "fig3")
+        with pytest.raises(ReproError, match="sibling 'fig3' failed: "
+                           "ValueError: exploded"):
+            summary.run(duration=0.5)
 
 
 class TestRegistrySubcommands:
@@ -319,7 +346,8 @@ class TestRegistrySubcommands:
             ["run", "fig12", "--params", "duration=0.3", "core_counts=[8]"]
         ) == 0
         out = capsys.readouterr().out
-        assert "=== fig12" in out
+        assert out.split()[:2] == ["fig12", "ran"]
+        assert "[batch] 1 cells: 0 cached, 1 executed, 0 failed" in out
 
     def test_run_rejects_bad_param(self, capsys):
         assert main(["run", "fig12", "--params", "duration=abc"]) == 2
@@ -329,18 +357,28 @@ class TestRegistrySubcommands:
         assert main(["run", "fig1", "--params", "bogus=1"]) == 2
         assert "has no parameter" in capsys.readouterr().err
 
+    def test_run_rejects_retired_duration_alias(self, capsys):
+        assert main(["run", "fig12", "--params", "boost_duration=2"]) == 2
+        err = capsys.readouterr().err
+        assert "has no parameter 'boost_duration'" in err
+        assert "known: " in err and "duration" in err.split("known: ")[1]
+
     def test_run_with_store_caches(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         assert main(["run", "fig1", "--store", store]) == 0
         capsys.readouterr()
         assert main(["run", "fig1", "--store", store]) == 0
-        assert ", cached" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.split()[:2] == ["fig1", "cached"]
+        assert "16nm" in out
+        assert "[store] hits=1" in out
 
     def test_describe_prints_schema(self, capsys):
         assert main(["describe", "fig12"]) == 0
         out = capsys.readouterr().out
         assert "duration" in out
-        assert "boost_duration" in out
+        assert "boost_duration" not in out
+        assert "aliases" not in out
         assert "fingerprint" in out
 
     def test_describe_unknown(self, capsys):
@@ -404,67 +442,51 @@ class TestRegistrySubcommands:
         assert "1 failed" in out
 
 
-class TestKeepGoing:
-    def test_keep_going_reports_and_fails_nonzero(self, capsys, monkeypatch):
+class TestRunFailures:
+    def test_run_all_reports_every_failure_and_exits_1(
+        self, capsys, monkeypatch
+    ):
         from repro.experiments import registry as reg
 
+        fig1 = reg.get("fig1")
         for name in reg.names():
-            if name in ("fig1", "fig2"):
-                continue
-            spec = reg.get(name)
-            monkeypatch.setitem(
-                reg._REGISTRY,
-                name,
-                type(spec)(
-                    name=spec.name,
-                    title=spec.title,
-                    module=spec.module,
-                    runner=lambda **kw: __import__(
-                        "repro.experiments.fig01_scaling",
-                        fromlist=["run"],
-                    ).run(),
-                    params=(),
-                    result_type=spec.result_type,
-                ),
-            )
-        spec2 = reg.get("fig2")
-        monkeypatch.setitem(
-            reg._REGISTRY,
-            "fig2",
-            type(spec2)(
-                name="fig2",
-                title=spec2.title,
-                module=spec2.module,
-                runner=lambda **kw: (_ for _ in ()).throw(
-                    ValueError("exploded")
-                ),
-                params=(),
-                result_type=spec2.result_type,
-            ),
-        )
-        assert main(["run", "all", "--keep-going"]) == 1
+            if name not in ("fig1", "fig2"):
+                monkeypatch.setitem(
+                    reg._REGISTRY,
+                    name,
+                    dataclasses.replace(
+                        reg.get(name),
+                        runner=fig1.runner,
+                        params=(),
+                        store_aware=False,
+                    ),
+                )
+        _break(monkeypatch, "fig2")
+        assert main(["run", "all"]) == 1
         out = capsys.readouterr().out
-        assert "=== fig2 FAILED (ValueError: exploded) ===" in out
-        assert "=== run report ===" in out
-        assert "FAIL" in out
-
-    def test_without_keep_going_failure_raises(self, monkeypatch):
-        from repro.experiments import registry as reg
-
-        spec = reg.get("fig1")
-        monkeypatch.setitem(
-            reg._REGISTRY,
-            "fig1",
-            type(spec)(
-                name="fig1",
-                title=spec.title,
-                module=spec.module,
-                runner=lambda **kw: (_ for _ in ()).throw(
-                    ValueError("exploded")
-                ),
-                params=(),
-                result_type=spec.result_type,
-            ),
+        status = dict(
+            re.findall(r"^(\S+) +(ran|cached|FAILED) +[\d.]+ s", out, re.M)
         )
-        with pytest.raises(ValueError, match="exploded"):
-            main(["run", "fig1"])
+        assert list(status) == reg.names()
+        assert status.pop("fig2") == "FAILED"
+        assert set(status.values()) == {"ran"}
+        assert "ValueError: exploded" in out
+        assert f"[batch] {len(reg.names())} cells: 0 cached, " in out
+        assert "1 failed" in out
+
+    def test_failed_cell_prints_its_traceback(self, capsys, monkeypatch):
+        _break(monkeypatch, "fig1")
+        assert main(["run", "fig1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["fig1", "FAILED"]
+        assert lines[0].endswith("ValueError: exploded")
+        assert lines[1] == "Traceback (most recent call last):"
+        assert any("in _explode" in line for line in lines)
+        assert lines[-2] == "ValueError: exploded"
+        assert lines[-1].startswith("[batch] 1 cells: 0 cached, 0 executed")
+
+    def test_keep_going_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "all", "--keep-going"])
+        assert exc.value.code == 2
+        assert "--keep-going" in capsys.readouterr().err

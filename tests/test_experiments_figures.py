@@ -95,14 +95,14 @@ class TestFig11:
 class TestFig12:
     def test_two_points(self, chip16):
         result = fig12_boosting_sweep.run(
-            chip=chip16, core_counts=(8, 16), boost_duration=0.3
+            chip=chip16, core_counts=(8, 16), duration=0.3
         )
         assert [p.active_cores for p in result.points] == [8, 16]
         assert result.points[1].constant_gips > result.points[0].constant_gips
 
     def test_sub_instance_counts_skipped(self, chip16):
         result = fig12_boosting_sweep.run(
-            chip=chip16, core_counts=(4, 8), boost_duration=0.3
+            chip=chip16, core_counts=(4, 8), duration=0.3
         )
         # 4 cores cannot hold an 8-thread instance.
         assert [p.active_cores for p in result.points] == [8]
@@ -114,7 +114,7 @@ class TestFig13:
             chip=chip11,
             app_names=("canneal",),
             instance_counts=(12,),
-            boost_duration=0.3,
+            duration=0.3,
         )
         (case,) = result.cases
         assert case.app == "canneal"

@@ -16,7 +16,7 @@ from repro.obs.manifest import (
     runs_path,
     snapshot_digest,
 )
-from repro.store import ArtifactStore, BatchCell, BatchRunner, fetch_or_run
+from repro.store import ArtifactStore, BatchCell, BatchRunner
 
 
 @pytest.fixture()
@@ -123,21 +123,21 @@ class TestLedger:
 
 
 class TestWiring:
-    def test_fetch_or_run_appends_for_miss_and_hit(self, store):
+    def test_single_cell_appends_for_miss_and_hit(self, store):
         spec = registry.get("fig1")
         params = spec.resolve()
-        fetch_or_run(spec, params, store=store)
-        fetch_or_run(spec, params, store=store)
+        for _ in range(2):
+            BatchRunner(store=store).run([BatchCell("fig1", params)])
         manifests = read_manifests(store.root)
         assert [m.cached for m in manifests] == [False, True]
         assert manifests[0].experiment == "fig1"
         assert manifests[0].params == spec.canonical_params(params)
         assert manifests[0].fingerprint == spec.fingerprint()
 
-    def test_fetch_or_run_without_store_records_nothing(self, tmp_path):
-        spec = registry.get("fig1")
-        fetch_or_run(spec, spec.resolve())
-        assert read_manifests(tmp_path) == []
+    def test_batch_without_store_records_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        BatchRunner().run([BatchCell("fig1", registry.get("fig1").resolve())])
+        assert list(tmp_path.iterdir()) == []
 
     def test_batch_appends_one_line_per_cell(self, store):
         cells = [
@@ -154,8 +154,9 @@ class TestWiring:
         assert all(m.error is None for m in manifests)
 
     def test_ledger_does_not_pollute_store_entries(self, store):
-        spec = registry.get("fig1")
-        fetch_or_run(spec, spec.resolve(), store=store)
+        BatchRunner(store=store).run(
+            [BatchCell("fig1", registry.get("fig1").resolve())]
+        )
         assert runs_path(store.root).is_file()
         # entries() lists artifact envelopes only; the ledger (a .jsonl
         # at the root) must not appear as a store entry.

@@ -113,6 +113,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="exploit_margin"):
             DsRemConfig(exploit_margin=margin)
 
+    def test_threads_options_above_every_max_threads_raise(self, small_chip):
+        # x264 runs at most 8 threads: 16 leaves no candidate, which
+        # used to map nothing (0 instances, idle peak) without a word.
+        cfg = DsRemConfig(threads_options=(16,))
+        with pytest.raises(ConfigurationError, match="threads_options") as exc:
+            ds_rem(small_chip, [PARSEC["x264"]], tdp=20.0, config=cfg)
+        assert "x264 8" in str(exc.value)
+
     def test_boundary_values_are_accepted(self, small_chip):
         cfg = DsRemConfig(
             threads_options=(1,), frequencies=COARSE.frequencies,

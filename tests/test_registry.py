@@ -1,7 +1,8 @@
-"""Experiment-registry tests: completeness, schemas, aliases."""
+"""Experiment-registry tests: completeness, schemas, dispatch."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import pkgutil
 
@@ -114,9 +115,18 @@ class TestLookup:
 
 
 class TestSchemas:
-    def test_defaults_match_runner_signature(self):
-        import inspect
+    def test_duplicate_parameter_name_rejected(self):
+        spec = registry.get("fig1")
+        with pytest.raises(ConfigurationError, match="duplicate parameter 'x'"):
+            ExperimentSpec(
+                name="dup",
+                title=spec.title,
+                module=spec.module,
+                runner=spec.runner,
+                params=(Param("x", "int", 1), Param("x", "float", 2.0)),
+            )
 
+    def test_defaults_match_runner_signature(self):
         for spec in registry.all_specs():
             signature = inspect.signature(spec.runner)
             for param in spec.params:
@@ -181,30 +191,19 @@ class TestDurationStandardisation:
         assert param.name == "duration"
         assert param.kind == "float"
 
-    @pytest.mark.parametrize("name", ["fig12", "fig13"])
-    def test_boost_duration_alias_resolves(self, name):
+    @pytest.mark.parametrize(
+        "name, retired",
+        [
+            ("fig12", "boost_duration"),
+            ("fig13", "boost_duration"),
+            ("summary", "transient_duration"),
+        ],
+    )
+    def test_retired_duration_names_are_unknown(self, name, retired):
         spec = registry.get(name)
-        resolved = spec.resolve({"boost_duration": 1.25})
-        assert resolved["duration"] == 1.25
-        assert "boost_duration" not in resolved
-
-    def test_summary_transient_duration_alias_resolves(self):
-        resolved = registry.get("summary").resolve({"transient_duration": 0.75})
-        assert resolved["duration"] == 0.75
-
-    def test_alias_and_canonical_conflict_rejected(self):
-        with pytest.raises(ConfigurationError, match="both"):
-            registry.get("fig12").resolve(
-                {"duration": 1.0, "boost_duration": 2.0}
-            )
-
-    def test_module_keyword_alias_still_works(self):
-        from repro.experiments import fig12_boosting_sweep
-
-        result = fig12_boosting_sweep.run(
-            boost_duration=0.3, core_counts=[4], threads=2
-        )
-        assert [p.active_cores for p in result.points] == [4]
+        with pytest.raises(ConfigurationError, match="known: .*duration"):
+            spec.resolve({retired: 1.0})
+        assert retired not in inspect.signature(spec.runner).parameters
 
 
 class TestParamParsing:

@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import obs
-from repro.errors import ConfigurationError
 from repro.experiments import registry
-from repro.store import (
-    ArtifactStore,
-    BatchCell,
-    BatchRunner,
-    fetch_or_run,
-)
+from repro.io import decode_value
+from repro.store import ArtifactStore, BatchCell, BatchRunner
 
 
 @pytest.fixture()
@@ -29,13 +25,19 @@ def fig1(store):
     return spec, spec.canonical_params(spec.resolve()), spec.fingerprint()
 
 
+def _put(store, fig1):
+    """Run fig1 and store its payload; returns the envelope path."""
+    spec, canonical, fp = fig1
+    return store.put_payload(spec.name, canonical, fp, spec.run().to_payload())
+
+
 class TestArtifactStore:
     def test_miss_then_hit(self, store, fig1):
         spec, canonical, fp = fig1
-        assert store.get(spec.name, canonical, fp) is None
+        assert store.get_payload(spec.name, canonical, fp) is None
         result = spec.run()
-        store.put(spec.name, canonical, fp, result)
-        restored = store.get(spec.name, canonical, fp)
+        store.put_payload(spec.name, canonical, fp, result.to_payload())
+        restored = decode_value(store.get_payload(spec.name, canonical, fp))
         assert restored.rows() == result.rows()
         assert store.counters == {
             "hits": 1,
@@ -50,9 +52,9 @@ class TestArtifactStore:
         obs.enable()
         obs.reset()
         try:
-            store.get(spec.name, canonical, fp)
-            store.put(spec.name, canonical, fp, spec.run())
-            store.get(spec.name, canonical, fp)
+            store.get_payload(spec.name, canonical, fp)
+            _put(store, fig1)
+            store.get_payload(spec.name, canonical, fp)
             counters = obs.snapshot()["counters"]
         finally:
             obs.disable()
@@ -62,40 +64,39 @@ class TestArtifactStore:
 
     def test_force_bypasses(self, store, fig1):
         spec, canonical, fp = fig1
-        store.put(spec.name, canonical, fp, spec.run())
-        assert store.get(spec.name, canonical, fp, force=True) is None
+        _put(store, fig1)
+        assert store.get_payload(spec.name, canonical, fp, force=True) is None
         assert store.counters["bypasses"] == 1
         assert store.counters["hits"] == 0
 
     def test_fingerprint_mismatch_invalidates_and_unlinks(self, store, fig1):
         spec, canonical, fp = fig1
-        path = store.put(spec.name, canonical, fp, spec.run())
+        path = _put(store, fig1)
         assert path.exists()
-        assert store.get(spec.name, canonical, "0" * 16) is None
+        assert store.get_payload(spec.name, canonical, "0" * 16) is None
         assert store.counters["invalidations"] == 1
         assert store.counters["misses"] == 1
         assert not path.exists()
 
     def test_schema_version_mismatch_invalidates(self, store, fig1):
         spec, canonical, fp = fig1
-        path = store.put(spec.name, canonical, fp, spec.run())
+        path = _put(store, fig1)
         envelope = json.loads(path.read_text())
         envelope["schema_version"] = -1
         path.write_text(json.dumps(envelope))
-        assert store.get(spec.name, canonical, fp) is None
+        assert store.get_payload(spec.name, canonical, fp) is None
         assert store.counters["invalidations"] == 1
 
     def test_torn_envelope_invalidates(self, store, fig1):
         spec, canonical, fp = fig1
-        path = store.put(spec.name, canonical, fp, spec.run())
+        path = _put(store, fig1)
         path.write_text('{"schema_version": 1, "trunc')
-        assert store.get(spec.name, canonical, fp) is None
+        assert store.get_payload(spec.name, canonical, fp) is None
         assert store.counters["invalidations"] == 1
         assert not path.exists()
 
     def test_write_is_atomic_no_temp_left_behind(self, store, fig1):
-        spec, canonical, fp = fig1
-        path = store.put(spec.name, canonical, fp, spec.run())
+        path = _put(store, fig1)
         leftovers = [
             p for p in path.parent.iterdir() if p.suffix != ".json"
         ]
@@ -113,33 +114,38 @@ class TestArtifactStore:
         )
         assert a != b
 
-    def test_put_rejects_non_serialisable(self, store):
-        with pytest.raises(ConfigurationError, match="to_payload"):
-            store.put("fig1", "{}", "f" * 16, object())
 
+class TestSingleCell:
+    """One cell through the runner, as ``run`` and summary's siblings go."""
 
-class TestFetchOrRun:
+    def _one(self, store=None, force=False):
+        cell = BatchCell("fig1", registry.get("fig1").resolve())
+        (outcome,) = BatchRunner(store=store).run([cell], force=force)
+        assert outcome.ok
+        return outcome
+
     def test_no_store_always_executes(self):
-        spec = registry.get("fig1")
-        result, cached = fetch_or_run(spec, spec.resolve())
-        assert not cached
-        assert result.rows()
+        outcome = self._one()
+        assert not outcome.cached
+        assert outcome.result.rows()
 
     def test_cold_then_warm(self, store):
-        spec = registry.get("fig1")
-        params = spec.resolve()
-        first, cached_first = fetch_or_run(spec, params, store=store)
-        second, cached_second = fetch_or_run(spec, params, store=store)
-        assert (cached_first, cached_second) == (False, True)
-        assert second.rows() == first.rows()
+        first, second = self._one(store), self._one(store)
+        assert (first.cached, second.cached) == (False, True)
+        assert second.result.rows() == first.result.rows()
 
     def test_force_recomputes_and_overwrites(self, store):
-        spec = registry.get("fig1")
-        params = spec.resolve()
-        fetch_or_run(spec, params, store=store)
-        _, cached = fetch_or_run(spec, params, store=store, force=True)
-        assert not cached
+        self._one(store)
+        assert not self._one(store, force=True).cached
         assert store.counters["writes"] == 2
+
+    def test_stale_fingerprint_recomputes(self, store, fig1):
+        spec, canonical, _ = fig1
+        stale = spec.run().to_payload()
+        store.put_payload(spec.name, canonical, "0" * 16, stale)
+        assert not self._one(store).cached
+        assert store.counters["invalidations"] == 1
+        assert self._one(store).cached
 
 
 class TestBatchRunner:
@@ -185,6 +191,33 @@ class TestBatchRunner:
         assert not outcomes[1].ok
         assert outcomes[1].result is None
         assert "not-a-node" in outcomes[1].error
+
+    def test_failed_cell_keeps_its_traceback(self, monkeypatch):
+        def explode(**kwargs):
+            raise ValueError("exploded")
+
+        spec = registry.get("fig1")
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "fig1",
+            dataclasses.replace(spec, runner=explode, params=()),
+        )
+        (outcome,) = BatchRunner().run([BatchCell("fig1", {})])
+        assert outcome.error == "ValueError: exploded"
+        assert "in explode" in outcome.trace
+        assert outcome.trace.rstrip().endswith("ValueError: exploded")
+
+    def test_unserialisable_result_fails_its_cell(self, store, monkeypatch):
+        spec = registry.get("fig1")
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "fig1",
+            dataclasses.replace(spec, runner=lambda: object(), params=()),
+        )
+        (outcome,) = BatchRunner(store=store).run([BatchCell("fig1", {})])
+        assert outcome.error.startswith("ConfigurationError: result of 'fig1'")
+        assert "to_payload" in outcome.error
+        assert store.entries() == []
 
     def test_store_aware_cell_runs_in_second_wave(self, store):
         order = []
