@@ -36,15 +36,15 @@ figures-smoke:
 	python -m repro.cli batch --quick --store .figures-smoke-store --expect-cached --profile
 	rm -rf .figures-smoke-store
 
-# Round-trip the one profile artifact on a quick experiment: export the
-# run's obs snapshot, evaluate the shipped benchmarks/budgets.json
-# against it (every hard budget is required, process.max_rss_bytes
-# included, so a missing metric fails), and render the markdown report
-# from it.
+# Round-trip the one profile artifact on a quick batch of fig10 and
+# fig11, which measures every budget: export the run's obs snapshot,
+# evaluate the shipped benchmarks/budgets.json against it (every hard
+# budget is required, process.max_rss_bytes included, so a missing
+# metric fails), and render the markdown report from it.
 obs-smoke:
 	rm -rf .obs-smoke
 	mkdir -p .obs-smoke
-	python -m repro.cli run fig5 --quick --profile-out .obs-smoke/snapshot.json
+	python -m repro.cli batch --quick fig10 fig11 --profile-out .obs-smoke/snapshot.json
 	python -m repro.cli obs watch --snapshot .obs-smoke/snapshot.json
 	python -m repro.cli report --snapshot .obs-smoke/snapshot.json --out .obs-smoke/report.md
 	rm -rf .obs-smoke

@@ -12,7 +12,6 @@ Usage::
     darksilicon run fig10 --store .cache # serve/persist via the store
     darksilicon batch --quick --store .cache   # all cells, cached
     darksilicon batch --quick --store .cache --expect-cached
-    darksilicon obs                      # instrumented demo (pure JSON)
     darksilicon run fig10 --profile-out snap.json  # profile snapshot
     darksilicon obs watch --snapshot snap.json # budgets verdicts
     darksilicon report --snapshot snap.json    # markdown dashboard
@@ -63,7 +62,6 @@ from typing import Optional
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.experiments import registry
-from repro.experiments.common import experiment_span
 from repro.io import result_to_csv
 from repro.thermal.backends import (
     BACKEND_ENV_VAR,
@@ -71,78 +69,6 @@ from repro.thermal.backends import (
     default_backend_name,
     set_default_backend,
 )
-
-#: Pseudo-experiment names the CLI accepts beyond the registry.
-_PSEUDO = ("all", "obs")
-
-
-def _run_obs_demo() -> dict:
-    """A small instrumented workload touching every hot subsystem.
-
-    Exercises the thermal solvers, the shared TSP tables, a sweep stage,
-    the online runtime, the estimator and DTM enforcement — on a reduced
-    4x4 chip so the whole demo finishes in about a second — and returns
-    the resulting registry snapshot.
-    """
-    import numpy as np
-
-    from repro.apps.parsec import PARSEC
-    from repro.apps.workload import ApplicationInstance, Workload
-    from repro.chip import Chip
-    from repro.core.estimator import map_workload
-    from repro.core.constraints import PowerBudgetConstraint
-    from repro.core.tsp import ThermalSafePower
-    from repro.dtm.enforcement import enforce
-    from repro.perf.sweep import SweepRunner
-    from repro.runtime import (
-        OnlineSimulator,
-        TspAdaptivePolicy,
-        deterministic_job_stream,
-    )
-    from repro.tech.library import node_by_name
-    from repro.thermal.transient import TransientSimulator
-
-    obs.enable()
-    obs.reset()
-    obs.validate_names()
-    chip = Chip.grid_chip(node_by_name("16nm"), 4, 4)
-    with experiment_span("obs-demo"):
-        # TSP tables through a sweep stage.
-        tsp = ThermalSafePower(chip)
-        runner = SweepRunner()
-        runner.map([2, 4, 8, 12], tsp.worst_case, stage="tsp_counts")
-        tsp.table()
-
-        # The online event loop.
-        apps = [PARSEC["x264"], PARSEC["swaptions"]]
-        jobs = deterministic_job_stream(
-            apps, n_jobs=6, mean_interarrival=0.5, work=20e9, seed=7
-        )
-        OnlineSimulator(chip, TspAdaptivePolicy(tsp, threads=2)).run(jobs)
-
-        # Estimation + DTM enforcement on an optimistic-TDP mapping.
-        workload = Workload(
-            [
-                ApplicationInstance(
-                    PARSEC["x264"], threads=2, frequency=chip.node.f_max
-                )
-            ]
-            * 6
-        )
-        mapped = map_workload(
-            chip,
-            workload,
-            PowerBudgetConstraint(400.0),
-            stop_at_first_rejection=False,
-        )
-        enforce(mapped)
-
-        # A short closed-loop transient.
-        sim = TransientSimulator(chip.thermal, dt=1e-3)
-        idle = np.full(chip.n_cores, 2.0)
-        sim.simulate(lambda t, temps: idle, duration=0.02)
-    return _profile_snapshot()
-
 
 def _profile_snapshot() -> dict:
     """The global snapshot, with the process's peak RSS published first.
@@ -171,17 +97,13 @@ def _peak_rss_bytes() -> int:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def _export_snapshot(
-    snap: dict, out_path: Optional[str], banner: bool = True
-) -> None:
-    """The one profile-snapshot exporter every command shares.
+def _export_snapshot(snap: dict, out_path: Optional[str]) -> None:
+    """Print the profile snapshot as JSON after a banner.
 
-    Prints the snapshot as JSON (preceded by a banner unless the caller
-    needs pure-JSON stdout, as ``obs`` does) and optionally writes it to
-    ``out_path`` — ``.csv`` suffix selects CSV, anything else JSON.
+    Also writes it to ``out_path`` when given: ``.csv`` suffix selects
+    CSV, anything else JSON.
     """
-    if banner:
-        print("=== observability ===")
+    print("=== observability ===")
     print(obs.to_json(snap))
     if out_path:
         target = Path(out_path)
@@ -189,8 +111,7 @@ def _export_snapshot(
             obs.to_csv(snap, target)
         else:
             obs.to_json(snap, target)
-        if banner:
-            print(f"[observability snapshot written to {target}]")
+        print(f"[observability snapshot written to {target}]")
 
 
 def _open_store(args):
@@ -218,10 +139,10 @@ def _export_rows(result, name: str, csv_dir: Optional[Path]) -> None:
 
 
 def _cmd_list(args) -> int:
-    """``list``: every registered experiment, plus the obs demo."""
+    """``list``: every registered experiment."""
     import fnmatch
 
-    names = registry.names() + ["obs"]
+    names = registry.names()
     if args.family:
         names = [n for n in names if fnmatch.fnmatchcase(n, args.family)]
         if not names:
@@ -234,11 +155,7 @@ def _cmd_list(args) -> int:
     if args.long:
         width = max(len(n) for n in names)
         for name in names:
-            if name == "obs":
-                print(f"{'obs':<{width}}  instrumented demo; prints the "
-                      "registry snapshot as JSON")
-            else:
-                print(f"{name:<{width}}  {registry.get(name).title}")
+            print(f"{name:<{width}}  {registry.get(name).title}")
     else:
         for name in names:
             print(name)
@@ -277,16 +194,16 @@ def _cmd_describe(args) -> int:
 
 def _cmd_run(args) -> int:
     """``run``: one experiment, or ``all`` of them, as a serial batch."""
-    if args.experiment == "obs":
-        return _cmd_obs(args)
-    known = registry.names()
-    if args.experiment != "all" and args.experiment not in known:
+    if args.experiment == "all":
+        names = registry.names()
+    elif args.experiment in registry.MODULE_OF:
+        names = [args.experiment]
+    else:
         print(
             f"unknown experiment {args.experiment!r}; try 'list'",
             file=sys.stderr,
         )
         return 2
-    names = known if args.experiment == "all" else [args.experiment]
     if args.params and len(names) > 1:
         print("--params requires a single experiment, not 'all'", file=sys.stderr)
         return 2
@@ -309,7 +226,7 @@ def _cmd_run(args) -> int:
 def _cmd_batch(args) -> int:
     """``batch``: a set of cells through the store-backed runner."""
     names = args.experiments or registry.names()
-    unknown = [n for n in names if n not in registry.names()]
+    unknown = [n for n in names if n not in registry.MODULE_OF]
     if unknown:
         print(
             f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
@@ -387,11 +304,11 @@ def _run_cells(args, cells) -> int:
 
 
 def _cmd_obs_watch(args) -> int:
-    """``obs watch``: evaluate budgets against a snapshot.
+    """``obs watch``: evaluate budgets against an exported snapshot.
 
-    ``--snapshot PATH`` loads a previously exported JSON snapshot (the
-    ``--profile-out`` format); without it the instrumented demo runs
-    and its snapshot is used.
+    ``--snapshot PATH`` is a JSON snapshot in the ``--profile-out``
+    format.  Exits 1 on a hard violation, 2 when the budgets or the
+    snapshot cannot be read.
     """
     import json
 
@@ -399,30 +316,13 @@ def _cmd_obs_watch(args) -> int:
 
     try:
         budgets = watch.load_budgets(args.budgets)
-        if args.snapshot:
-            snap = json.loads(Path(args.snapshot).read_text())
-        else:
-            snap = _run_obs_demo()
-    except ConfigurationError as exc:
+        snap = json.loads(Path(args.snapshot).read_text())
+    except (ConfigurationError, OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     verdicts = watch.evaluate(budgets, snap)
     print(watch.render_verdicts(verdicts), end="")
     return 1 if watch.violations(verdicts) else 0
-
-
-def _cmd_obs(args) -> int:
-    """``obs``: the instrumented demo, or ``watch`` budgets.
-
-    ``demo`` (the default) keeps its pure-JSON stdout contract;
-    ``watch`` evaluates budgets against a snapshot (see
-    docs/observability.md).
-    """
-    if getattr(args, "action", "demo") == "watch":
-        return _cmd_obs_watch(args)
-    snap = _run_obs_demo()
-    _export_snapshot(snap, args.profile_out, banner=False)
-    return 0
 
 
 def _cmd_lint(args) -> int:
@@ -548,10 +448,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="bypass the store and overwrite its artifacts",
     )
-    _add_profile(parser)
-
-
-def _add_profile(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
@@ -580,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "experiment",
-        help="experiment name (see 'list'), 'all', or 'obs'",
+        help="experiment name (see 'list') or 'all'",
     )
     p_run.add_argument(
         "--params",
@@ -638,32 +534,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_desc.add_argument("experiment", help="experiment name")
 
     p_obs = sub.add_parser(
-        "obs",
-        help="instrumented demo (default), or watch budgets against a "
-        "snapshot",
+        "obs", help="watch budgets against an exported profile snapshot"
     )
     p_obs.add_argument(
         "action",
-        nargs="?",
-        default="demo",
-        choices=("demo", "watch"),
-        help="demo: run the instrumented demo and print its JSON "
-        "snapshot; watch: evaluate --budgets against a snapshot",
+        choices=("watch",),
+        help="watch: evaluate --budgets against --snapshot",
     )
     p_obs.add_argument(
         "--snapshot",
         metavar="PATH",
-        help="for watch: operate on this exported JSON snapshot "
-        "instead of running the demo",
+        required=True,
+        help="JSON snapshot exported by --profile-out",
     )
     p_obs.add_argument(
         "--budgets",
         metavar="PATH",
         default=str(Path("benchmarks") / "budgets.json"),
-        help="for watch: budgets file "
-        "(default: benchmarks/budgets.json)",
+        help="budgets file (default: benchmarks/budgets.json)",
     )
-    _add_profile(p_obs)
 
     p_lint = sub.add_parser(
         "lint",
@@ -776,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.set_defaults(func=_cmd_batch)
     p_list.set_defaults(func=_cmd_list)
     p_desc.set_defaults(func=_cmd_describe)
-    p_obs.set_defaults(func=_cmd_obs)
+    p_obs.set_defaults(func=_cmd_obs_watch)
     p_report.set_defaults(func=_cmd_report)
     return parser
 

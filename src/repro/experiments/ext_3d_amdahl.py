@@ -28,7 +28,7 @@ from typing import Sequence
 from repro.apps.parsec import app_by_name
 from repro.apps.speedup import amdahl_speedup, temperature_limited_speedup
 from repro.core.tsp import ThermalSafePower
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.experiments.common import format_table, get_stacked_chip
 from repro.experiments.registry import ExperimentSpec, Param, register
 from repro.io import PayloadSerializable
@@ -148,23 +148,18 @@ def run(
     app = app_by_name(app_name)
     if rows < 1 or cols < 1:
         rows, cols = chip_grid(node)
-    ladder = node.frequency_ladder()
     f_nominal = node.f_max
     entries = []
     for layers in layer_counts:
         chip = get_stacked_chip(node_name, rows, cols, layers)
         tsp = ThermalSafePower(chip, inactive_power=inactive_power)
         for threads in _thread_ladder(chip.n_cores):
-            budget = tsp.worst_case(threads)
             # Highest ladder frequency whose full-activity per-core
             # power fits the budget; the whole chip then runs there.
-            f_safe = 0.0
-            for f in ladder:
-                power = app.core_power(
-                    node, threads=1, frequency=f, temperature=chip.t_dtm
-                )
-                if power <= budget:
-                    f_safe = f
+            try:
+                f_safe = tsp.safe_frequency(app, threads, threads=1)
+            except InfeasibleError:
+                f_safe = 0.0
             speedup = (
                 temperature_limited_speedup(
                     parallel_fraction,

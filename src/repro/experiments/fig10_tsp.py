@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
+from repro.apps.operating_points import operating_points
 from repro.apps.parsec import PARSEC_ORDER, app_by_name
 from repro.core.tsp import ThermalSafePower
-from repro.errors import InfeasibleError
 from repro.experiments.common import format_table, get_chip
 from repro.experiments.registry import ExperimentSpec, Param, register
 from repro.io import PayloadSerializable
 from repro.perf.sweep import SweepRunner
-from repro.units import F_GATED, GIGA, gips as to_gips, is_gated
+from repro.units import GIGA, gips as to_gips
 
 #: The paper's per-node dark-silicon percentages.
 PAPER_DARK_SHARES: Mapping[str, float] = {
@@ -119,17 +119,10 @@ def _node_cell(
     apps = []
     for name in app_names:
         app = app_by_name(name)
-        chosen_f = F_GATED
-        chosen_p = 0.0
-        for f in chip.node.frequency_ladder():
-            p = app.core_power(chip.node, threads, f, temperature=chip.t_dtm)
-            if p <= budget:
-                chosen_f, chosen_p = f, p
-        if is_gated(chosen_f):
-            raise InfeasibleError(
-                f"no DVFS level of {name} fits TSP({active}) = "
-                f"{budget:.2f} W/core at {node_name}"
-            )
+        chosen_f = tsp.safe_frequency(app, active, threads=threads)
+        chosen_p = operating_points(app, chip.node, chip.t_dtm).core_power(
+            threads, chosen_f
+        )
         perf = instances * app.instance_performance(threads, chosen_f)
         apps.append(
             Fig10AppPoint(

@@ -62,7 +62,6 @@ from repro.obs.export import (
     to_json,
 )
 from repro.obs.registry import (
-    METRIC_NAME_RE,
     NULL_SPAN,
     Registry,
     SNAPSHOT_VERSION,
@@ -98,20 +97,9 @@ def reset() -> None:
     REGISTRY.reset()
 
 
-def validate_names(validate: bool = True) -> None:
-    """Reject malformed metric names on the global registry.
-
-    See :meth:`repro.obs.registry.Registry.set_name_validation` — the
-    runtime arm of lint rule DS301.
-    """
-    REGISTRY.set_name_validation(validate)
-
-
 def incr(name: str, n: float = 1) -> None:
     """Add ``n`` to global counter ``name`` (no-op when disabled)."""
     if REGISTRY._enabled:
-        if REGISTRY._validate_names:
-            REGISTRY._check_name(name)
         counters = REGISTRY._counters
         counters[name] = counters.get(name, 0) + n
 
@@ -163,7 +151,6 @@ def subsystems() -> set[str]:
 
 __all__ = [
     "ENV_ENABLE",
-    "METRIC_NAME_RE",
     "NULL_SPAN",
     "REGISTRY",
     "Registry",
@@ -187,5 +174,4 @@ __all__ = [
     "timer",
     "to_csv",
     "to_json",
-    "validate_names",
 ]

@@ -36,7 +36,6 @@ min/max of the *current* state, since extremes cannot be subtracted).
 from __future__ import annotations
 
 import math
-import re
 import time
 from typing import Optional
 
@@ -44,12 +43,6 @@ from typing import Optional
 #: the ``gauges`` and ``histograms`` aggregate kinds (version-1
 #: snapshots still diff/merge cleanly — absent kinds read as empty).
 SNAPSHOT_VERSION = 2
-
-#: Grammar every metric/span name must satisfy when name validation is
-#: on: lowercase dotted components (digits, underscores and dashes
-#: allowed inside a component).  The same grammar backs the static
-#: DS301 lint rule; the manifest contract lives in ``docs/metrics.txt``.
-METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_-]*(\.[a-z0-9][a-z0-9_-]*)*$")
 
 #: Histogram bucket key for non-positive values.
 _HIST_UNDERFLOW = "le0"
@@ -204,12 +197,8 @@ class _Span:
 class Registry:
     """Counters, timers, spans, gauges and histograms with exact merge/diff."""
 
-    def __init__(
-        self, enabled: bool = False, validate_names: bool = False
-    ) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self._enabled = enabled
-        self._validate_names = validate_names
-        self._names_seen: set[str] = set()
         self._counters: dict[str, float] = {}
         self._timers: dict[str, list[float]] = {}  # name -> [count, total_s]
         self._spans: dict[str, list[float]] = {}  # path -> [count, total_s]
@@ -224,35 +213,6 @@ class Registry:
     def enabled(self) -> bool:
         """Whether recording calls take effect."""
         return self._enabled
-
-    @property
-    def validates_names(self) -> bool:
-        """Whether recorded names are checked against the grammar."""
-        return self._validate_names
-
-    def set_name_validation(self, validate: bool = True) -> None:
-        """Reject metric/span names outside :data:`METRIC_NAME_RE`.
-
-        Off by default: the hot path pays only for what it uses.  When
-        on, the first recording under a malformed name raises
-        :class:`repro.errors.ConfigurationError` instead of silently
-        forking a time series; validated names are cached, so steady-
-        state cost is one set lookup.  Enabled by the test suite, the
-        ``darksilicon obs`` demo.
-        """
-        self._validate_names = validate
-
-    def _check_name(self, name: str) -> None:
-        if name in self._names_seen:
-            return
-        if not METRIC_NAME_RE.match(name):
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"metric name {name!r} violates the dotted lowercase "
-                "grammar (see docs/linting.md, rule DS301)"
-            )
-        self._names_seen.add(name)
 
     def enable(self) -> None:
         """Start recording."""
@@ -277,16 +237,12 @@ class Registry:
         """Add ``n`` to counter ``name`` (no-op when disabled)."""
         if not self._enabled:
             return
-        if self._validate_names:
-            self._check_name(name)
         self._counters[name] = self._counters.get(name, 0) + n
 
     def observe(self, name: str, seconds: float) -> None:
         """Record one duration into flat timer ``name``."""
         if not self._enabled:
             return
-        if self._validate_names:
-            self._check_name(name)
         bucket = self._timers.get(name)
         if bucket is None:
             self._timers[name] = [1, seconds]
@@ -298,16 +254,12 @@ class Registry:
         """Set gauge ``name`` to ``value`` (last writer wins)."""
         if not self._enabled:
             return
-        if self._validate_names:
-            self._check_name(name)
         self._gauges[name] = value
 
     def histogram(self, name: str, value: float) -> None:
         """Record one sample into histogram ``name``."""
         if not self._enabled:
             return
-        if self._validate_names:
-            self._check_name(name)
         value = float(value)
         hist = self._hists.get(name)
         if hist is None:
@@ -326,8 +278,6 @@ class Registry:
         """Context manager timing its body into flat timer ``name``."""
         if not self._enabled:
             return NULL_SPAN
-        if self._validate_names:
-            self._check_name(name)
         return _Timer(self, name)
 
     def span(self, name: str):
@@ -338,8 +288,6 @@ class Registry:
         """
         if not self._enabled:
             return NULL_SPAN
-        if self._validate_names:
-            self._check_name(name)
         return _Span(self, name)
 
     def _finish_span(self, path: str, elapsed: float) -> None:

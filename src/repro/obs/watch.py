@@ -29,7 +29,8 @@ timers and spans read ``total_s``, histograms read what the predicate
 needs (``max``/``min`` read the recorded extremes, ``p95_le`` the
 interpolated :func:`~repro.obs.export.hist_percentile`).  A pattern
 budget evaluates once per matching metric; a budget matching nothing
-passes vacuously unless ``required`` — so one budgets file can serve
+is ``not measured`` (it passes, but never reads ``ok``) unless
+``required``, when it is a violation — so one budgets file can serve
 experiments that exercise different subsystems.
 """
 
@@ -95,9 +96,19 @@ class Verdict:
         """Whether this verdict alone should fail a gate."""
         return not self.ok and self.budget.is_hard
 
+    @property
+    def not_measured(self) -> bool:
+        """Whether it passed with no value: nothing was checked."""
+        return self.ok and self.value is None
+
     def describe(self) -> str:
         """Human-readable one-liner of the outcome."""
-        status = "ok" if self.ok else f"VIOLATED ({self.budget.severity})"
+        if self.not_measured:
+            status = "not measured"
+        elif self.ok:
+            status = "ok"
+        else:
+            status = f"VIOLATED ({self.budget.severity})"
         value = "absent" if self.value is None else f"{self.value:g}"
         text = f"{status}: {self.budget.describe()} [value {value}"
         if self.metric != self.budget.metric:
@@ -234,7 +245,8 @@ def evaluate(budgets: list[Budget], snapshot: dict) -> list[Verdict]:
 
     Returns one :class:`Verdict` per (budget, matched metric) pair —
     pattern budgets fan out — plus one *absent* verdict per budget that
-    matched nothing (``ok`` unless the budget is ``required``).
+    matched nothing (passing but not measured unless the budget is
+    ``required``).
     """
     verdicts: list[Verdict] = []
     for budget in budgets:
@@ -294,8 +306,10 @@ def render_verdicts(verdicts: list[Verdict]) -> str:
     lines = [v.describe() for v in ordered]
     failed = violations(verdicts, include_soft=True)
     hard = sum(1 for v in failed if v.budget.is_hard)
+    unmeasured = sum(1 for v in verdicts if v.not_measured)
+    ok = len(verdicts) - len(failed) - unmeasured
     lines.append(
-        f"{len(verdicts)} verdict(s): {len(verdicts) - len(failed)} ok, "
+        f"{len(verdicts)} verdict(s): {ok} ok, {unmeasured} not measured, "
         f"{len(failed) - hard} soft violation(s), {hard} hard violation(s)"
     )
     return "\n".join(lines) + "\n"

@@ -36,9 +36,8 @@ def global_obs():
         obs.disable()
 
 
-@pytest.fixture()
-def fresh_python():
-    """Run ``python -c code`` in a fresh interpreter; returns its stdout.
+def _run_fresh(*args: str) -> str:
+    """Run ``python *args`` in a fresh interpreter; returns its stdout.
 
     The package under test is first on the path, so what the code
     imports (and leaves out of ``sys.modules``) is this tree's doing.
@@ -50,18 +49,36 @@ def fresh_python():
             filter(None, [src, os.environ.get("PYTHONPATH")])
         ),
     }
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
 
-    def run(code: str) -> str:
-        return subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-        ).stdout
 
-    return run
+@pytest.fixture()
+def fresh_python():
+    """Run ``python -c code`` in a fresh interpreter; returns its stdout."""
+    return lambda code: _run_fresh("-c", code)
+
+
+@pytest.fixture(scope="session")
+def batch_snapshot_file(tmp_path_factory) -> Path:
+    """The JSON profile snapshot of ``batch --quick fig10 fig11``.
+
+    The run measures every shipped budget.  It runs as a CLI run does,
+    in its own interpreter, so ``process.max_rss_bytes`` is that run's
+    peak and not the test session's.
+    """
+    target = tmp_path_factory.mktemp("profile") / "snapshot.json"
+    _run_fresh(
+        "-m", "repro.cli", "batch", "--quick", "fig10", "fig11",
+        "--profile-out", str(target),
+    )
+    return target
 
 
 @pytest.fixture(scope="session")

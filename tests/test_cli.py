@@ -64,9 +64,24 @@ class TestDispatch:
         assert "ntc" in out
         assert "boost" in out
 
-    def test_list_advertises_obs(self, capsys):
+    def test_list_names_only_registered_experiments(self, capsys):
+        from repro.experiments import registry
+
         assert main(["list"]) == 0
-        assert "obs" in capsys.readouterr().out.split()
+        assert capsys.readouterr().out.split() == registry.names()
+
+    def test_run_and_batch_import_only_the_named_experiment(self, fresh_python):
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from repro.cli import main\n"
+            "from repro.experiments import registry\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['run', 'fig1']) == 0\n"
+            "    assert main(['batch', 'fig1']) == 0\n"
+            "print(json.dumps([m for m in registry.MODULES\n"
+            "                  if 'repro.experiments.' + m in sys.modules]))\n"
+        )
+        assert json.loads(fresh_python(code)) == ["fig01_scaling"]
 
     def test_list_family_filter(self, capsys):
         assert main(["list", "--family", "ext*"]) == 0
@@ -96,33 +111,6 @@ class TestDispatch:
 
 
 class TestObservabilityCli:
-    def test_obs_command_emits_json_for_instrumented_subsystems(
-        self, capsys, restore_obs
-    ):
-        assert main(["obs"]) == 0
-        snap = json.loads(capsys.readouterr().out)
-        assert snap["version"] == 2
-        subsystems = {
-            name.split(".", 1)[0]
-            for kind in ("counters", "timers", "spans")
-            for name in snap[kind]
-        }
-        # The acceptance bar: one invocation covers >= 4 subsystems.
-        assert len(subsystems) >= 4
-        for expected in ("thermal", "tsp", "sweep"):
-            assert expected in subsystems
-        assert snap["spans"]["experiment.obs-demo"]["count"] == 1
-        # The online runtime reports through its span only.
-        assert snap["spans"]["experiment.obs-demo.runtime.run"]["count"] == 1
-
-    def test_obs_command_writes_snapshot_file(
-        self, capsys, tmp_path, restore_obs
-    ):
-        target = tmp_path / "snap.json"
-        assert main(["obs", "--profile-out", str(target)]) == 0
-        capsys.readouterr()
-        assert json.loads(target.read_text())["version"] == 2
-
     def test_profile_flag_appends_snapshot(self, capsys, restore_obs):
         assert main(["fig1", "--profile"]) == 0
         out = capsys.readouterr().out
@@ -133,18 +121,22 @@ class TestObservabilityCli:
         assert snap["spans"]["sweep.batch.experiment.fig1"]["count"] == 1
         assert snap["gauges"]["process.max_rss_bytes"] > 0
 
-    def test_max_rss_is_this_process_peak_not_its_launchers(self, fresh_python):
-        # The launcher holds about 150 MiB when it starts the demo, which
+    def test_max_rss_is_this_process_peak_not_its_launchers(
+        self, fresh_python, tmp_path
+    ):
+        # The launcher holds about 150 MiB when it starts fig1, which
         # itself peaks near 70 MB.  Linux's ru_maxrss would report the
         # launcher's peak in the child.
+        target = tmp_path / "snap.json"
         launcher = (
             "import subprocess, sys\n"
             "ballast = b'x' * (150 * 2**20)\n"
-            "demo = [sys.executable, '-m', 'repro.cli', 'obs']\n"
-            "sys.stdout.write(subprocess.run("
-            "demo, capture_output=True, text=True, check=True).stdout)\n"
+            "run = [sys.executable, '-m', 'repro.cli', 'run', 'fig1', "
+            f"'--profile-out', {str(target)!r}]\n"
+            "subprocess.run(run, capture_output=True, check=True)\n"
         )
-        snap = json.loads(fresh_python(launcher))
+        fresh_python(launcher)
+        snap = json.loads(target.read_text())
         assert 0 < snap["gauges"]["process.max_rss_bytes"] < 120e6
 
     def test_profile_out_csv(self, capsys, tmp_path, restore_obs):
@@ -166,21 +158,15 @@ class TestObservabilityCli:
 
 
 class TestObsWatchCli:
-    @pytest.fixture()
-    def snapshot_file(self, capsys, tmp_path, restore_obs):
-        """A real demo snapshot exported to disk."""
-        target = tmp_path / "snap.json"
-        assert main(["obs", "--profile-out", str(target)]) == 0
-        capsys.readouterr()
-        return target
+    """``obs watch`` over the real ``batch --quick fig10 fig11`` snapshot."""
 
-    def test_obs_watch_passes_shipped_budgets(self, capsys, snapshot_file):
-        assert main(["obs", "watch", "--snapshot", str(snapshot_file)]) == 0
+    def test_obs_watch_passes_shipped_budgets(self, capsys, batch_snapshot_file):
+        assert main(["obs", "watch", "--snapshot", str(batch_snapshot_file)]) == 0
         out = capsys.readouterr().out
         assert "0 hard violation(s)" in out
 
     def test_obs_watch_exits_1_on_hard_violation(
-        self, capsys, tmp_path, snapshot_file
+        self, capsys, tmp_path, batch_snapshot_file
     ):
         budgets = tmp_path / "strict.json"
         budgets.write_text(
@@ -198,7 +184,7 @@ class TestObsWatchCli:
                     "obs",
                     "watch",
                     "--snapshot",
-                    str(snapshot_file),
+                    str(batch_snapshot_file),
                     "--budgets",
                     str(budgets),
                 ]
@@ -209,7 +195,7 @@ class TestObsWatchCli:
         assert "VIOLATED (hard): solver.cost.factorizations" in out
 
     def test_obs_watch_bad_budgets_is_config_error(
-        self, capsys, tmp_path, snapshot_file
+        self, capsys, tmp_path, batch_snapshot_file
     ):
         budgets = tmp_path / "broken.json"
         budgets.write_text("{not json")
@@ -219,7 +205,7 @@ class TestObsWatchCli:
                     "obs",
                     "watch",
                     "--snapshot",
-                    str(snapshot_file),
+                    str(batch_snapshot_file),
                     "--budgets",
                     str(budgets),
                 ]
@@ -227,6 +213,46 @@ class TestObsWatchCli:
             == 2
         )
         assert "not JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_obs_watch_unreadable_snapshot_exits_2(
+        self, capsys, tmp_path, content
+    ):
+        # A missing or malformed snapshot must not read as a violation.
+        snapshot = tmp_path / "snap.json"
+        if content is not None:
+            snapshot.write_text(content)
+        assert main(["obs", "watch", "--snapshot", str(snapshot)]) == 2
+        assert capsys.readouterr().err.strip()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs"],
+            ["obs", "watch"],
+            ["obs", "demo"],
+            ["obs", "watch", "--snapshot", "s.json", "--profile"],
+        ],
+    )
+    def test_obs_without_a_snapshot_to_watch_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_run_obs_is_an_unknown_experiment(self, capsys):
+        assert main(["run", "obs"]) == 2
+        assert "unknown experiment 'obs'; try 'list'" in capsys.readouterr().err
+
+    def test_obs_help_lists_watch_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{watch}" in out
+        assert "demo" not in out
+        assert "[--profile" not in out
+
 
 class TestManifestCli:
     def test_run_with_store_appends_manifest_lines(self, tmp_path, capsys):

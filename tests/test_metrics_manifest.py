@@ -1,11 +1,11 @@
-"""The runtime arm of the metric-name contract (DS301), and its readers.
+"""The metric-name contract (DS301) at run time, and its readers.
 
-The static lint rule checks every *call site* against
-``docs/metrics.txt``; these tests check the *emissions*: with name
-validation on, an instrumented run across every hot subsystem must
-produce only names the registry grammar accepts and the manifest
-covers.  Together the two arms mean a metric can neither be recorded
-under a malformed name nor drift out of the checked-in registry.
+The static lint rules check every *call site* against
+``docs/metrics.txt``; the emitted-names test checks what a real run
+records, including span paths that nesting composes at run time
+(``sweep.batch.experiment.fig10.sweep.fig10_nodes``), which no call
+site spells out.  Together they mean a metric cannot drift out of the
+checked-in registry.
 
 The reader gate closes the other direction: every name the manifest
 lists must be read by a budget, the report or a tier-1 test, so a
@@ -21,24 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from repro import lint, obs
-from repro.errors import ConfigurationError
-from repro.lint.rules import METRIC_RECEIVERS
-from repro.obs.registry import METRIC_NAME_RE, Registry
+from repro import lint
+from repro.lint.rules import METRIC_NAME_RE, METRIC_RECEIVERS
 
 REPO = Path(__file__).parent.parent
 
 MANIFEST = lint.MetricManifest.load(REPO / "docs" / "metrics.txt")
-
-
-@pytest.fixture()
-def restore_obs():
-    was_enabled = obs.enabled()
-    yield
-    obs.validate_names(False)
-    obs.reset()
-    if not was_enabled:
-        obs.disable()
 
 
 def test_manifest_entries_obey_the_registry_grammar():
@@ -50,57 +38,27 @@ def test_manifest_entries_obey_the_registry_grammar():
         assert METRIC_NAME_RE.match(prefix + "x"), prefix
 
 
-def test_registry_rejects_malformed_names_when_validating():
-    registry = Registry(enabled=True, validate_names=True)
-    with pytest.raises(ConfigurationError, match="metric name"):
-        registry.incr("Bad Name!")
-    with pytest.raises(ConfigurationError):
-        registry.gauge("trailing.", 1.0)
-    registry.incr("thermal.model.solves")  # cached as valid
-    registry.incr("thermal.model.solves")
-    assert registry.snapshot()["counters"]["thermal.model.solves"] == 2
-
-
-def test_validation_is_off_by_default_and_skipped_when_disabled():
-    assert not Registry(enabled=True).validates_names
-    # The disabled registry keeps its single-boolean fast path: nothing
-    # is validated (or recorded) before the enabled check.
-    dormant = Registry(enabled=False, validate_names=True)
-    dormant.incr("Bad Name!")
-    assert dormant.snapshot()["counters"] == {}
-
-
-def test_module_level_validation_hook(restore_obs):
-    obs.enable()
-    obs.reset()
-    obs.validate_names()
-    with pytest.raises(ConfigurationError):
-        obs.incr("NotDotted")
-    obs.incr("thermal.model.solves")
-    assert obs.snapshot()["counters"]["thermal.model.solves"] == 1
-
-
-def test_every_emitted_name_is_covered_by_the_manifest(restore_obs):
-    from repro.cli import _run_obs_demo
-
-    obs.validate_names()
-    snapshot = _run_obs_demo()
-
-    flat = [
+def test_every_emitted_name_is_covered_by_the_manifest(batch_snapshot_file):
+    snapshot = json.loads(batch_snapshot_file.read_text())
+    recorded = [
         *snapshot["counters"],
         *snapshot["timers"],
         *snapshot["gauges"],
         *snapshot["histograms"],
     ]
-    assert len(flat) >= 10
-    uncovered = [name for name in flat if not MANIFEST.covers(name)]
+    assert len(recorded) >= 10
+    bad = [name for name in recorded if not METRIC_NAME_RE.match(name)]
+    assert not bad, f"names outside the DS301 grammar: {bad}"
+    uncovered = [name for name in recorded if not MANIFEST.covers(name)]
     assert not uncovered, f"names missing from docs/metrics.txt: {uncovered}"
 
     # Span aggregates are keyed by the dot-joined path of open spans;
     # the manifest covers them through the subsystem wildcards
     # (experiment.*, sweep.*, ...) and the concrete top-level names.
     span_paths = list(snapshot["spans"])
-    assert span_paths
+    assert "sweep.batch.experiment.fig10.sweep.fig10_nodes" in span_paths
+    bad = [path for path in span_paths if not METRIC_NAME_RE.match(path)]
+    assert not bad, f"span paths outside the DS301 grammar: {bad}"
     uncovered_spans = [p for p in span_paths if not MANIFEST.covers(p)]
     assert not uncovered_spans, (
         f"span paths missing from docs/metrics.txt: {uncovered_spans}"

@@ -1,10 +1,11 @@
 """Budget watchdog: schema validation, predicates, the shipped budgets.
 
 Every predicate (``max``/``min``/``p95_le``/``ratio_ge``) is exercised
-against hand-built snapshots, wildcards fan out, ``required`` flips the
-vacuous-pass default, and the integration half pins that the *shipped*
-``benchmarks/budgets.json`` passes on a real snapshot of the current
-tree.  The percentile estimator behind ``p95_le`` and the report's
+against hand-built snapshots, wildcards fan out, a verdict without a
+value renders as ``not measured`` unless ``required`` makes it a
+violation, and the integration half pins that the *shipped*
+``benchmarks/budgets.json`` passes on, and measures every budget of, a
+real snapshot of the current tree.  The percentile estimator behind ``p95_le`` and the report's
 percentile table must be exact on single-value distributions (every
 sample in one bucket with ``min == max``).
 """
@@ -198,6 +199,7 @@ class TestPredicates:
         )
         verdict = evaluate([relaxed], snap)[0]
         assert verdict.ok and "denominator" in verdict.detail
+        assert verdict.describe().startswith("not measured: ")
         strict = Budget(
             metric="hits",
             predicate="ratio_ge",
@@ -223,6 +225,7 @@ class TestMatching:
         (verdict,) = evaluate(budgets, _snapshot())
         assert verdict.ok and verdict.value is None
         assert "absent" in verdict.detail
+        assert verdict.describe().startswith("not measured: nope <= 1")
 
     def test_absent_required_metric_violates(self):
         budgets = [
@@ -262,7 +265,24 @@ class TestRendering:
         assert lines[0].startswith("VIOLATED (hard): bad.metric")
         assert lines[1].startswith("VIOLATED (soft): soft.metric")
         assert lines[2].startswith("ok: ok.metric")
-        assert "1 ok, 1 soft violation(s), 1 hard violation(s)" in lines[3]
+        assert lines[3] == (
+            "3 verdict(s): 1 ok, 0 not measured, "
+            "1 soft violation(s), 1 hard violation(s)"
+        )
+
+    def test_unmeasured_verdicts_are_counted_apart_from_ok(self):
+        budgets = [
+            Budget(metric="seen", predicate="max", threshold=10),
+            Budget(metric="unseen", predicate="max", threshold=10),
+        ]
+        text = render_verdicts(evaluate(budgets, _snapshot(counters={"seen": 1})))
+        assert "ok: seen" in text
+        assert "not measured: unseen" in text
+        assert "ok: unseen" not in text
+        assert text.splitlines()[-1] == (
+            "2 verdict(s): 1 ok, 1 not measured, "
+            "0 soft violation(s), 0 hard violation(s)"
+        )
 
     def test_empty_verdicts_render_notice(self):
         assert "no budgets" in render_verdicts([])
@@ -281,20 +301,17 @@ class TestRendering:
 
 
 class TestShippedBudgets:
-    def test_shipped_budgets_pass_on_a_real_snapshot(self, fresh_python):
-        """The committed budgets.json must not gate on the current tree.
-
-        The demo runs as a CLI run does, in its own interpreter, so its
-        ``process.max_rss_bytes`` is its own peak.
-        """
-        snapshot = json.loads(
-            fresh_python("from repro.cli import main; main(['obs'])")
-        )
+    def test_shipped_budgets_pass_on_a_real_snapshot(self, batch_snapshot_file):
+        """The committed budgets.json must not gate on the current tree,
+        and the quick fig10 + fig11 batch measures every budget in it."""
+        snapshot = json.loads(batch_snapshot_file.read_text())
         verdicts, hard = check_snapshot(
             snapshot, REPO_ROOT / "benchmarks" / "budgets.json"
         )
         assert verdicts, "shipped budgets evaluated nothing"
         assert hard == [], render_verdicts(hard)
+        unmeasured = [v for v in verdicts if v.not_measured]
+        assert unmeasured == [], render_verdicts(unmeasured)
 
 
 class TestPercentiles:
