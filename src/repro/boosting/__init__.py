@@ -10,7 +10,8 @@
   below the threshold.
 * :mod:`repro.boosting.simulation` — transient experiments producing the
   Figure 11 traces and the Figure 12/13 sweeps, advanced in lockstep by
-  :func:`repro.boosting.simulation.run_transients`.
+  :func:`repro.boosting.simulation.run_transients`; per-instance
+  boosting steps through the same loop.
 """
 
 from repro.boosting.controller import BoostingController

@@ -8,18 +8,19 @@ loop is pure vector arithmetic:
 * leakage from the commanded voltage and each core's *current*
   temperature (the full Eq. (1) temperature feedback).
 
-:func:`run_transients` advances a batch of closed-loop runs
-(:class:`TransientRun`) in lockstep on one chip: one backward-Euler
-state block, one multi-RHS solve and one leakage evaluation per step.
-:func:`run_boosting` (the closed-loop
-:class:`repro.boosting.controller.BoostingController`) and
-:func:`run_constant` (one fixed frequency) are single-run calls into it.
+One loop, :func:`_lockstep`, steps every closed-loop transient: runs of
+one or more control groups (a core set with a controller or a held
+frequency), whose cores take their powers from the operating point at
+the group's frequency, and one power-cap rule.  :func:`run_transients`
+runs chip-wide :class:`TransientRun` batches (one group each);
+:func:`run_boosting` and :func:`run_constant` are single-run calls into
+it, and :func:`run_per_instance_boosting` has a group per instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,8 +73,12 @@ class PlacedWorkload:
         self._pind = np.zeros(n)
         self._i0 = np.zeros(n)
         self._active = np.zeros(n, dtype=bool)
-        # IPS per Hz of chip frequency: sum over instances of S(n)*IPC.
-        self._perf_per_hz = 0.0
+        self._instance_cores = [np.array(cores, dtype=np.intp) for _, cores in self.placements]
+        # IPS per Hz of frequency, S(n)*IPC: per instance, and their sum.
+        self._instance_perf_per_hz = [
+            inst.app.speedup(inst.threads) * inst.app.ipc for inst, _ in self.placements
+        ]
+        self._perf_per_hz = sum(self._instance_perf_per_hz, 0.0)
         leak_shape = None
         for inst, cores in self.placements:
             model = inst.app.power_model(chip.node)
@@ -83,7 +88,6 @@ class PlacedWorkload:
                 self._pind[c] = model.pind
                 self._i0[c] = model.leakage.i0
                 self._active[c] = True
-            self._perf_per_hz += inst.app.speedup(inst.threads) * inst.app.ipc
             leak_shape = model.leakage
         self._curve = None
         if self.placements:
@@ -146,11 +150,7 @@ class PlacedWorkload:
         """Per-core leakage power at ``frequency`` and given temperatures, W."""
         if is_gated(frequency) or not self.placements:
             return np.zeros(self.chip.n_cores)
-        prefactor = self._operating_point(frequency)[1]
-        shape = self._leak_shape
-        return self._i0 * (
-            prefactor * np.exp(shape.kt * (core_temperatures - shape.tref))
-        )
+        return self._leakage(self._operating_point(frequency)[1], core_temperatures)
 
     def total_powers(
         self, frequency: float, core_temperatures: np.ndarray
@@ -160,72 +160,44 @@ class PlacedWorkload:
             frequency, core_temperatures
         )
 
+    def _leakage(
+        self, prefactor: Union[float, np.ndarray], core_temperatures: np.ndarray
+    ) -> np.ndarray:
+        """``i0 * (prefactor * exp(kt * (T - tref)))``; a scalar or per-core prefactor."""
+        shape = self._leak_shape
+        return self._i0 * (prefactor * np.exp(shape.kt * (core_temperatures - shape.tref)))
+
     # -- per-instance frequency evaluation -----------------------------
     #
-    # The chip-wide methods above model the paper's boosting setting (one
-    # frequency for all active cores).  The methods below generalise to
-    # one frequency per instance, which is what DsRem-style mappings and
-    # per-instance boosting produce.
+    # One frequency per instance, as DsRem-style mappings and per-instance
+    # boosting produce: each instance's cores take their entries of the
+    # operating point at its frequency, so one common frequency gives
+    # the chip-wide vectors exactly.
 
-    def _check_frequencies(self, frequencies: Sequence[float]) -> list[float]:
+    def _instances(
+        self, frequencies: Sequence[float]
+    ) -> Iterator[tuple[np.ndarray, float, float]]:
+        """``(cores, perf_per_hz, frequency)`` per instance, in placement order."""
         if len(frequencies) != len(self.placements):
             raise ConfigurationError(
                 f"expected {len(self.placements)} per-instance frequencies, "
                 f"got {len(frequencies)}"
             )
-        return list(frequencies)
+        return zip(self._instance_cores, self._instance_perf_per_hz, frequencies)
 
     def instance_performance(self, frequencies: Sequence[float]) -> float:
         """Aggregate throughput (instructions/s), one frequency per instance."""
-        fs = self._check_frequencies(frequencies)
-        return sum(
-            inst.app.speedup(inst.threads) * inst.app.ipc * f
-            for (inst, _), f in zip(self.placements, fs)
-        )
-
-    def instance_base_powers(self, frequencies: Sequence[float]) -> np.ndarray:
-        """Per-core dynamic + independent power, one frequency per instance."""
-        fs = self._check_frequencies(frequencies)
-        powers = np.zeros(self.chip.n_cores)
-        for (inst, cores), f in zip(self.placements, fs):
-            if is_gated(f):
-                continue
-            v = self._curve.voltage(f)
-            for c in cores:
-                powers[c] = self._dyn_coeff[c] * v * v * f + self._pind[c]
-        return powers
-
-    def instance_leakage_powers(
-        self, frequencies: Sequence[float], core_temperatures: np.ndarray
-    ) -> np.ndarray:
-        """Per-core leakage power, one frequency per instance."""
-        fs = self._check_frequencies(frequencies)
-        powers = np.zeros(self.chip.n_cores)
-        shape = self._leak_shape
-        for (inst, cores), f in zip(self.placements, fs):
-            if is_gated(f):
-                continue
-            v = self._curve.voltage(f)
-            v_term = (
-                v
-                * (v / shape.vref)
-                * np.exp(shape.kv * (v - shape.vref))
-            )
-            idx = list(cores)
-            powers[idx] = (
-                self._i0[idx]
-                * v_term
-                * np.exp(shape.kt * (core_temperatures[idx] - shape.tref))
-            )
-        return powers
+        return sum(perf_per_hz * f for _, perf_per_hz, f in self._instances(frequencies))
 
     def instance_total_powers(
         self, frequencies: Sequence[float], core_temperatures: np.ndarray
     ) -> np.ndarray:
         """Full Eq. (1) per-core powers, one frequency per instance."""
-        return self.instance_base_powers(frequencies) + self.instance_leakage_powers(
-            frequencies, core_temperatures
-        )
+        base = np.zeros(self.chip.n_cores)
+        prefactor = np.zeros(self.chip.n_cores)
+        for cores, _, f in self._instances(frequencies):
+            _set_point(base, prefactor, cores, self._operating_point(f))
+        return base + self._leakage(prefactor, core_temperatures) if self.placements else base
 
     @classmethod
     def from_mapping(cls, result) -> tuple["PlacedWorkload", list[float]]:
@@ -353,13 +325,10 @@ def run_transients(runs: Sequence[TransientRun]) -> list[BoostingRunResult]:
     """Advance every run in lockstep; one result per run, in order.
 
     The ``k`` runs share one chip (so one thermal model), one ``dt`` and
-    one ``duration``.  Their thermal state is one ``(n_nodes, k)`` block
-    and every step is one multi-RHS solve against the model's cached
-    step factorization.  Each step evaluates the leakage temperature
-    term once for the whole batch, and each run's power vector from its
-    memoised operating point.  Each run's decisions are its own, so a
-    run's result is what it gives alone (bit for bit under the sparse
-    backend).
+    one ``duration``.  Each is one control group over the whole chip, so
+    its controller reads the chip's hottest core (see :func:`_lockstep`).
+    Each run's decisions are its own, so a run's result is what it gives
+    alone (bit for bit under the sparse backend).
 
     Raises:
         ConfigurationError: on runs that do not share a chip, ``dt`` and
@@ -379,33 +348,106 @@ def run_transients(runs: Sequence[TransientRun]) -> list[BoostingRunResult]:
                 f"dt={run.dt}, duration={run.duration} against "
                 f"dt={dt}, duration={duration}"
             )
+    temps0 = np.full(chip.n_cores, chip.t_dtm)
+    loop_runs = []
+    for run in runs:
+        warm = run.warm_start_frequency
+        powers = None if warm is None else run.placed.total_powers(warm, temps0)
+        groups = [_Group(slice(None), run.controller, run.frequency, run.placed._perf_per_hz)]
+        loop_runs.append(_Run(run.placed, groups, run.record_interval, powers, run.power_cap))
+    return _lockstep(chip, dt, duration, loop_runs)
+
+
+class _Group(NamedTuple):
+    """A control group: its cores (``slice(None)`` spans the chip), its
+    controller (``None`` holds ``frequency``) and its throughput per Hz."""
+
+    cores: Union[slice, np.ndarray]
+    controller: Optional[BoostingController]
+    frequency: Optional[float]
+    perf_per_hz: float
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One run of :func:`_lockstep`; a ``power_cap`` needs a controller in every group."""
+
+    placed: PlacedWorkload
+    groups: list[_Group]
+    record_interval: Seconds
+    warm_start_powers: Optional[np.ndarray]
+    power_cap: Optional[float]
+
+
+def _set_point(
+    base: np.ndarray,
+    prefactor: np.ndarray,
+    cores: Union[slice, np.ndarray],
+    point: tuple[np.ndarray, float],
+) -> None:
+    """Write an operating point's base powers and leakage prefactor into ``cores``."""
+    base[cores] = point[0][cores]
+    prefactor[cores] = point[1]
+
+
+def _lockstep(
+    chip: Chip, dt: Seconds, duration: Seconds, runs: list[_Run]
+) -> list[BoostingRunResult]:
+    """Step closed-loop runs in lockstep: the one transient loop.
+
+    The thermal state is one ``(n_nodes, k)`` block and every step is one
+    multi-RHS solve against the model's cached step factorization.  Each
+    step, every group's controller reads the peak over the group's cores
+    and steps its frequency, the group's cores take their entries of
+    ``placed._operating_point`` at that frequency, and one leakage
+    evaluation gives every run's Eq. (1) row.
+
+    Power cap: while a run's total exceeds its cap, its fastest group (the
+    lowest index wins a tie) steps down one step, clamped at ``f_min``;
+    that controller is reset and the row re-evaluated.  It stops when the
+    fastest group is at ``f_min``.
+
+    A run's performance is the sum of ``perf_per_hz * frequency`` over its
+    groups, added in group order; its frequency trace is the groups' mean.
+    """
     n_steps, _ = step_plan(duration, dt)
     every = [step_plan(duration, dt, run.record_interval)[1] for run in runs]
     k, n = len(runs), chip.n_cores
     count_simulations(n_steps, k)
 
-    placed = [run.placed for run in runs]
-    controllers = [run.controller for run in runs]
-    capped = [j for j, run in enumerate(runs) if run.power_cap is not None]
-    shapes = [p._leak_shape for p in placed]
-    i0 = np.stack([p._i0 for p in placed])
+    shapes = [run.placed._leak_shape for run in runs]
+    i0 = np.stack([run.placed._i0 for run in runs])
     kt = np.array([[s.kt if s else 0.0] for s in shapes])
     tref = np.array([[s.tref if s else 0.0] for s in shapes])
-    perf_per_hz = np.array([p._perf_per_hz for p in placed])
+    base = np.zeros((k, n))
+    prefactor = np.zeros((k, n))
+
+    # The group layout: group g of the flat lists belongs to run owner[g],
+    # and run j owns the groups in spans[j].
+    groups = [g for run in runs for g in run.groups]
+    owner = [j for j, run in enumerate(runs) for _ in run.groups]
+    ends = np.cumsum([len(run.groups) for run in runs]).tolist()
+    spans = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
+    capped = [j for j, run in enumerate(runs) if run.power_cap is not None]
+    controllers = [g.controller for g in groups]
+    freqs = [g.frequency for g in groups]
+    perf_per_hz = np.array([g.perf_per_hz for g in groups])
+    rows = [(base[j], prefactor[j], g.cores) for j, g in zip(owner, groups)]
+    points = [runs[j].placed._operating_point for j in owner]
+    # Each group reads the max over its own cores: flat indices into the
+    # (k, n) temperature block, one segment per group starting at starts.
+    members = [j * n + np.arange(n)[g.cores] for j, g in zip(owner, groups)]
+    flat = np.array([c for m in members for c in m], dtype=np.intp)
+    starts = np.cumsum([0] + [len(m) for m in members])[:-1]
 
     sim = TransientSimulator(chip.thermal, dt=dt)
     warm = np.zeros((k, n))
-    temps0 = np.full(n, chip.t_dtm)
     for j, run in enumerate(runs):
-        if run.warm_start_frequency is not None:
-            warm[j] = run.placed.total_powers(run.warm_start_frequency, temps0)
+        if run.warm_start_powers is not None:
+            warm[j] = run.warm_start_powers
     sim.warm_start(warm)
     temps = sim.core_temperatures
-    peaks = temps.max(axis=1)
 
-    freqs = [run.frequency for run in runs]
-    base = np.empty((k, n))
-    prefactor = np.empty((k, 1))
     traces: list[list[tuple]] = [[] for _ in runs]
     perf_sum = np.zeros(k)
     power_sum = np.zeros(k)
@@ -413,43 +455,31 @@ def run_transients(runs: Sequence[TransientRun]) -> list[BoostingRunResult]:
     max_temp = np.full(k, -np.inf)
 
     for step in range(n_steps):
-        for j, ctrl in enumerate(controllers):
+        group_peaks = np.maximum.reduceat(temps.take(flat), starts)
+        for g, ctrl in enumerate(controllers):
             if ctrl is not None:
-                freqs[j] = ctrl.update(float(peaks[j]))
-            base[j], prefactor[j, 0] = placed[j]._operating_point(freqs[j])
+                freqs[g] = ctrl.update(float(group_peaks[g]))
+            _set_point(*rows[g], points[g](freqs[g]))
         leak_t = np.exp(kt * (temps - tref))
         powers = base + i0 * (prefactor * leak_t)
         totals = powers.sum(axis=1)
 
-        if capped:
-            evaluated = list(freqs)
-
-            def evaluate(j: int) -> None:
-                row_base, row_prefactor = placed[j]._operating_point(freqs[j])
-                powers[j] = row_base + i0[j] * (row_prefactor * leak_t[j])
+        for j in capped:
+            while totals[j] > runs[j].power_cap:
+                g = max(range(spans[j].start, spans[j].stop), key=freqs.__getitem__)
+                ctrl = controllers[g]
+                if freqs[g] <= ctrl.f_min:
+                    break
+                freqs[g] = max(freqs[g] - ctrl.step, ctrl.f_min)
+                ctrl.reset(freqs[g])
+                _set_point(*rows[g], points[g](freqs[g]))
+                powers[j] = base[j] + i0[j] * (prefactor[j] * leak_t[j])
                 totals[j] = powers[j].sum()
-                evaluated[j] = freqs[j]
-
-            over = [
-                j for j in capped
-                if freqs[j] > controllers[j].f_min and totals[j] > runs[j].power_cap
-            ]
-            while over:
-                for j in over:
-                    freqs[j] -= controllers[j].step
-                over = [j for j in over if freqs[j] > controllers[j].f_min]
-                for j in over:
-                    evaluate(j)
-                over = [j for j in over if totals[j] > runs[j].power_cap]
-            for j in capped:
-                freqs[j] = max(freqs[j], controllers[j].f_min)
-                controllers[j].reset(freqs[j])
-                if freqs[j] != evaluated[j]:  # the cap loop stopped at f_min
-                    evaluate(j)
 
         temps = sim.step(powers)
         peaks = temps.max(axis=1)
-        perf = perf_per_hz * np.array(freqs)
+        group_perf = (perf_per_hz * np.array(freqs)).tolist()
+        perf = np.array([sum(group_perf[span]) for span in spans], dtype=float)
         perf_sum += perf
         power_sum += totals
         np.maximum(max_power, totals, out=max_power)
@@ -457,10 +487,11 @@ def run_transients(runs: Sequence[TransientRun]) -> list[BoostingRunResult]:
 
         for j, trace in enumerate(traces):
             if (step + 1) % every[j] == 0 or step == n_steps - 1:
+                group_freqs = freqs[spans[j]]
                 trace.append(
                     (
                         (step + 1) * dt,
-                        freqs[j],
+                        float(np.mean(group_freqs)) if group_freqs else 0.0,
                         to_gips(float(perf[j])),
                         float(peaks[j]),
                         float(totals[j]),
@@ -552,8 +583,9 @@ def run_per_instance_boosting(
     The paper's controller is chip-wide; per-instance control is the
     natural finer granularity (each instance reacts to *its own* hottest
     core), letting instances placed in cool die regions boost further
-    while hot ones back off.  The electrical ``power_cap`` is enforced by
-    stepping down the currently fastest instance until the cap holds.
+    while hot ones back off.  It is one run of :func:`_lockstep`, the
+    loop :func:`run_transients` uses, with one control group per
+    instance; so ``power_cap`` steps the fastest instance down.
 
     Args:
         placed: the pinned workload.
@@ -562,7 +594,8 @@ def run_per_instance_boosting(
         dt: integration step == control period, s.
         record_interval: trace sampling interval, s (at least ``dt``).
         warm_start_frequencies: start the thermal state from the steady
-            state of these per-instance frequencies.
+            state of these per-instance frequencies (leakage at T_DTM);
+            otherwise from ambient.
         power_cap: electrical power constraint, W.
 
     Returns:
@@ -578,61 +611,15 @@ def run_per_instance_boosting(
         raise ConfigurationError(
             f"need {placed.n_instances} controllers, got {len(controllers)}"
         )
-    n_steps, every = step_plan(duration, dt, record_interval)
-    count_simulations(n_steps)
-    sim = TransientSimulator(placed.chip.thermal, dt=dt)
+    warm = None
     if warm_start_frequencies is not None:
         temps0 = np.full(placed.chip.n_cores, placed.chip.t_dtm)
-        sim.warm_start(placed.instance_total_powers(warm_start_frequencies, temps0))
-
-    core_lists = [list(cores) for _, cores in placed.placements]
-    times, freqs, gips_trace, peaks, powers = [], [], [], [], []
-    perf_sum = power_sum = max_power = 0.0
-    max_temp = -np.inf
-
-    temps = sim.core_temperatures
-    for k in range(n_steps):
-        fs = [
-            ctrl.update(float(temps[cores].max()) if cores else 0.0)
-            for ctrl, cores in zip(controllers, core_lists)
-        ]
-        p = placed.instance_total_powers(fs, temps)
-        if power_cap is not None:
-            while p.sum() > power_cap:
-                fastest = max(range(len(fs)), key=lambda i: fs[i])
-                ctrl = controllers[fastest]
-                if fs[fastest] <= ctrl.f_min:
-                    break
-                fs[fastest] = max(ctrl.f_min, fs[fastest] - ctrl.step)
-                ctrl.reset(fs[fastest])
-                p = placed.instance_total_powers(fs, temps)
-        total_p = float(p.sum())
-        temps = sim.step(p)
-        peak = float(np.max(temps))
-
-        perf = placed.instance_performance(fs)
-        perf_sum += perf
-        power_sum += total_p
-        max_power = max(max_power, total_p)
-        max_temp = max(max_temp, peak)
-
-        if (k + 1) % every == 0 or k == n_steps - 1:
-            times.append((k + 1) * dt)
-            freqs.append(float(np.mean(fs)) if fs else 0.0)
-            gips_trace.append(to_gips(perf))
-            peaks.append(peak)
-            powers.append(total_p)
-
-    avg_power = power_sum / n_steps
-    return BoostingRunResult(
-        times=np.array(times),
-        frequencies=np.array(freqs),
-        gips=np.array(gips_trace),
-        peak_temperatures=np.array(peaks),
-        total_powers=np.array(powers),
-        average_gips=to_gips(perf_sum / n_steps),
-        average_power=avg_power,
-        max_power=max_power,
-        max_temperature=float(max_temp),
-        energy=avg_power * duration,
-    )
+        warm = placed.instance_total_powers(warm_start_frequencies, temps0)
+    groups = [
+        _Group(cores, ctrl, None, perf_per_hz)
+        for cores, ctrl, perf_per_hz in zip(
+            placed._instance_cores, controllers, placed._instance_perf_per_hz
+        )
+    ]
+    run = _Run(placed, groups, record_interval, warm, power_cap)
+    return _lockstep(placed.chip, dt, duration, [run])[0]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
+from repro.apps.operating_points import operating_points
 from repro.apps.profile import AppProfile
 from repro.apps.workload import Workload
 from repro.chip import Chip
@@ -201,16 +202,15 @@ def best_homogeneous_configuration(
         )
     if threads_options is None:
         threads_options = range(1, app.max_threads + 1)
+    t_power = chip.t_dtm if power_temperature is None else power_temperature
+    table = operating_points(app, chip.node, t_power, frequencies)
     if frequencies is None:
         frequencies = chip.node.frequency_ladder()
-    t_power = chip.t_dtm if power_temperature is None else power_temperature
 
     best: Optional[BestConfiguration] = None
     for threads in threads_options:
         for frequency in frequencies:
-            per_core = app.core_power(
-                chip.node, threads, frequency, temperature=t_power
-            )
+            per_core = table.core_power(threads, frequency)
             by_power = int(power_budget // (threads * per_core))
             by_cores = chip.n_cores // threads
             n_instances = min(by_power, by_cores)
@@ -218,7 +218,7 @@ def best_homogeneous_configuration(
                 n_instances = min(n_instances, max_instances)
             if n_instances < 1:
                 continue
-            perf = n_instances * app.instance_performance(threads, frequency)
+            perf = n_instances * table.instance_performance(threads, frequency)
             candidate = BestConfiguration(
                 threads=threads,
                 frequency=frequency,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
 from repro.core.estimator import MappingResult
 from repro.dtm.policies import DtmPolicy, ThrottleHottest
 from repro.errors import ConfigurationError
@@ -100,10 +99,6 @@ def enforce(
             break
         placed = modified
         steps += 1
-
-    # The per-run distribution: how many interventions this mapping
-    # actually took.
-    obs.histogram("dtm.steps_per_enforcement", steps)
 
     powers = np.zeros(chip.n_cores)
     for p in placed:

@@ -35,7 +35,6 @@ thermal.     model solves, leakage iterations, transient steps
 solver.cost. backend work: factorizations, RHS columns
 tsp.         TSP table builds, per-core budget distribution
 runtime.     the online event loop's span
-dtm.         steps per enforcement run
 store.       artifact-store hits/misses/writes and lookup latency
 sweep.       per-stage grid spans (worker deltas merged exactly)
 experiment.  one span per figure/extension run

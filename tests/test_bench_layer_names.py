@@ -14,6 +14,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +25,31 @@ from repro.experiments.common import get_chip
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_names_resolve_and_every_layer_metric_is_measured():
+@contextmanager
+def _e2e_module(name: str):
+    """``benchmarks/e2e/<name>.py``, loaded as a module for the block."""
     spec = importlib.util.spec_from_file_location(
-        "e2e_layers", REPO_ROOT / "benchmarks" / "e2e" / "layers.py"
+        f"e2e_{name}", REPO_ROOT / "benchmarks" / "e2e" / f"{name}.py"
     )
-    layers = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # @dataclass looks its module up in sys.modules while decorating.
-    sys.modules[spec.name] = layers
+    sys.modules[spec.name] = module
     try:
-        spec.loader.exec_module(layers)
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def _per_layer_names() -> list[str]:
+    return [
+        m["name"]
+        for m in json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    ]
+
+
+def test_traced_names_resolve_and_every_layer_metric_is_measured():
+    with _e2e_module("layers") as layers:
         chip = get_chip("16nm")
         tracer = layers.Tracer()
         installed = layers.install(tracer)
@@ -40,14 +58,36 @@ def test_traced_names_resolve_and_every_layer_metric_is_measured():
         finally:
             # The wrappers patch repro process-wide.
             installed.remove()
-    finally:
-        del sys.modules[spec.name]
 
     assert installed.missing == {}
     report = tracer.report(1.0, installed.missing)
-    per_layer = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())[
-        "per_layer"
-    ]
-    measured = [m["name"] for m in per_layer if m["name"] in report]
+    measured = [n for n in _per_layer_names() if n in report]
     assert len(measured) >= len(layers.LAYERS)
+    assert [n for n in measured if report[n]["value"] is None] == []
+
+
+def test_traced_dsrem_mixes_measures_every_per_layer_metric(tmp_path):
+    # The benchmark's traced run reads a null per-layer value as a
+    # result it cannot use; DsRem's peak queries are this workload's
+    # only backend solves, so a query that skips the backend nulls
+    # thermal.solve.cols_per_call.
+    with _e2e_module("layers") as layers, _e2e_module("workloads") as workloads:
+        mixes = workloads.dsrem_inputs(0)
+        # Warm the chip's engine outside the traced section, as the
+        # harness's worker does in its set-up.
+        get_chip("16nm").engine
+        tracer = layers.Tracer()
+        installed = layers.install(tracer, namespaces=[workloads])
+        start = time.perf_counter()
+        try:
+            raw = workloads.dsrem_timed(mixes, tmp_path)
+        finally:
+            wall_s = time.perf_counter() - start
+            installed.remove()
+        failed = [op for op, value in raw.items() if isinstance(value, workloads.Failure)]
+
+    assert failed == []
+    report = tracer.report(wall_s, installed.missing)
+    measured = [n for n in _per_layer_names() if n in report]
+    assert "thermal.solve.cols_per_call" in measured
     assert [n for n in measured if report[n]["value"] is None] == []

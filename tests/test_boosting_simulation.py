@@ -1,7 +1,5 @@
 """Placed workloads and transient boosting/constant runs."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from repro.apps.workload import ApplicationInstance, Workload
 from repro.boosting.constant import best_constant_frequency, constant_steady
 from repro.boosting.controller import BoostingController
 from repro.boosting.simulation import (
-    BoostingRunResult,
     PlacedWorkload,
     TransientRun,
     place_workload,
@@ -26,6 +23,7 @@ from repro.power.vf_curve import VFCurve
 from repro.tech.library import NODE_11NM
 from repro.thermal.backends import set_default_backend
 from repro.units import GIGA
+from tests._helpers import assert_runs_equal
 
 
 @pytest.fixture(scope="module")
@@ -256,16 +254,6 @@ class TestTransients:
                 ]
             )
             assert_runs_equal(boosted, constant)
-
-
-def assert_runs_equal(got: BoostingRunResult, want: BoostingRunResult) -> None:
-    """Every field equal, arrays element for element."""
-    for field in dataclasses.fields(BoostingRunResult):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert np.array_equal(a, b), field.name
-        else:
-            assert a == b, field.name
 
 
 @pytest.fixture(scope="module")
