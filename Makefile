@@ -16,8 +16,8 @@ test:
 
 # Project-specific static analysis (repro.lint), two-phase: per-file
 # rules (unit-literal, float-eq, exception, metric-name, spawn-safety)
-# plus whole-program dimension/spawn/file-handle checks over the project
-# call graph.  Module summaries are cached content-addressed under
+# plus whole-program spawn/file-handle/stale-manifest checks over the
+# project call graph.  Module summaries are cached content-addressed under
 # .lint-cache, so warm runs only re-summarize edited files.  Exits
 # non-zero on any finding not ratified in lint_baseline.json; see
 # docs/linting.md.

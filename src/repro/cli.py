@@ -333,6 +333,12 @@ def _cmd_lint(args) -> int:
 
     paths = args.paths or ["src"]
     select = args.select.split(",") if args.select else None
+    if select is not None:
+        known = {r.code for r in (*lint.all_rules(), *lint.all_program_rules())}
+        unknown = sorted(set(select) - known)
+        if unknown:
+            print(f"unknown rule code(s): {', '.join(unknown)}", file=sys.stderr)
+            return 2
 
     if args.emit_manifest:
         import ast as ast_mod

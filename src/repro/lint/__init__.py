@@ -9,7 +9,7 @@ AST pass (rules as plugins with ``DSxxx`` codes) that also distils each
 module into a content-addressed summary (:mod:`repro.lint.summaries`,
 cached via :mod:`repro.store` for warm runs); phase 2 links the
 summaries into a project call graph (:mod:`repro.lint.callgraph`) and
-runs interprocedural rule families (:mod:`repro.lint.dataflow`):
+runs the whole-program rules (:mod:`repro.lint.dataflow`):
 
 =======  ==========================================================
 code     invariant
@@ -34,13 +34,6 @@ DS402    no wall-clock / unseeded randomness (``time.time()``,
          ``random.*``) in model or experiment code outside
          :mod:`repro.obs` — it breaks manifest fingerprint
          reproducibility
-DS501    no arithmetic or comparison mixing physical dimensions
-         (watts plus kelvin), inferred from :mod:`repro.units` helper
-         provenance, ``units.Seconds``-style annotations, and
-         ``_hz``/``_w`` name suffixes, propagated through the call
-         graph
-DS502    no argument whose dimension contradicts the callee
-         parameter's (seconds passed where hertz is expected)
 DS602    no pool-dispatched worker that transitively mutates
          module-level state (lost under the spawn start method)
 DS702    every ``open()`` / ``.open()`` handle is closed, handed off,

@@ -9,28 +9,14 @@
   (``units.ghz``, ``Baseline``, ``self._solve``) to that index, via the
   module's import map, with re-export chasing so ``repro.lint.Baseline``
   links to ``repro.lint.baseline.Baseline``;
-* call-graph edges and reachability (used by DS602 spawn analysis);
-* a return-dimension fixpoint so dimension labels flow through calls
-  (``f = units.ghz(f_ghz)`` then ``f + t_degc`` is flagged even though
-  the intermediate has no suffix).
-
-Dimension resolution for the dterm IR lives here too, because both the
-fixpoint and the :mod:`repro.lint.dataflow` rules need it: a dterm
-resolves to a dimension label via, in order, the local environment
-(parameters + assignments), :mod:`repro.units` constant provenance, the
-units-helper table, callee return dimensions, and name-suffix
-conventions as the fallback.
+* call-graph edges and reachability (used by DS602 spawn analysis).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro import units
-from repro.lint.summaries import ModuleSummary, suffix_dimension
-
-#: Qualified prefix under which the units helper/constant tables apply.
-_UNITS_MODULE = "repro.units"
+from repro.lint.summaries import ModuleSummary
 
 
 class Program:
@@ -65,7 +51,6 @@ class Program:
                 self.owner[key] = summary
             for name, facts in summary.classes.items():
                 self.classes[f"{summary.module}.{name}"] = facts
-        self._return_dims: Optional[dict[str, Optional[str]]] = None
 
     # -- name resolution ----------------------------------------------
 
@@ -169,146 +154,3 @@ class Program:
                 if target not in seen:
                     frontier.append(target)
         return seen
-
-    # -- dimension resolution -----------------------------------------
-
-    def _units_helper(self, qualified: Optional[str]) -> Optional[tuple]:
-        """(arg label, result label) when ``qualified`` is a units helper."""
-        if qualified is None or not qualified.startswith(_UNITS_MODULE + "."):
-            return None
-        return units.HELPER_DIMENSIONS.get(
-            qualified[len(_UNITS_MODULE) + 1 :]
-        )
-
-    def _units_constant(self, qualified: Optional[str]) -> Optional[str]:
-        if qualified is None or not qualified.startswith(_UNITS_MODULE + "."):
-            return None
-        return units.CONSTANT_DIMENSIONS.get(
-            qualified[len(_UNITS_MODULE) + 1 :]
-        )
-
-    def resolve_dterm(
-        self,
-        term: list,
-        summary: ModuleSummary,
-        env: dict[str, str],
-        *,
-        caller_class: Optional[str] = None,
-        _return_dims: Optional[dict] = None,
-    ) -> Optional[str]:
-        """Dimension label of a dterm, or ``None`` when unknown."""
-        kind = term[0]
-        if kind == "dim":
-            return term[1]
-        if kind == "var":
-            name = term[1]
-            if name in env:
-                return env[name]
-            qualified = self.resolve_name(summary, name)
-            constant = self._units_constant(qualified)
-            if constant is not None:
-                return constant
-            return suffix_dimension(name)
-        if kind == "call":
-            callee = term[1]
-            qualified = (
-                None
-                if callee.startswith("self.")
-                else self.resolve_name(summary, callee)
-            )
-            helper = self._units_helper(qualified)
-            if helper is not None:
-                return helper[1]
-            target = self.resolve_function(
-                summary, callee, caller_class=caller_class
-            )
-            if target is not None:
-                dims = (
-                    _return_dims
-                    if _return_dims is not None
-                    else self.return_dims()
-                )
-                return dims.get(target)
-            return None
-        if kind == "binop":
-            left = self.resolve_dterm(
-                term[2],
-                summary,
-                env,
-                caller_class=caller_class,
-                _return_dims=_return_dims,
-            )
-            right = self.resolve_dterm(
-                term[3],
-                summary,
-                env,
-                caller_class=caller_class,
-                _return_dims=_return_dims,
-            )
-            if left is not None and left == right:
-                return left
-            return None
-        return None
-
-    def build_env(
-        self,
-        qual: str,
-        *,
-        _return_dims: Optional[dict] = None,
-    ) -> dict[str, str]:
-        """Known dimensions of one function's parameters and locals.
-
-        Only *known* labels are stored; a variable assigned conflicting
-        dimensions is dropped so the suffix fallback applies instead.
-        """
-        facts = self.functions[qual]
-        summary = self.owner[qual]
-        caller_class = self._caller_class(qual)
-        env: dict[str, str] = dict(facts["param_dims"])
-        for name, term in facts["assigns"]:
-            dim = self.resolve_dterm(
-                term,
-                summary,
-                env,
-                caller_class=caller_class,
-                _return_dims=_return_dims,
-            )
-            if dim is None:
-                continue
-            if name in env and env[name] != dim:
-                del env[name]
-            else:
-                env[name] = dim
-        return env
-
-    def return_dims(self) -> dict[str, Optional[str]]:
-        """Fixpoint of each function's (unique) return dimension."""
-        if self._return_dims is not None:
-            return self._return_dims
-        dims: dict[str, Optional[str]] = {q: None for q in self.functions}
-        for _ in range(5):
-            changed = False
-            for qual, facts in self.functions.items():
-                if not facts["returns"]:
-                    continue
-                summary = self.owner[qual]
-                caller_class = self._caller_class(qual)
-                env = self.build_env(qual, _return_dims=dims)
-                seen = {
-                    self.resolve_dterm(
-                        term,
-                        summary,
-                        env,
-                        caller_class=caller_class,
-                        _return_dims=dims,
-                    )
-                    for term in facts["returns"]
-                }
-                new = seen.pop() if len(seen) == 1 else None
-                if new != dims[qual]:
-                    dims[qual] = new
-                    changed = True
-            if not changed:
-                break
-        self._return_dims = dims
-        return dims

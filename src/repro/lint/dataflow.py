@@ -1,19 +1,14 @@
-"""Phase 2b of the whole-program lint: interprocedural rule families.
+"""Phase 2b of the whole-program lint: the program rules.
 
-Three families run over the linked :class:`~repro.lint.callgraph.Program`
+Three rules run over the linked :class:`~repro.lint.callgraph.Program`
 rather than over one file's AST:
 
-* **DS5xx dimensional analysis** — DS501 flags add/sub/compare whose
-  operands carry different dimension labels (watts plus kelvin); DS502
-  flags call sites passing a value of one dimension where the callee's
-  parameter claims another (seconds where hertz is expected).  Labels
-  come from :mod:`repro.units` helper provenance, annotation aliases,
-  and name-suffix conventions, propagated through assignments and call
-  returns by the call-graph fixpoint.
 * **DS602 spawn discipline** — walks the call graph from every
   pool-dispatched worker and flags workers that transitively mutate
   module-level state — mutations that silently vanish under the spawn
   start method.
+* **DS302 stale manifest** — the converse of DS301: no metric manifest
+  entry that no call site emits.
 * **DS702 file handles** — a per-function escape analysis: a handle
   from ``open()``/``.open()`` must be closed in the same function,
   handed off (returned, stored, passed on), or managed by ``with`` —
@@ -71,146 +66,6 @@ def all_program_rules() -> list[type[ProgramRule]]:
 def _local_name(program: Program, qual: str) -> str:
     summary = program.owner[qual]
     return qual[len(summary.module) + 1 :]
-
-
-def _iter_functions(program: Program, *, library_only: bool):
-    for qual, facts in program.functions.items():
-        summary = program.owner[qual]
-        if library_only and not summary.in_library:
-            continue
-        yield qual, facts, summary
-
-
-@program_rule
-class DimensionMixing(ProgramRule):
-    """DS501: arithmetic/comparison across different dimension labels."""
-
-    code = "DS501"
-
-    def check(self, program: Program) -> Iterator[Finding]:
-        for qual, facts, summary in _iter_functions(
-            program, library_only=True
-        ):
-            env = program.build_env(qual)
-            caller_class = program._caller_class(qual)
-
-            def dim(term):
-                return program.resolve_dterm(
-                    term, summary, env, caller_class=caller_class
-                )
-
-            for record in (*facts["binops"], *facts["compares"]):
-                left = dim(record["l"])
-                right = dim(record["r"])
-                if left is None or right is None or left == right:
-                    continue
-                verb = (
-                    "arithmetic"
-                    if record["op"] in ("+", "-")
-                    else "comparison"
-                )
-                yield Finding(
-                    code=self.code,
-                    path=summary.path,
-                    line=record["ln"],
-                    col=record["col"],
-                    message=(
-                        f"{verb} mixes dimensions '{left}' and '{right}' "
-                        f"in {_local_name(program, qual)}()"
-                    ),
-                )
-
-
-@program_rule
-class DimensionArgument(ProgramRule):
-    """DS502: argument dimension contradicts the callee's parameter."""
-
-    code = "DS502"
-
-    def check(self, program: Program) -> Iterator[Finding]:
-        from repro import units
-
-        for qual, facts, summary in _iter_functions(
-            program, library_only=True
-        ):
-            env = program.build_env(qual)
-            caller_class = program._caller_class(qual)
-
-            def dim(term):
-                return program.resolve_dterm(
-                    term, summary, env, caller_class=caller_class
-                )
-
-            for call in facts["calls"]:
-                if call.get("star"):
-                    continue
-                callee = call["callee"]
-                qualified = (
-                    None
-                    if callee.startswith("self.")
-                    else program.resolve_name(summary, callee)
-                )
-                expected: dict[object, tuple[str, str]] = {}
-                callee_label = callee
-                if qualified is not None and qualified.startswith(
-                    "repro.units."
-                ):
-                    helper = units.HELPER_DIMENSIONS.get(
-                        qualified.rsplit(".", 1)[-1]
-                    )
-                    if helper is not None and helper[0] is not None:
-                        expected[0] = ("value", helper[0])
-                        callee_label = qualified.rsplit(".", 1)[-1]
-                if not expected:
-                    target = program.resolve_function(
-                        summary, callee, caller_class=caller_class
-                    )
-                    if target is None:
-                        continue
-                    callee_facts = program.functions[target]
-                    if callee_facts["flexible"]:
-                        continue
-                    params = callee_facts["params"]
-                    if len(call["args"]) > len(params):
-                        continue
-                    for index, param in enumerate(params):
-                        pdim = callee_facts["param_dims"].get(param)
-                        if pdim is not None:
-                            expected[index] = (param, pdim)
-                            expected[param] = (param, pdim)
-                    callee_label = _local_name(program, target)
-                for index, term in enumerate(call["args"]):
-                    if index not in expected:
-                        continue
-                    param, pdim = expected[index]
-                    actual = dim(term)
-                    if actual is not None and actual != pdim:
-                        yield Finding(
-                            code=self.code,
-                            path=summary.path,
-                            line=call["ln"],
-                            col=call["col"],
-                            message=(
-                                f"argument '{param}' of {callee_label}() "
-                                f"expects '{pdim}' but receives '{actual}'"
-                            ),
-                        )
-                for name, term in call["kw"].items():
-                    if name not in expected:
-                        continue
-                    param, pdim = expected[name]
-                    actual = dim(term)
-                    if actual is not None and actual != pdim:
-                        yield Finding(
-                            code=self.code,
-                            path=summary.path,
-                            line=call["ln"],
-                            col=call["col"],
-                            message=(
-                                f"argument '{param}' of {callee_label}() "
-                                f"expects '{pdim}' but receives '{actual}'"
-                            ),
-                        )
 
 
 def _module_mutations(
@@ -314,9 +169,8 @@ class UnclosedResource(ProgramRule):
     code = "DS702"
 
     def check(self, program: Program) -> Iterator[Finding]:
-        for qual, facts, summary in _iter_functions(
-            program, library_only=False
-        ):
+        for qual, facts in program.functions.items():
+            summary = program.owner[qual]
             local = _local_name(program, qual)
             if _lifecycle_exempt(local):
                 continue

@@ -505,7 +505,7 @@ def lint_paths(
     given (unchanged files are served findings + summary without
     re-parsing).  Phase 2 links the summaries into a
     :class:`~repro.lint.callgraph.Program` and runs the
-    interprocedural DS501/DS502/DS602/DS702 rules plus the DS302
+    interprocedural DS602/DS702 rules plus the DS302
     stale-manifest check (auto-enabled on whole-tree runs with a
     file-loaded manifest; force with ``stale_manifest=True/False``).
 

@@ -8,11 +8,8 @@ reason *across* files without re-reading them:
 * the import map (local name -> qualified target), so call references
   written as ``units.ghz`` or ``ThermalSafePower`` resolve to one
   program-wide qualified name;
-* per-function dimension facts for DS5xx — parameter dimensions (from
-  :data:`repro.units.ANNOTATION_DIMENSIONS` aliases or
-  :data:`repro.units.SUFFIX_DIMENSIONS` name suffixes), assignments,
-  add/sub/compare operand terms and call sites, all expressed in a tiny
-  serialisable expression IR (*dterms*, below);
+* per-function call sites (callee as written, location) and
+  ``global`` writes, which DS602 walks through the call graph;
 * file-handle facts for DS702 — ``open()``/``.open()`` handles, their
   ``.close()`` calls, ``with``-managed names and escapes (returns,
   stores, argument passes);
@@ -26,14 +23,6 @@ summary *and* the file's phase-1 findings in a
 :class:`repro.store.ArtifactStore` keyed by the source's SHA-256 (plus
 the manifest digest, which DS301 findings depend on), so a warm lint
 run skips parsing and summarising unchanged files entirely.
-
-The dterm IR (plain lists, JSON-stable)::
-
-    ["dim", "hz"]                 # a known dimension label
-    ["var", "x"] / ["var", "units.F_GATED"]   # a (dotted) name as written
-    ["call", "units.ghz", [args], {kwargs}, line, col]
-    ["binop", "+", left, right]   # add/sub whose dim is its operands'
-    ["unknown"]
 """
 
 from __future__ import annotations
@@ -44,10 +33,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro import units
-
 #: Summary schema version: bump to invalidate every cached summary.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 #: Cache fingerprint (see ArtifactStore.get_payload): encodes the
 #: summary schema and the rule-engine generation, so either bumping
@@ -97,34 +84,6 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def suffix_dimension(name: str) -> Optional[str]:
-    """The dimension a name suffix implies, or ``None``.
-
-    Matched longest-suffix-first; a name that *is* the bare suffix
-    (``s``) does not match — only ``interval_s`` style names do.
-    """
-    terminal = name.rsplit(".", 1)[-1]
-    for suffix in sorted(units.SUFFIX_DIMENSIONS, key=len, reverse=True):
-        if terminal.endswith(suffix) and len(terminal) > len(suffix):
-            return units.SUFFIX_DIMENSIONS[suffix]
-    return None
-
-
-def _annotation_dimension(annotation: Optional[ast.AST]) -> Optional[str]:
-    """Dimension claimed by a ``units.Seconds``-style annotation."""
-    if annotation is None:
-        return None
-    if isinstance(annotation, ast.Subscript):
-        outer = _dotted_name(annotation.value)
-        if outer is not None and outer.rsplit(".", 1)[-1] == "Optional":
-            return _annotation_dimension(annotation.slice)
-        return None
-    name = _dotted_name(annotation)
-    if name is None:
-        return None
-    return units.ANNOTATION_DIMENSIONS.get(name.rsplit(".", 1)[-1])
 
 
 @dataclass
@@ -185,33 +144,11 @@ class ModuleSummary:
 
 
 class _FunctionSummarizer(ast.NodeVisitor):
-    """Collects one function body's dterm and file-handle facts."""
+    """Collects one function body's call, global-write and file-handle facts."""
 
-    def __init__(
-        self,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        class_name: Optional[str],
-    ) -> None:
+    def __init__(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         self.node = node
-        self.is_method = class_name is not None
-        args = node.args
-        all_args = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        if self.is_method and all_args and all_args[0].arg in ("self", "cls"):
-            all_args = all_args[1:]
-        self.params = [a.arg for a in all_args]
-        self.flexible = args.vararg is not None or args.kwarg is not None
-        self.param_dims: dict[str, str] = {}
-        for arg in all_args:
-            dim = _annotation_dimension(arg.annotation) or suffix_dimension(
-                arg.arg
-            )
-            if dim is not None:
-                self.param_dims[arg.arg] = dim
-        self.assigns: list[list] = []
-        self.binops: list[dict] = []
-        self.compares: list[dict] = []
         self.calls: list[dict] = []
-        self.returns: list[list] = []
         self.global_writes: list[str] = []
         self.opens: list[dict] = []
         self.closes: set[str] = set()
@@ -220,45 +157,6 @@ class _FunctionSummarizer(ast.NodeVisitor):
         self._global_names: set[str] = set()
         for stmt in node.body:
             self.visit(stmt)
-
-    # -- dterm extraction ---------------------------------------------
-
-    def _dterm(self, node: ast.AST) -> list:
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            dotted = _dotted_name(node)
-            if dotted is not None and not dotted.startswith("self."):
-                return ["var", dotted]
-            if dotted is not None:
-                # self.<attr>: keep the terminal for suffix inference.
-                return ["var", dotted]
-            return ["unknown"]
-        if isinstance(node, ast.Call):
-            callee = _dotted_name(node.func)
-            if callee is None:
-                return ["unknown"]
-            term = [
-                "call",
-                callee,
-                [self._dterm(a) for a in node.args],
-                {
-                    kw.arg: self._dterm(kw.value)
-                    for kw in node.keywords
-                    if kw.arg is not None
-                },
-                node.lineno,
-                node.col_offset,
-            ]
-            return term
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub)
-        ):
-            op = "+" if isinstance(node.op, ast.Add) else "-"
-            return ["binop", op, self._dterm(node.left), self._dterm(node.right)]
-        if isinstance(node, ast.UnaryOp):
-            return self._dterm(node.operand)
-        return ["unknown"]
-
-    # -- expression visitors ------------------------------------------
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         # Nested defs are opaque to the interprocedural pass.
@@ -270,40 +168,8 @@ class _FunctionSummarizer(ast.NodeVisitor):
     def visit_Global(self, node: ast.Global) -> None:
         self._global_names.update(node.names)
 
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self.binops.append(
-                {
-                    "op": "+" if isinstance(node.op, ast.Add) else "-",
-                    "l": self._dterm(node.left),
-                    "r": self._dterm(node.right),
-                    "ln": node.lineno,
-                    "col": node.col_offset,
-                }
-            )
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        left = node.left
-        for op, right in zip(node.ops, node.comparators):
-            if isinstance(
-                op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-            ):
-                self.compares.append(
-                    {
-                        "op": type(op).__name__,
-                        "l": self._dterm(left),
-                        "r": self._dterm(right),
-                        "ln": node.lineno,
-                        "col": node.col_offset,
-                    }
-                )
-            left = right
-        self.generic_visit(node)
-
     def _record_assign_target(self, target: ast.AST, value: ast.AST) -> None:
         if isinstance(target, ast.Name):
-            self.assigns.append([target.id, self._dterm(value)])
             if isinstance(value, ast.Call) and OPENER in (
                 getattr(value.func, "id", None),
                 getattr(value.func, "attr", None),
@@ -331,13 +197,7 @@ class _FunctionSummarizer(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if isinstance(node.target, ast.Name):
-            dim = _annotation_dimension(node.annotation)
-            if dim is not None:
-                self.assigns.append([node.target.id, ["dim", dim]])
-            elif node.value is not None:
-                self._record_assign_target(node.target, node.value)
-        elif node.value is not None:
+        if node.value is not None:
             self._record_assign_target(node.target, node.value)
         self.generic_visit(node)
 
@@ -348,15 +208,13 @@ class _FunctionSummarizer(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Return(self, node: ast.Return) -> None:
-        if node.value is not None:
-            self.returns.append(self._dterm(node.value))
-            if isinstance(node.value, ast.Name):
-                self.escapes.add(node.value.id)
-            elif isinstance(node.value, ast.Call):
-                # ``return self`` chains and wrapped handles escape too.
-                for arg in node.value.args:
-                    if isinstance(arg, ast.Name):
-                        self.escapes.add(arg.id)
+        if isinstance(node.value, ast.Name):
+            self.escapes.add(node.value.id)
+        elif isinstance(node.value, ast.Call):
+            # ``return self`` chains and wrapped handles escape too.
+            for arg in node.value.args:
+                if isinstance(arg, ast.Name):
+                    self.escapes.add(arg.id)
         self.generic_visit(node)
 
     def visit_Yield(self, node: ast.Yield) -> None:
@@ -375,20 +233,12 @@ class _FunctionSummarizer(ast.NodeVisitor):
 
     visit_AsyncWith = visit_With
 
-    # -- calls ---------------------------------------------------------
-
     def visit_Call(self, node: ast.Call) -> None:
         callee = _dotted_name(node.func)
         if callee is not None:
             self.calls.append(
                 {
                     "callee": callee,
-                    "args": [self._dterm(a) for a in node.args],
-                    "kw": {
-                        kw.arg: self._dterm(kw.value)
-                        for kw in node.keywords
-                        if kw.arg is not None
-                    },
                     "ln": node.lineno,
                     "col": node.col_offset,
                     "star": any(
@@ -413,14 +263,7 @@ class _FunctionSummarizer(ast.NodeVisitor):
         return {
             "ln": self.node.lineno,
             "col": self.node.col_offset,
-            "params": self.params,
-            "flexible": self.flexible,
-            "param_dims": self.param_dims,
-            "assigns": self.assigns,
-            "binops": self.binops,
-            "compares": self.compares,
             "calls": self.calls,
-            "returns": self.returns,
             "global_writes": sorted(set(self.global_writes)),
             "handles": {
                 "opens": self.opens,
@@ -620,13 +463,13 @@ def summarize_source(
         ):
             summary.module_globals.append(stmt.target.id)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fs = _FunctionSummarizer(stmt, class_name=None)
+            fs = _FunctionSummarizer(stmt)
             summary.functions[stmt.name] = fs.facts()
         elif isinstance(stmt, ast.ClassDef):
             summary.classes[stmt.name] = {"ln": stmt.lineno}
             for member in stmt.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    fs = _FunctionSummarizer(member, class_name=stmt.name)
+                    fs = _FunctionSummarizer(member)
                     summary.functions[f"{stmt.name}.{member.name}"] = fs.facts()
     summary.module_globals = sorted(set(summary.module_globals))
     return summary

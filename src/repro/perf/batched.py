@@ -80,20 +80,6 @@ class BatchedSteadyState:
         """Silicon layer count of the bound model."""
         return self._model.n_layers
 
-    def layer_slice(self, layer: int) -> slice:
-        """Slice of the flat core vector holding ``layer``'s blocks."""
-        return self._model.layer_slice(layer)
-
-    def layer_temperatures(
-        self, core_powers: Sequence[float], layer: int
-    ) -> np.ndarray:
-        """One layer's steady-state temperatures for full-stack powers.
-
-        The power vector (or ``(k, n)`` batch) always spans every layer;
-        the returned temperatures are restricted to ``layer``'s blocks.
-        """
-        return self.temperatures(core_powers)[..., self.layer_slice(layer)]
-
     # -- batched solves -----------------------------------------------
 
     def temperatures(self, core_powers: Sequence[float]) -> np.ndarray:

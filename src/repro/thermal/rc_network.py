@@ -170,12 +170,6 @@ class RCNetwork:
         except KeyError:
             raise ConfigurationError(f"no node named {name!r}") from None
 
-    def indices_of(self, names: Sequence[str]) -> np.ndarray:
-        """Indices of the named nodes, as an integer array."""
-        return np.fromiter(
-            (self.index_of(n) for n in names), dtype=np.intp, count=len(names)
-        )
-
     @property
     def size(self) -> int:
         """Number of nodes."""

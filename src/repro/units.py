@@ -94,60 +94,8 @@ def gips(value_ips: float) -> float:
     return value_ips / GIGA
 
 
-# -- machine-readable dimension table ---------------------------------
-#
-# The whole-program lint pass (repro.lint, rules DS501/DS502) infers a
-# *dimension label* for values flowing through the call graph and flags
-# arithmetic or argument passing that mixes labels — adding watts to
-# kelvin, passing seconds where hertz is expected.  Three inference
-# seeds feed it, all defined here so the conventions live next to the
-# unit table at the top of this module:
-#
-# 1. the converter helpers below (``ghz`` consumes "ghz", yields "hz");
-# 2. signature annotations using the float aliases (``dt: Seconds``);
-# 3. parameter-name suffix conventions (``budget_w`` carries "w").
-#
-# Temperature is deliberately a single label "temp": the library mixes
-# absolute Celsius with kelvin *differences* by design (see the table
-# footnote above), and an absolute-plus-delta sum is legitimate.
-
-#: Converter helpers: function name -> (argument label, result label).
-#: ``None`` means "no single dimension" (booleans, pure scale factors).
-HELPER_DIMENSIONS: dict[str, tuple[str | None, str | None]] = {
-    "ghz": ("ghz", "hz"),
-    "to_ghz": ("hz", "ghz"),
-    "mm2": ("mm2", "m2"),
-    "to_mm2": ("m2", "mm2"),
-    "gips": ("ips", "gips"),
-    "is_gated": ("hz", None),
-}
-
-#: Module constants with a physical dimension (the scale multipliers
-#: MILLI..GIGA are dimensionless and deliberately absent).
-CONSTANT_DIMENSIONS: dict[str, str] = {
-    "F_GATED": "hz",
-}
-
-#: Parameter/variable name suffixes that imply a dimension.  Matched
-#: against the full name, longest suffix first; a name consisting of
-#: only the suffix (``s``, ``w``) is *not* matched.
-SUFFIX_DIMENSIONS: dict[str, str] = {
-    "_hz": "hz",
-    "_ghz": "ghz",
-    "_s": "s",
-    "_w": "w",
-    "_m2": "m2",
-    "_mm2": "mm2",
-    "_j": "j",
-    "_v": "v",
-    "_ips": "ips",
-    "_gips": "gips",
-    "_degc": "temp",
-    "_k": "temp",
-}
-
 # Annotation aliases: plain ``float`` at runtime, a dimension claim to
-# the analyzer (and the human reader) in signatures: ``dt: Seconds``.
+# the reader in signatures: ``dt: Seconds``.
 Hz = float
 GHz = float
 Seconds = float
@@ -160,19 +108,3 @@ Joules = float
 Volts = float
 IPS = float
 GIPS = float
-
-#: Annotation alias name -> dimension label.
-ANNOTATION_DIMENSIONS: dict[str, str] = {
-    "Hz": "hz",
-    "GHz": "ghz",
-    "Seconds": "s",
-    "Watts": "w",
-    "Kelvin": "temp",
-    "Celsius": "temp",
-    "SquareMetres": "m2",
-    "SquareMillimetres": "mm2",
-    "Joules": "j",
-    "Volts": "v",
-    "IPS": "ips",
-    "GIPS": "gips",
-}

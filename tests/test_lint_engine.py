@@ -199,6 +199,12 @@ def test_cli_missing_manifest_is_a_usage_error(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_cli_unknown_select_code_is_a_usage_error(tmp_path, capsys):
+    src = _write_library_tree(tmp_path)
+    assert main(["lint", str(src), "--select", "DS102,DS501"]) == 2
+    assert "DS501" in capsys.readouterr().err
+
+
 def test_emit_manifest_harvests_names_and_prefixes(tmp_path, capsys):
     src = _write_library_tree(
         tmp_path,

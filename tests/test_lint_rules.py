@@ -30,8 +30,6 @@ PLANTED = {
     "DS401": 4,
     "DS402": 4,
     # Whole-program rules (phase 2; dispatched via analyze_source).
-    "DS501": 2,
-    "DS502": 2,
     "DS602": 2,
     "DS702": 2,
 }
@@ -40,7 +38,7 @@ PLANTED = {
 #: stale-manifest check) is also a program rule but needs a whole-tree
 #: walk plus a manifest file, so it is exercised in
 #: tests/test_lint_program.py rather than by a fixture pair here.
-PROGRAM_CODES = frozenset({"DS501", "DS502", "DS602", "DS702"})
+PROGRAM_CODES = frozenset({"DS602", "DS702"})
 
 
 def lint_fixture(filename: str, code: str) -> list[lint.Finding]:
@@ -151,11 +149,10 @@ def test_every_rule_has_both_fixtures():
 
 def test_program_findings_respect_inline_suppressions():
     source = (
-        "from repro.units import Watts\n"
-        "\n"
-        "def headroom(budget_w: Watts, t_degc: float) -> float:\n"
-        "    return budget_w - t_degc  # repro-lint: disable=DS501 - test\n"
+        "def read_header(path):\n"
+        "    fh = open(path)  # repro-lint: disable=DS702 - test\n"
+        "    return fh.readline()\n"
     )
-    assert lint.analyze_source(source, "x.py", select=["DS501"]) == []
-    unsuppressed = source.replace("  # repro-lint: disable=DS501 - test", "")
-    assert len(lint.analyze_source(unsuppressed, "x.py", select=["DS501"])) == 1
+    assert lint.analyze_source(source, "x.py", select=["DS702"]) == []
+    unsuppressed = source.replace("  # repro-lint: disable=DS702 - test", "")
+    assert len(lint.analyze_source(unsuppressed, "x.py", select=["DS702"])) == 1
