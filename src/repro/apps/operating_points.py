@@ -9,9 +9,11 @@ V/f curve, leakage model and their validation) on every call.
 
 :func:`operating_points` instead builds one table per (application,
 node, evaluation temperature, frequency grid) on first use, from a
-single model, and memoises it keyed by those values.  Every entry is
-computed by exactly the expression the scalar path evaluates, so a table
-lookup is bit-identical to ``core_power`` / ``instance_performance``.  A
+single model, and memoises it keyed by those values.  The supply voltage
+and leakage of each grid level are evaluated once and shared by every
+thread count; every entry is the same sum of the same terms the scalar
+path evaluates, so a table lookup is bit-identical to ``core_power`` /
+``instance_performance``.  A
 point outside the table (a frequency off the grid, or a thread count
 outside 1..``max_threads``) falls back to the scalar path.
 """
@@ -23,6 +25,7 @@ from typing import Optional, Sequence
 
 from repro.apps.profile import AppProfile
 from repro.tech.node import TechNode
+from repro.units import is_gated
 
 
 class OperatingPoints:
@@ -51,12 +54,25 @@ class OperatingPoints:
         self.frequencies = frequencies
         model = app.power_model(node)
         threads = range(1, app.max_threads + 1)
-        self.power = tuple(
-            tuple(
-                model.power(f, alpha=app.utilisation(n), temperature=temperature)
-                for f in frequencies
+        alphas = [app.utilisation(n) for n in threads]
+        # Voltage and leakage depend on the level alone: evaluate them once
+        # per level and sum in CorePowerModel.power's order (dynamic +
+        # leakage + pind), so every entry stays equal to the scalar path.
+        columns = []
+        for f in frequencies:
+            if is_gated(f):
+                columns.append([model.inactive_power] * len(alphas))
+                continue
+            v = model.voltage_for(f)
+            leakage = model.leakage_power(f, temperature, vdd=v)
+            columns.append(
+                [
+                    model.dynamic_power(f, alpha, vdd=v) + leakage + model.pind
+                    for alpha in alphas
+                ]
             )
-            for n in threads
+        self.power = tuple(
+            tuple(column[k] for column in columns) for k in range(len(alphas))
         )
         self.performance = tuple(
             tuple(app.instance_performance(n, f) for f in frequencies) for n in threads

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import abc
+import collections
 import functools
-from typing import AbstractSet, Optional, Sequence
+from typing import AbstractSet, Callable, Optional, Sequence
+
+import numpy as np
 
 from repro.chip import Chip
 from repro.errors import ConfigurationError, MappingError
@@ -65,6 +68,45 @@ class Placer(abc.ABC):
     def free_cores(chip: Chip, occupied: AbstractSet[int]) -> list[int]:
         """All free core indices in ascending order."""
         return [i for i in range(chip.n_cores) if i not in occupied]
+
+
+#: Most placements one chip remembers per memoised placer; the oldest
+#: entry is dropped first.  The online runtime's two 11 nm streams ask
+#: one chip about 3,600 and 3,000 distinct questions.
+PLACEMENT_MEMO_SIZE = 8192
+
+
+def memoised_placement(
+    chip: Chip,
+    name: str,
+    n_cores: int,
+    occupied: AbstractSet[int],
+    place: Callable[[], Optional[Sequence[int]]],
+) -> Optional[list[int]]:
+    """``place()``'s answer, computed once per (``n_cores``, ``occupied``).
+
+    Only for a placer whose answer is a pure function of (chip,
+    ``n_cores``, ``occupied``): the answers are remembered on ``chip``
+    under ``name``, keyed on the count and the occupied cores as packed
+    bits.  The request is checked first, so a bad one raises on a
+    hit too, and every call returns a fresh list.
+    """
+    Placer.check_request(chip, n_cores, occupied)
+    memos = getattr(chip, "_placement_memos", None)
+    if memos is None:
+        memos = chip._placement_memos = collections.defaultdict(dict)
+    memo = memos[name]
+    taken = np.zeros(chip.n_cores, dtype=bool)
+    taken[np.fromiter(occupied, np.intp, len(occupied))] = True
+    key = (n_cores, np.packbits(taken).tobytes())
+    try:
+        cores = memo[key]
+    except KeyError:
+        cores = place()
+        if len(memo) >= PLACEMENT_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = cores
+    return None if cores is None else list(cores)
 
 
 @functools.lru_cache(maxsize=16)

@@ -18,13 +18,25 @@ This module implements that three-phase heuristic:
    The upgrade pass takes one-level upgrades from a heap keyed on
    (-performance gain per extra watt, instance index), so the best score
    wins and the lowest index breaks ties; it tracks each instance's grid
-   level and rebuilds every upgraded instance once when it ends.
+   level, computes each (table, threads, level) move once and rebuilds
+   every upgraded instance once when it ends.
 2. **Repair phase** — while the steady-state peak temperature exceeds
    T_DTM, step down the v/f of the instance heating the hottest core
    (removing it when already at the lowest level).
 3. **Exploit phase** — while thermal headroom remains, try frequency
    upgrades (largest GIPS gain first) and additional instances that keep
-   the peak temperature below T_DTM.
+   the peak temperature below T_DTM.  The upgrade candidates stay in one
+   standing order keyed on (-gain, -index), the order a fresh descending
+   sort would give; only an upgraded or appended instance is re-entered,
+   and a rejected candidate keeps its place.
+
+The mapping state caches the steady-state peak of its current power
+vector, and every mutation drops it, so each vector is solved at most
+once: the check after an accepted upgrade or addition also serves the
+next step, and the final result reuses the last check.  Peaks and the
+hottest core come from the chip's sparse solver: near-ties between
+mirror-image cores are decided by its rounding, and the batched engine's
+influence matvec can break them the other way.
 
 Placement uses a dark-silicon-patterning placer by default, since DsRem
 builds on the DaSim insight that spreading active cores buys headroom.
@@ -37,6 +49,7 @@ step between them by index.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -109,10 +122,13 @@ class _Config(NamedTuple):
 class _State:
     """Mutable mapping state shared by the three phases.
 
-    The occupied set and the per-core power vector are kept up to date
-    by :meth:`add`, :meth:`replace` and :meth:`remove`.  Instances own
+    The occupied set, the per-core power vector and each placed
+    instance's grid level (``levels``) are kept up to date by
+    :meth:`add`, :meth:`replace` and :meth:`remove`.  Instances own
     disjoint cores, so assigning an instance's per-core power to its
     cores gives the same vector as summing every instance into zeros.
+    The steady-state peak of the current vector is solved at most once:
+    every mutation drops the cached value.
     """
 
     def __init__(
@@ -122,20 +138,22 @@ class _State:
         self.placer = placer
         self.tables = tables
         self.placed: list[PlacedInstance] = []
+        self.levels: list[int] = []
         self.occupied: set[int] = set()
         self._powers = np.zeros(chip.n_cores)
+        self._peak: Optional[float] = None
 
     def core_powers(self) -> np.ndarray:
         return self._powers.copy()
 
     def peak_temperature(self) -> float:
-        return self.chip.solver.peak_temperature(self._powers)
+        if self._peak is None:
+            self._peak = self.chip.solver.peak_temperature(self._powers)
+        return self._peak
 
     def point(self, index: int) -> tuple[OperatingPoints, int]:
         """The table and grid level of placed instance ``index``."""
-        inst = self.placed[index].instance
-        table = self.tables[inst.app]
-        return table, table.level(inst.frequency)
+        return self.tables[self.placed[index].instance.app], self.levels[index]
 
     def add(self, config: _Config) -> bool:
         table, n, level = config.table, config.threads, config.level
@@ -149,26 +167,33 @@ class _State:
             instance=instance, cores=tuple(cores), core_power=table.power[n - 1][level]
         )
         self.placed.append(placed)
+        self.levels.append(level)
         self.occupied.update(placed.cores)
         self._powers[list(placed.cores)] = placed.core_power
+        self._peak = None
         return True
 
     def replace(self, index: int, level: int) -> None:
         old = self.placed[index]
-        table = self.tables[old.instance.app]
-        instance = old.instance.with_frequency(table.frequencies[level])
+        app, n = old.instance.app, old.instance.threads
+        table = self.tables[app]
+        instance = ApplicationInstance(
+            app=app, threads=n, frequency=table.frequencies[level]
+        )
         placed = PlacedInstance(
-            instance=instance,
-            cores=old.cores,
-            core_power=table.power[instance.threads - 1][level],
+            instance=instance, cores=old.cores, core_power=table.power[n - 1][level]
         )
         self.placed[index] = placed
+        self.levels[index] = level
         self._powers[list(placed.cores)] = placed.core_power
+        self._peak = None
 
     def remove(self, index: int) -> None:
         cores = self.placed.pop(index).cores
+        del self.levels[index]
         self.occupied.difference_update(cores)
         self._powers[list(cores)] = 0.0
+        self._peak = None
 
     def hottest_instance(self) -> Optional[int]:
         """Index of the placed instance containing the hottest core."""
@@ -184,13 +209,12 @@ class _State:
         return max(range(len(self.placed)), key=lambda i: self.placed[i].core_power)
 
     def result(self) -> MappingResult:
-        powers = self.core_powers()
         return MappingResult(
             chip=self.chip,
             placed=tuple(self.placed),
             rejected=(),
-            core_powers=powers,
-            peak_temperature=self.chip.solver.peak_temperature(powers),
+            core_powers=self.core_powers(),
+            peak_temperature=self.peak_temperature(),
         )
 
 
@@ -254,10 +278,10 @@ def _candidate_configs(
         for n in threads_options:
             if n > app.max_threads:
                 continue
-            for level, f in enumerate(table.frequencies):
-                power = n * table.core_power(n, f)
+            power, performance = table.power[n - 1], table.performance[n - 1]
+            for level in range(len(table.frequencies)):
                 configs.append(
-                    _Config(table, n, level, power, table.instance_performance(n, f))
+                    _Config(table, n, level, n * power[level], performance[level])
                 )
     if not configs:
         limits = ", ".join(f"{app.name} {app.max_threads}" for app in apps)
@@ -302,15 +326,28 @@ def _budget_phase(
     # Upgrade pass: spend leftover power on one-level frequency increases,
     # largest performance gain per extra watt first, lowest index on ties.
     # Levels are tracked here and each upgraded instance is rebuilt once
-    # at the end, since a placed instance depends only on its level.
-    points = [state.point(i) for i in range(len(state.placed))]
-    levels = [level for _, level in points]
-    heap = [
-        move
-        for i, (table, level) in enumerate(points)
-        if (move := _upgrade_move(state, table, i, level)) is not None
-    ]
-    heapq.heapify(heap)
+    # at the end, since a placed instance depends only on its level.  A
+    # move depends only on (table, threads, level), so each (table,
+    # threads) ladder of moves is computed once per pass and shared.
+    ladders: dict[tuple[OperatingPoints, int], list] = {}
+    moves = []
+    for i, placed in enumerate(state.placed):
+        table, n = state.point(i)[0], placed.instance.threads
+        if (table, n) not in ladders:
+            ladders[table, n] = [
+                _upgrade_move(table, n, level) for level in range(len(table.frequencies))
+            ]
+        moves.append(ladders[table, n])
+    levels = list(state.levels)
+    heap: list[tuple[float, int, float]] = []
+
+    def push(i: int) -> None:
+        move = moves[i][levels[i]]
+        if move is not None:
+            heapq.heappush(heap, (move[0], i, move[1]))
+
+    for i in range(len(levels)):
+        push(i)
     # A move costing more than what remains is set aside: while upgrades
     # cost power the remainder only falls, so the move cannot fit again.
     # An upgrade that costs nothing or frees power puts them back.
@@ -327,32 +364,29 @@ def _budget_phase(
             for move in set_aside:
                 heapq.heappush(heap, move)
             set_aside.clear()
-        move = _upgrade_move(state, points[i][0], i, levels[i])
-        if move is not None:
-            heapq.heappush(heap, move)
-    for i, (_, level) in enumerate(points):
+        push(i)
+    for i, level in enumerate(state.levels):
         if levels[i] != level:
             state.replace(i, levels[i])
 
 
 def _upgrade_move(
-    state: _State, table: OperatingPoints, index: int, level: int
-) -> Optional[tuple[float, int, float]]:
-    """(-score, index, extra W) of upgrading placed instance ``index`` from
-    ``level`` by one level, or None if there is no such upgrade.
+    table: OperatingPoints, n: int, level: int
+) -> Optional[tuple[float, float]]:
+    """(-score, extra W) of upgrading an ``n``-thread instance of ``table``
+    from ``level`` by one level, or None if there is no such upgrade.
 
-    The score is the performance gain per extra watt.
+    The score is the performance gain per extra watt; the instance holds
+    one core per thread.
     """
     if level + 1 == len(table.frequencies):
         return None
-    placed = state.placed[index]
-    n = placed.instance.threads
     power, performance = table.power[n - 1], table.performance[n - 1]
-    extra = n * power[level + 1] - power[level] * len(placed.cores)
+    extra = n * power[level + 1] - power[level] * n
     gain = performance[level + 1] - performance[level]
     if gain <= 0:
         return None
-    return -(gain / max(extra, 1e-9)), index, extra
+    return -(gain / max(extra, 1e-9)), extra
 
 
 # -- phase 2: thermal repair ------------------------------------------
@@ -381,28 +415,43 @@ def _exploit_phase(state: _State, configs: list[_Config], cfg: DsRemConfig) -> N
     # Highest performance first; the sort is stable, so ties keep
     # candidate order.
     by_performance = sorted(configs, key=lambda c: -c.performance)
+    # The standing upgrade order: one (-gain, -index) key per instance
+    # below the top level, ascending, i.e. the largest gain first and the
+    # highest index on ties.  A key depends only on its instance, so only
+    # an upgraded or appended instance is (re-)entered.
+    order: list[tuple[float, int]] = []
+    for i in range(len(state.placed)):
+        _enter(state, order, i)
     for _ in range(cfg.max_steps):
         peak = state.peak_temperature()
         if peak > chip.t_dtm - cfg.exploit_margin:
             return
-        if not _try_upgrade(state) and not _try_add(state, by_performance):
-            return
-
-
-def _try_upgrade(state: _State) -> bool:
-    """Apply the best admissible one-step frequency upgrade, if any."""
-    chip = state.chip
-    candidates = []
-    for i, placed in enumerate(state.placed):
-        table, level = state.point(i)
-        if level + 1 == len(table.frequencies):
+        if _try_upgrade(state, order):
             continue
-        n = placed.instance.threads
-        gain = table.performance[n - 1][level + 1] - table.performance[n - 1][level]
-        candidates.append((gain, i, level))
-    for gain, i, level in sorted(candidates, reverse=True):
+        if not _try_add(state, by_performance):
+            return
+        _enter(state, order, len(state.placed) - 1)
+
+
+def _enter(state: _State, order: list[tuple[float, int]], index: int) -> None:
+    """Insert placed instance ``index``'s upgrade key into ``order``."""
+    table, level = state.point(index)
+    if level + 1 == len(table.frequencies):
+        return
+    performance = table.performance[state.placed[index].instance.threads - 1]
+    bisect.insort(order, (-(performance[level + 1] - performance[level]), -index))
+
+
+def _try_upgrade(state: _State, order: list[tuple[float, int]]) -> bool:
+    """Apply the first admissible one-step frequency upgrade in ``order``."""
+    chip = state.chip
+    for k, (_, neg_index) in enumerate(order):
+        i = -neg_index
+        level = state.levels[i]
         state.replace(i, level + 1)
         if state.peak_temperature() <= chip.t_dtm + 1e-6:
+            del order[k]
+            _enter(state, order, i)
             return True
         state.replace(i, level)
     return False

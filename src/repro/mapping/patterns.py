@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.chip import Chip
 from repro.errors import ConfigurationError
-from repro.mapping.base import Placer
+from repro.mapping.base import Placer, memoised_placement
 
 
 class CheckerboardPlacer(Placer):
@@ -72,10 +72,18 @@ class NeighbourhoodSpreadPlacer(Placer):
             raise ConfigurationError(
                 "NeighbourhoodSpreadPlacer needs a grid chip"
             )
-        self.check_request(chip, n_cores, occupied)
+        return memoised_placement(
+            chip, "neighbourhood", n_cores, occupied,
+            lambda: self._spread(chip, n_cores, occupied),
+        )
+
+    @classmethod
+    def _spread(
+        cls, chip: Chip, n_cores: int, occupied: AbstractSet[int]
+    ) -> Optional[list[int]]:
         rows, cols = chip.grid
         n = rows * cols
-        adjacency = self._neighbour_matrix(chip)
+        adjacency = cls._neighbour_matrix(chip)
         taken = np.zeros(n, dtype=bool)
         taken[list(occupied)] = True
         if n - len(occupied) < n_cores:
@@ -130,7 +138,10 @@ class ThermalSpreadPlacer(Placer):
     def place(
         self, chip: Chip, n_cores: int, occupied: AbstractSet[int]
     ) -> Optional[Sequence[int]]:
-        return _thermal_spread(chip, n_cores, occupied)
+        return memoised_placement(
+            chip, "thermal", n_cores, occupied,
+            lambda: _thermal_spread(chip, n_cores, occupied),
+        )
 
 
 def _thermal_spread(
@@ -148,7 +159,9 @@ def _thermal_spread(
     order of the floating-point additions decides near-ties between
     mirror-image cores, so a placement depends only on which cores are
     occupied.  Unavailable cores score +inf, so argmin (lowest index
-    wins ties) only selects free ones.
+    wins ties) only selects free ones.  Bias-free placements are
+    memoised per chip (:func:`~repro.mapping.base.memoised_placement`);
+    biased ones are computed on every call.
     """
     Placer.check_request(chip, n_cores, occupied)
     if chip.n_cores - len(occupied) < n_cores:

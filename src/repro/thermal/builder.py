@@ -219,9 +219,10 @@ def build_thermal_model(
     t_spr = config.spreader_thickness
     t_snk = config.sink_thickness
 
-    def sink_ambient_conductance(area: float) -> float:
-        """Conductance from a sink node to ambient: half the sink
-        thickness in series with this node's convection share."""
+    def sink_ambient_conductance(area):
+        """Conductance from a sink node of ``area`` (a float, or an array
+        of areas) to ambient: half the sink thickness in series with the
+        node's convection share."""
         r_half = 0.5 * t_snk / (k_m * area)
         r_conv = config.convection_resistance * sink_area_total / area
         return 1.0 / (r_half + r_conv)
@@ -246,10 +247,7 @@ def build_thermal_model(
         config.metal_specific_heat * areas * t_snk
         + config.convection_capacitance * areas / sink_area_total
     )
-    snk_amb = 1.0 / (
-        0.5 * t_snk / (k_m * areas)
-        + config.convection_resistance * sink_area_total / areas
-    )
+    snk_amb = sink_ambient_conductance(areas)
     si_idx = np.empty(n_cores, dtype=np.intp)
     tim_idx = np.empty(n_cores, dtype=np.intp)
     spr_idx = np.empty(n_cores, dtype=np.intp)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.apps.parsec import PARSEC, PARSEC_ORDER
 from repro.mapping import dsrem
+from repro.mapping.contiguous import ContiguousPlacer
 from repro.mapping.dsrem import DsRemConfig
 from repro.mapping.patterns import ThermalSpreadPlacer
 from repro.power.budget import PAPER_TDP_PESSIMISTIC
@@ -218,3 +219,188 @@ def test_upgrade_that_frees_power_returns_set_aside_moves(small_chip):
     assert actual.placed == expected.placed
     assert np.array_equal(actual.core_powers(), expected.core_powers())
     assert [table.level(p.instance.frequency) for p in actual.placed] == [3, 1]
+
+
+# -- the exploit phase against its rebuild-and-sort loop ---------------
+#
+# ``reference_exploit_phase`` is the earlier formulation of phase 3: it
+# rebuilds and sorts every upgrade candidate on every step, reads each
+# instance's level off its frequency and solves every peak afresh.  The
+# production ``_exploit_phase`` keeps one standing (-gain, -index) order,
+# re-enters only an upgraded or appended instance, and reads peaks from
+# the state's cache.  Both must leave the same final mapping, bit for bit.
+
+PRODUCTION_EXPLOIT_PHASE = dsrem._exploit_phase
+
+
+def reference_exploit_phase(state, configs, cfg) -> dict:
+    """Phase 3 as the rebuild-and-sort loop; returns what it did."""
+    chip = state.chip
+    by_performance = sorted(configs, key=lambda c: -c.performance)
+    seen = {"upgraded": [], "rejected": 0, "added": []}
+    for _ in range(cfg.max_steps):
+        if _solved_peak(state) > chip.t_dtm - cfg.exploit_margin:
+            break
+        if not _reference_try_upgrade(state, seen) and not _reference_try_add(
+            state, by_performance, seen
+        ):
+            break
+    return seen
+
+
+def _solved_peak(state) -> float:
+    return state.chip.solver.peak_temperature(state.core_powers())
+
+
+def _reference_try_upgrade(state, seen) -> bool:
+    chip = state.chip
+    candidates = []
+    for i, placed in enumerate(state.placed):
+        inst = placed.instance
+        table = state.tables[inst.app]
+        level = table.level(inst.frequency)
+        if level + 1 == len(table.frequencies):
+            continue
+        performance = table.performance[inst.threads - 1]
+        candidates.append((performance[level + 1] - performance[level], i, level))
+    for _, i, level in sorted(candidates, reverse=True):
+        state.replace(i, level + 1)
+        if _solved_peak(state) <= chip.t_dtm + 1e-6:
+            seen["upgraded"].append(i)
+            return True
+        state.replace(i, level)
+        seen["rejected"] += 1
+    return False
+
+
+def _reference_try_add(state, by_performance, seen) -> bool:
+    chip = state.chip
+    free = chip.n_cores - len(state.occupied)
+    if free == 0:
+        return False
+    for config in by_performance:
+        if config.threads > free or not state.add(config):
+            continue
+        if _solved_peak(state) <= chip.t_dtm + 1e-6:
+            seen["added"].append((len(state.placed) - 1, len(seen["upgraded"])))
+            return True
+        state.remove(len(state.placed) - 1)
+    return False
+
+
+def _run_exploit(monkeypatch, exploit_phase, chip, apps, tdp, cfg, placer):
+    """``ds_rem`` with ``exploit_phase`` as phase 3; returns what the
+    phase returned and the final mapping."""
+    seen = {}
+
+    def phase(state, configs, cfg):
+        seen["returned"] = exploit_phase(state, configs, cfg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dsrem, "_exploit_phase", phase)
+        result = dsrem.ds_rem(chip, apps, tdp, placer=placer(), config=cfg)
+    return seen["returned"], result
+
+
+def _assert_same_exploit(
+    monkeypatch, chip, apps, tdp, cfg, placer=ThermalSpreadPlacer
+) -> dict:
+    """Assert both phase-3 versions agree; return what the reference did.
+
+    ``placer`` makes a fresh placer for each run.
+    """
+    expected, expected_result = _run_exploit(
+        monkeypatch, reference_exploit_phase, chip, apps, tdp, cfg, placer
+    )
+    _, actual_result = _run_exploit(
+        monkeypatch, PRODUCTION_EXPLOIT_PHASE, chip, apps, tdp, cfg, placer
+    )
+    assert actual_result.placed == expected_result.placed
+    assert np.array_equal(actual_result.core_powers, expected_result.core_powers)
+    assert actual_result.peak_temperature == expected_result.peak_temperature
+    assert expected_result.peak_temperature == chip.solver.peak_temperature(
+        expected_result.core_powers
+    )
+    return expected
+
+
+#: The dsrem_mixes benchmark's seed-0 mixes: a cycle through the seven apps.
+SEED0_MIXES = [
+    ("bodytrack", "canneal"),
+    ("canneal", "ferret"),
+    ("ferret", "swaptions"),
+    ("swaptions", "dedup"),
+    ("dedup", "x264"),
+    ("x264", "blackscholes"),
+    ("blackscholes", "bodytrack"),
+]
+
+
+@pytest.mark.parametrize("mix", SEED0_MIXES, ids="+".join)
+def test_exploit_phase_seed0_mixes_on_16nm(monkeypatch, chip16, mix):
+    apps = [PARSEC[name] for name in mix]
+    expected = _assert_same_exploit(
+        monkeypatch, chip16, apps, PAPER_TDP_PESSIMISTIC, DsRemConfig()
+    )
+    assert expected["upgraded"]
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [
+        ("x264", "canneal"),
+        ("swaptions", "bodytrack"),
+        ("ferret", "blackscholes", "dedup"),
+    ],
+    ids="+".join,
+)
+def test_exploit_phase_mixes_on_11nm(monkeypatch, chip11, mix):
+    apps = [PARSEC[name] for name in mix]
+    _assert_same_exploit(
+        monkeypatch, chip11, apps, PAPER_TDP_PESSIMISTIC, DsRemConfig()
+    )
+
+
+class _AlternatingPlacer(ThermalSpreadPlacer):
+    """Contiguous positions on odd calls, thermal-spread ones on even calls.
+
+    With a deterministic placer an instance the exploit phase appends can
+    never be upgraded later: the one-level-higher configuration was tried
+    first on the same cores and was too hot, and the phase only adds
+    heat.  This placer puts the two tries on different cores.
+    """
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def place(self, chip, n_cores, occupied):
+        self.calls += 1
+        if self.calls % 2:
+            return ContiguousPlacer().place(chip, n_cores, occupied)
+        return super().place(chip, n_cores, occupied)
+
+
+def test_exploit_phase_upgrades_an_added_instance(monkeypatch, chip16):
+    """A 3 W budget leaves most cores free; the exploit phase appends
+    instances, and one appended below the top level is upgraded later."""
+    expected = _assert_same_exploit(
+        monkeypatch, chip16, [PARSEC["blackscholes"]], 3.0, DsRemConfig(),
+        placer=_AlternatingPlacer,
+    )
+    upgraded_after_add = [
+        index
+        for index, upgrades_before in expected["added"]
+        if index in expected["upgraded"][upgrades_before:]
+    ]
+    assert upgraded_after_add
+
+
+def test_exploit_phase_ends_on_rejected_upgrades(monkeypatch, chip16):
+    """With no margin the phase climbs to T_DTM on a full chip; it ends on
+    a step whose every upgrade is rejected and reverted, and no instance
+    fits, so the final peak is that of the reverted vector."""
+    expected = _assert_same_exploit(
+        monkeypatch, chip16, [PARSEC["x264"]], 80.0, DsRemConfig(exploit_margin=0.0)
+    )
+    assert expected["rejected"] > 0
+    assert not expected["added"]

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.apps.parsec import PARSEC
+from repro.apps.parsec import PARSEC, PARSEC_ORDER
 from repro.chip import Chip
 from repro.core.tsp import ThermalSafePower
 from repro.errors import ConfigurationError
+from repro.power.budget import PAPER_TDP_PESSIMISTIC
 from repro.runtime import (
     AdmissionDecision,
     Job,
@@ -344,3 +345,23 @@ class TestSimulator:
         result = OnlineSimulator(small_chip, policy).run([big, small])
         by_id = {r.job.job_id: r for r in result.records}
         assert by_id[0].start <= by_id[1].start
+
+
+@pytest.mark.parametrize("policy", ["tdp_fifo", "tsp_adaptive"])
+def test_core_seconds_is_the_records_busy_time(chip16, policy):
+    """``core_seconds`` (the utilisation numerator) is integrated per
+    event interval; it must equal the busy time the completion records
+    add up to, threads x (finish - start) per job."""
+    apps = [PARSEC[name] for name in PARSEC_ORDER]
+    jobs = deterministic_job_stream(apps, 400, 0.3, 400e9, seed=5)
+    policies = {
+        "tdp_fifo": lambda: TdpFifoPolicy(tdp=PAPER_TDP_PESSIMISTIC),
+        "tsp_adaptive": lambda: TspAdaptivePolicy(ThermalSafePower(chip16)),
+    }
+    result = OnlineSimulator(chip16, policies[policy]()).run(jobs)
+    assert len(result.records) == len(jobs)
+    busy = sum(r.threads * (r.finish - r.start) for r in result.records)
+    assert result.core_seconds == pytest.approx(busy, rel=1e-12, abs=0.0)
+    assert result.utilisation == pytest.approx(
+        busy / (chip16.n_cores * result.makespan), rel=1e-12, abs=0.0
+    )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.floorplan.generator import grid_floorplan
-from repro.tech.library import NODE_16NM, NODE_22NM
+from repro.floorplan.generator import floorplan_for_node, grid_floorplan
+from repro.tech.library import NODE_8NM, NODE_11NM, NODE_16NM, NODE_22NM
 from repro.thermal.builder import build_thermal_model
 from repro.thermal.config import PAPER_THERMAL_CONFIG, ThermalConfig
 from repro.units import mm2
@@ -45,6 +45,30 @@ class TestPhysicalConsistency:
         """
         total = model4x4.network.ambient_conductances().sum()
         assert 9.0 <= total <= 10.0
+
+    @pytest.mark.parametrize(
+        "node,layers",
+        [(NODE_16NM, 1), (NODE_11NM, 1), (NODE_8NM, 1), (NODE_16NM, 2)],
+        ids=["16nm", "11nm", "8nm", "16nm-2layer"],
+    )
+    def test_sink_ambient_paths_sum_exactly(self, node, layers):
+        """Every sink node's path to ambient is half the sink thickness in
+        series with its area share of the convection resistance, g_i =
+        A_i / (t_snk / (2 k_m) + R_conv A_sink), and the sink nodes tile
+        the sink, so the paths sum to A_sink / (t_snk / (2 k_m) + R_conv
+        A_sink), A_sink = sink_side^2."""
+        cfg = PAPER_THERMAL_CONFIG
+        floorplan = floorplan_for_node(node)
+        model = build_thermal_model(
+            floorplan if layers == 1 else cfg.stacked([floorplan] * layers)
+        )
+        area = cfg.sink_side**2
+        expected = area / (
+            cfg.sink_thickness / (2.0 * cfg.metal_conductivity)
+            + cfg.convection_resistance * area
+        )
+        total = model.network.ambient_conductances().sum()
+        assert total == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_sink_capacitance_includes_convection(self, model4x4):
         cfg = PAPER_THERMAL_CONFIG
