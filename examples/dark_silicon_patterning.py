@@ -23,7 +23,7 @@ from repro import (
     estimate_dark_silicon,
     map_workload,
 )
-from repro.thermal.analysis import temperature_map
+from repro.thermal.analysis import temperature_maps
 
 #: ASCII shades from cool to hot.
 SHADES = " .:-=+*#%@"
@@ -65,10 +65,17 @@ def main() -> None:
         chip, workload, unconstrained, placer=NeighbourhoodSpreadPlacer()
     )
 
-    maps = {
-        "contiguous": temperature_map(chip.thermal, contiguous.core_powers, rows, cols),
-        "patterned": temperature_map(chip.thermal, patterned.core_powers, rows, cols),
-    }
+    maps = dict(
+        zip(
+            ("contiguous", "patterned"),
+            temperature_maps(
+                chip.thermal,
+                [contiguous.core_powers, patterned.core_powers],
+                rows,
+                cols,
+            ),
+        )
+    )
     lo = min(m.min() for m in maps.values())
     hi = max(m.max() for m in maps.values())
 

@@ -85,7 +85,7 @@ from repro.ntc import iso_performance_comparison
 from repro.ntc.energy_sweep import energy_voltage_sweep, minimum_energy_point
 from repro.dtm import GateHottest, ThrottleHottest, enforce as enforce_dtm
 from repro.mapping.temporal import evaluate_rotation
-from repro.io import result_to_csv, result_to_json
+from repro.io import result_to_csv
 
 __version__ = "1.0.0"
 
@@ -149,6 +149,5 @@ __all__ = [
     "enforce_dtm",
     "evaluate_rotation",
     "result_to_csv",
-    "result_to_json",
     "__version__",
 ]

@@ -133,21 +133,6 @@ class Workload:
         """Aggregate Eq. (1) power of all instances, in W."""
         return sum(inst.total_power(node, temperature) for inst in self._instances)
 
-    def truncated_to_cores(self, core_budget: int) -> "Workload":
-        """Longest instance prefix fitting within ``core_budget`` cores."""
-        if core_budget < 0:
-            raise ConfigurationError(
-                f"core_budget must be non-negative, got {core_budget}"
-            )
-        kept: list[ApplicationInstance] = []
-        used = 0
-        for inst in self._instances:
-            if used + inst.cores > core_budget:
-                break
-            kept.append(inst)
-            used += inst.cores
-        return Workload(kept)
-
     def at_frequency(self, frequency: float) -> "Workload":
         """Copy of the workload with every instance at ``frequency``."""
         return Workload(inst.with_frequency(frequency) for inst in self._instances)

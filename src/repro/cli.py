@@ -422,6 +422,17 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--quick",
@@ -505,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="worker processes for cold cells (default: serial)",
@@ -650,14 +661,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=5,
         metavar="N",
         help="hottest spans to show (default: 5)",
     )
     p_report.add_argument(
         "--recent",
-        type=int,
+        type=_positive_int,
         default=10,
         metavar="N",
         help="ledger lines to show (default: 10)",

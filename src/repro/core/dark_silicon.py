@@ -89,9 +89,9 @@ def sweep_frequencies(
     """Figure 5: dark silicon vs v/f level for one application.
 
     Args:
-        runner: sweep executor (timing metrics land in its
-            :attr:`~repro.perf.sweep.SweepRunner.metrics` under stage
-            ``"sweep_frequencies"``); a private serial runner by default.
+        runner: sweep executor (its wall clock lands in the
+            ``sweep.sweep_frequencies`` span); a private serial runner
+            by default.
             Chips do not pickle, so this sweep is always in-process even
             on a parallel runner — each cell still reuses the chip
             engine's cached influence operator.

@@ -203,15 +203,6 @@ class ThermalSafePower:
             )
         return chosen
 
-    def safe_frequency_table(
-        self,
-        app,
-        counts: Sequence[int],
-        threads: int = 8,
-    ) -> dict[int, float]:
-        """``{m: safe frequency}`` for several active-core counts."""
-        return {m: self.safe_frequency(app, m, threads=threads) for m in counts}
-
     # -- internals ----------------------------------------------------
 
     def _check_active(self, active: Sequence[int]) -> np.ndarray:

@@ -23,11 +23,6 @@ class SensitivityResult(PayloadSerializable):
 
     outcomes: dict
 
-    @property
-    def all_hold_everywhere(self) -> bool:
-        """Every shape survived every perturbation."""
-        return all(s.all_hold for s in self.outcomes.values())
-
     def rows(self):
         """(axis, scale, five shape booleans, all) rows."""
         out = []

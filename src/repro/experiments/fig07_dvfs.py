@@ -68,11 +68,6 @@ class Fig7NodeResult:
         """Largest per-application gain."""
         return max(a.gain for a in self.apps)
 
-    @property
-    def average_gain(self) -> float:
-        """Mean per-application gain."""
-        return sum(a.gain for a in self.apps) / len(self.apps)
-
 
 @dataclass(frozen=True)
 class Fig7Result(PayloadSerializable):

@@ -14,7 +14,6 @@ safe, quantifying how many extra cores patterning switches on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -30,7 +29,6 @@ from repro.io import PayloadSerializable
 from repro.mapping.base import Placer
 from repro.mapping.contiguous import ContiguousPlacer
 from repro.mapping.patterns import NeighbourhoodSpreadPlacer
-from repro.perf.sweep import SweepRunner
 from repro.thermal.analysis import temperature_maps
 
 
@@ -171,13 +169,13 @@ def run(
             ),
         ),
     ]
-    # All three thermal maps come from one multi-RHS steady-state solve,
-    # routed through the runner's batched stage.
+    # All three thermal maps come from one multi-RHS steady-state solve.
     rows, cols = chip.grid
-    maps = SweepRunner().map_batched(
+    maps = temperature_maps(
+        chip.thermal,
         [result.core_powers for _, result in realised],
-        partial(temperature_maps, chip.thermal, rows=rows, cols=cols),
-        stage="fig8_thermal_maps",
+        rows=rows,
+        cols=cols,
     )
     patterned, forced, safe = (
         _outcome(chip, result, name, thermal_map)

@@ -153,8 +153,8 @@ def run(
     Args:
         runner: sweep executor for the per-node cells; pass a parallel
             one to fan nodes out across processes (cells only exchange
-            picklable inputs/results).  Timing lands in its metrics
-            under stage ``"fig10_nodes"``.
+            picklable inputs/results).  Its wall clock lands in the
+            ``sweep.fig10_nodes`` span.
     """
     shares = dict(PAPER_DARK_SHARES if dark_shares is None else dark_shares)
     runner = runner or SweepRunner()

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -61,11 +62,18 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"not a finite number: {text!r}")
+    return value
+
+
 #: Parameter kinds and their CLI-string coercions.
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "str": str,
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "bool": _parse_bool,
     "json": json.loads,
 }

@@ -1,11 +1,11 @@
 """Result export and lossless payload serialization.
 
 Every experiment result exposes ``rows()`` (list of row sequences) and a
-``table()`` text rendering; this module adds machine-readable exports so
-downstream plotting/analysis can consume regenerated figures without
-scraping text tables.
+``table()`` text rendering; this module adds a machine-readable CSV
+export so downstream plotting/analysis can consume regenerated figures
+without scraping text tables.
 
-Beyond the flat CSV/JSON row dumps, the *payload* codec turns any
+Beyond the flat CSV row dump, the *payload* codec turns any
 experiment result — arbitrarily nested frozen dataclasses, tuples,
 dicts with non-string keys, enums and numpy arrays — into a
 JSON-serialisable tree and back, losslessly.  This is what the
@@ -107,21 +107,6 @@ def result_to_csv(
 ) -> Path:
     """Export an experiment result's rows to CSV."""
     return rows_to_csv(result.rows(), path, headers=headers)
-
-
-def result_to_json(result: TabularResult, path: str | Path) -> Path:
-    """Export an experiment result's rows to a JSON array of arrays."""
-    path = Path(path)
-    with path.open("w") as handle:
-        json.dump(result.rows(), handle, indent=2, default=str)
-        handle.write("\n")
-    return path
-
-
-def read_csv_rows(path: str | Path) -> list[list[str]]:
-    """Read back a CSV written by :func:`rows_to_csv` (strings only)."""
-    with Path(path).open(newline="") as handle:
-        return [row for row in csv.reader(handle)]
 
 
 def _class_path(cls: type) -> str:

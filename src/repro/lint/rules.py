@@ -30,9 +30,7 @@ BARE_EXCEPTIONS = frozenset(
 )
 
 #: Registry recording methods whose first argument is a metric name.
-METRIC_METHODS = frozenset(
-    {"incr", "observe", "gauge", "histogram", "timer", "span"}
-)
+METRIC_METHODS = frozenset({"incr", "gauge", "histogram", "span"})
 
 #: Receivers treated as the observability registry at a call site.
 METRIC_RECEIVERS = frozenset({"obs", "REGISTRY"})

@@ -6,7 +6,6 @@ visible without perturbing it.  A single process-global
 :class:`~repro.obs.registry.Registry` collects
 
 * counters (``obs.incr("thermal.model.solves")``),
-* flat timers (``with obs.timer(name): ...``),
 * hierarchical spans (``with obs.span("experiment.fig10"): ...``),
 * gauges (``obs.gauge("process.max_rss_bytes", rss)``), and
 * histograms (``obs.histogram("thermal.transient.steps_per_sim", n)``),
@@ -103,11 +102,6 @@ def incr(name: str, n: float = 1) -> None:
         counters[name] = counters.get(name, 0) + n
 
 
-def observe(name: str, seconds: float) -> None:
-    """Record one duration into global flat timer ``name``."""
-    REGISTRY.observe(name, seconds)
-
-
 def gauge(name: str, value: float) -> None:
     """Set global gauge ``name`` to ``value`` (last writer wins)."""
     REGISTRY.gauge(name, value)
@@ -116,11 +110,6 @@ def gauge(name: str, value: float) -> None:
 def histogram(name: str, value: float) -> None:
     """Record one sample into global histogram ``name``."""
     REGISTRY.histogram(name, value)
-
-
-def timer(name: str):
-    """Context manager timing its body into global timer ``name``."""
-    return REGISTRY.timer(name)
 
 
 def span(name: str):
@@ -143,11 +132,6 @@ def merge(delta: dict | None) -> None:
     REGISTRY.merge(delta)
 
 
-def subsystems() -> set[str]:
-    """Distinct instrumented-subsystem prefixes recorded so far."""
-    return REGISTRY.subsystems()
-
-
 __all__ = [
     "ENV_ENABLE",
     "NULL_SPAN",
@@ -165,12 +149,9 @@ __all__ = [
     "histogram",
     "incr",
     "merge",
-    "observe",
     "reset",
     "snapshot",
     "span",
-    "subsystems",
-    "timer",
     "to_csv",
     "to_json",
 ]

@@ -45,8 +45,8 @@ def to_json(snapshot: dict, path: Optional[Union[str, Path]] = None) -> str:
 def to_csv(snapshot: dict, path: Optional[Union[str, Path]] = None) -> str:
     """Flatten a snapshot into CSV rows.
 
-    Counters and gauges emit ``(kind, value)`` rows; timers and spans
-    emit ``(count, total_s)`` rows; histograms emit ``(count, sum)``
+    Counters and gauges emit ``(kind, value)`` rows; spans emit
+    ``(count, total_s)`` rows; histograms emit ``(count, sum)``
     rows (sum in the ``total_s`` column).  Rows are sorted by
     (kind, name) so the output is diff-stable across runs.
 
@@ -61,9 +61,8 @@ def to_csv(snapshot: dict, path: Optional[Union[str, Path]] = None) -> str:
         rows.append(["counter", name, "", "", value])
     for name, value in snapshot.get("gauges", {}).items():
         rows.append(["gauge", name, "", "", value])
-    for kind in ("timers", "spans"):
-        for name, agg in snapshot.get(kind, {}).items():
-            rows.append([kind[:-1], name, agg["count"], agg["total_s"], ""])
+    for name, agg in snapshot.get("spans", {}).items():
+        rows.append(["span", name, agg["count"], agg["total_s"], ""])
     for name, agg in snapshot.get("histograms", {}).items():
         rows.append(["histogram", name, agg["count"], agg["sum"], ""])
     rows.sort(key=lambda r: (r[0], r[1]))

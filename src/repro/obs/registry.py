@@ -1,11 +1,9 @@
 """The process-global observability registry.
 
-One :class:`Registry` per process collects five kinds of measurements:
+One :class:`Registry` per process collects four kinds of measurements:
 
 * **counters** — monotone event counts (``incr``): solver calls, store
   hits, transient steps;
-* **timers** — flat duration aggregates (``timer``/``observe``): count
-  and total wall-clock per name;
 * **spans** — *hierarchical* duration aggregates (``span``): nested
   spans accumulate under their dot-joined path, so a sweep stage running
   inside an experiment lands under ``experiment.fig10.sweep.fig10_nodes``
@@ -24,7 +22,7 @@ therefore pay a single predictable branch per event when observability
 is off; measured overhead on the hot paths is below the noise
 floor (see ``docs/observability.md`` and ``tests/test_obs_overhead.py``).
 
-Counters, timers, spans and histogram count/sum/buckets are plain sums,
+Counters, spans and histogram count/sum/buckets are plain sums,
 so two snapshots can be subtracted (:meth:`Registry.diff`) and merged
 (:meth:`Registry.merge`) exactly — the mechanism
 :class:`repro.perf.sweep.SweepRunner` uses to fold worker-process
@@ -40,9 +38,11 @@ import time
 from typing import Optional
 
 #: Snapshot schema version, recorded in every export.  Version 2 added
-#: the ``gauges`` and ``histograms`` aggregate kinds (version-1
-#: snapshots still diff/merge cleanly — absent kinds read as empty).
-SNAPSHOT_VERSION = 2
+#: the ``gauges`` and ``histograms`` aggregate kinds; version 3 dropped
+#: the flat ``timers`` kind.  Older snapshots still diff, merge, export
+#: and watch cleanly: absent kinds read as empty, and a ``timers``
+#: section is ignored.
+SNAPSHOT_VERSION = 3
 
 #: Histogram bucket key for non-positive values.
 _HIST_UNDERFLOW = "le0"
@@ -67,14 +67,14 @@ def _hist_bucket(value: float) -> str:
 def diff_snapshots(now: dict, before: dict) -> dict:
     """The exact delta between two snapshots of the same registry.
 
-    Counters, timers, spans and histogram count/sum/buckets are sums,
+    Counters, spans and histogram count/sum/buckets are sums,
     so their deltas are exact and telescope: summing (merging) every
     interval delta between ``snap_0`` and ``snap_n`` reproduces
     ``snap_n - snap_0`` to the bit.  A histogram delta carries the
     *current* min/max (extremes cannot be subtracted).  Gauges are
     included when their value changed or is new.  Entries absent from
     ``before`` are returned whole; unchanged entries are omitted (a
-    timer or span counts as changed when its count or total moved, a
+    span counts as changed when its count or total moved, a
     histogram when its count, sum or any bucket moved).
 
     :meth:`Registry.diff` is this applied to a live snapshot.
@@ -82,7 +82,6 @@ def diff_snapshots(now: dict, before: dict) -> dict:
     out = {
         "version": SNAPSHOT_VERSION,
         "counters": {},
-        "timers": {},
         "spans": {},
         "gauges": {},
         "histograms": {},
@@ -92,16 +91,15 @@ def diff_snapshots(now: dict, before: dict) -> dict:
         delta = value - prior_counters.get(name, 0)
         if delta:
             out["counters"][name] = delta
-    for kind in ("timers", "spans"):
-        prior = before.get(kind, {})
-        for name, agg in now[kind].items():
-            prev = prior.get(name, {"count": 0, "total_s": 0.0})
-            d_count = agg["count"] - prev["count"]
-            d_total = agg["total_s"] - prev["total_s"]
-            # A snapshot can catch an interval between its count and its
-            # total_s updates, so an interval may move only the latter.
-            if d_count or d_total:
-                out[kind][name] = {"count": d_count, "total_s": d_total}
+    prior_spans = before.get("spans", {})
+    for name, agg in now["spans"].items():
+        prev = prior_spans.get(name, {"count": 0, "total_s": 0.0})
+        d_count = agg["count"] - prev["count"]
+        d_total = agg["total_s"] - prev["total_s"]
+        # A snapshot can catch an interval between its count and its
+        # total_s updates, so an interval may move only the latter.
+        if d_count or d_total:
+            out["spans"][name] = {"count": d_count, "total_s": d_total}
     prior_gauges = before.get("gauges", {})
     for name, value in now["gauges"].items():
         if name not in prior_gauges or prior_gauges[name] != value:
@@ -149,24 +147,6 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _Timer:
-    """Context manager recording one duration into a flat timer."""
-
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: "Registry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._registry.observe(self._name, time.perf_counter() - self._start)
-        return False
-
-
 class _Span:
     """Context manager recording one duration under the span stack."""
 
@@ -195,12 +175,11 @@ class _Span:
 
 
 class Registry:
-    """Counters, timers, spans, gauges and histograms with exact merge/diff."""
+    """Counters, spans, gauges and histograms with exact merge/diff."""
 
     def __init__(self, enabled: bool = False) -> None:
         self._enabled = enabled
         self._counters: dict[str, float] = {}
-        self._timers: dict[str, list[float]] = {}  # name -> [count, total_s]
         self._spans: dict[str, list[float]] = {}  # path -> [count, total_s]
         self._gauges: dict[str, float] = {}
         # name -> [count, sum, min, max, {bucket: count}]
@@ -225,7 +204,6 @@ class Registry:
     def reset(self) -> None:
         """Drop every accumulated measurement (enabled state unchanged)."""
         self._counters.clear()
-        self._timers.clear()
         self._spans.clear()
         self._gauges.clear()
         self._hists.clear()
@@ -238,17 +216,6 @@ class Registry:
         if not self._enabled:
             return
         self._counters[name] = self._counters.get(name, 0) + n
-
-    def observe(self, name: str, seconds: float) -> None:
-        """Record one duration into flat timer ``name``."""
-        if not self._enabled:
-            return
-        bucket = self._timers.get(name)
-        if bucket is None:
-            self._timers[name] = [1, seconds]
-        else:
-            bucket[0] += 1
-            bucket[1] += seconds
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last writer wins)."""
@@ -273,12 +240,6 @@ class Registry:
             hist[3] = value
         key = _hist_bucket(value)
         hist[4][key] = hist[4].get(key, 0) + 1
-
-    def timer(self, name: str):
-        """Context manager timing its body into flat timer ``name``."""
-        if not self._enabled:
-            return NULL_SPAN
-        return _Timer(self, name)
 
     def span(self, name: str):
         """Context manager timing its body under the hierarchical path.
@@ -306,10 +267,6 @@ class Registry:
         return {
             "version": SNAPSHOT_VERSION,
             "counters": dict(self._counters),
-            "timers": {
-                name: {"count": int(c), "total_s": t}
-                for name, (c, t) in self._timers.items()
-            },
             "spans": {
                 path: {"count": int(c), "total_s": t}
                 for path, (c, t) in self._spans.items()
@@ -330,7 +287,7 @@ class Registry:
     def diff(self, before: dict) -> dict:
         """The measurements accumulated *since* ``before`` was taken.
 
-        Counters, timers, spans and histogram count/sum/buckets are
+        Counters, spans and histogram count/sum/buckets are
         sums, so their deltas are exact; a histogram delta carries the
         *current* min/max (extremes cannot be subtracted).  Gauges are
         included when their value changed or is new.  Entries absent
@@ -351,14 +308,13 @@ class Registry:
             return
         for name, value in snapshot.get("counters", {}).items():
             self._counters[name] = self._counters.get(name, 0) + value
-        for kind, store in (("timers", self._timers), ("spans", self._spans)):
-            for name, agg in snapshot.get(kind, {}).items():
-                bucket = store.get(name)
-                if bucket is None:
-                    store[name] = [agg["count"], agg["total_s"]]
-                else:
-                    bucket[0] += agg["count"]
-                    bucket[1] += agg["total_s"]
+        for name, agg in snapshot.get("spans", {}).items():
+            bucket = self._spans.get(name)
+            if bucket is None:
+                self._spans[name] = [agg["count"], agg["total_s"]]
+            else:
+                bucket[0] += agg["count"]
+                bucket[1] += agg["total_s"]
         self._gauges.update(snapshot.get("gauges", {}))
         for name, agg in snapshot.get("histograms", {}).items():
             hist = self._hists.get(name)
@@ -377,18 +333,3 @@ class Registry:
             hist[3] = max(hist[3], agg["max"])
             for key, n in agg.get("buckets", {}).items():
                 hist[4][key] = hist[4].get(key, 0) + n
-
-    def subsystems(self) -> set[str]:
-        """First dotted components of every recorded name.
-
-        The acceptance handle for "how many subsystems are instrumented
-        in this snapshot": ``{"thermal", "tsp", "sweep", "runtime", ...}``.
-        """
-        names = (
-            list(self._counters)
-            + list(self._timers)
-            + list(self._spans)
-            + list(self._gauges)
-            + list(self._hists)
-        )
-        return {name.split(".", 1)[0] for name in names}

@@ -25,7 +25,7 @@ Budget schema (one JSON object per budget, under a top-level
      "note": "why this bound"}  # optional, echoed in reports
 
 Metric values resolve by kind: counters and gauges read their value,
-timers and spans read ``total_s``, histograms read what the predicate
+spans read ``total_s``, histograms read what the predicate
 needs (``max``/``min`` read the recorded extremes, ``p95_le`` the
 interpolated :func:`~repro.obs.export.hist_percentile`).  A pattern
 budget evaluates once per matching metric; a budget matching nothing
@@ -217,9 +217,8 @@ def _scalar_candidates(snapshot: dict, predicate: str) -> dict[str, float]:
         values[name] = float(value)
     for name, value in snapshot.get("gauges", {}).items():
         values[name] = float(value)
-    for kind in ("timers", "spans"):
-        for name, agg in snapshot.get(kind, {}).items():
-            values[name] = float(agg["total_s"])
+    for name, agg in snapshot.get("spans", {}).items():
+        values[name] = float(agg["total_s"])
     for name, agg in snapshot.get("histograms", {}).items():
         if predicate == "p95_le":
             p95 = hist_percentile(agg, 0.95)

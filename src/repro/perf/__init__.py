@@ -4,8 +4,8 @@
   operator applied to one power vector as a matvec and to whole batches
   in one BLAS matmul, plus the shared TSP budget tables.
 * :class:`repro.perf.sweep.SweepRunner` — experiment/benchmark grid
-  execution with per-stage timing metrics and optional process
-  parallelism.
+  execution, serial or across worker processes, with one
+  ``sweep.<stage>`` span per pass.
 
 Every chip exposes a lazily built engine as :attr:`repro.chip.Chip.
 engine`; the rewired call sites (TSP, the estimation engine, the dark-

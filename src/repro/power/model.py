@@ -124,28 +124,3 @@ class CorePowerModel:
             + self.leakage_power(frequency, temperature, vdd=v)
             + self.pind
         )
-
-    def power_breakdown(
-        self,
-        frequency: float,
-        alpha: float = 1.0,
-        temperature: float = 80.0,
-    ) -> dict[str, float]:
-        """Per-term decomposition of :meth:`power` (keys: dynamic,
-        leakage, independent, total), in W."""
-        if is_gated(frequency):
-            return {
-                "dynamic": 0.0,
-                "leakage": 0.0,
-                "independent": self.inactive_power,
-                "total": self.inactive_power,
-            }
-        v = self.voltage_for(frequency)
-        dyn = self.dynamic_power(frequency, alpha, vdd=v)
-        leak = self.leakage_power(frequency, temperature, vdd=v)
-        return {
-            "dynamic": dyn,
-            "leakage": leak,
-            "independent": self.pind,
-            "total": dyn + leak + self.pind,
-        }

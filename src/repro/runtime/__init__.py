@@ -24,7 +24,6 @@ from repro.runtime.policies import (
     TspAdaptivePolicy,
 )
 from repro.runtime.simulator import OnlineSimulator, RuntimeResult
-from repro.runtime.traces import jobs_from_csv, jobs_to_csv
 
 __all__ = [
     "Job",
@@ -36,6 +35,4 @@ __all__ = [
     "TspAdaptivePolicy",
     "OnlineSimulator",
     "RuntimeResult",
-    "jobs_to_csv",
-    "jobs_from_csv",
 ]

@@ -14,7 +14,14 @@ convection path to ambient), with
 * :class:`repro.thermal.steady_state.SteadyStateSolver` — ``A dT = P``
   with optional temperature-dependent-leakage fixed point;
 * :class:`repro.thermal.transient.TransientSimulator` — backward-Euler
-  integration for boosting experiments (Figure 11).
+  integration for boosting experiments (Figure 11);
+* :func:`repro.thermal.analysis.temperature_maps` — steady core
+  temperatures laid out as the floorplan grid (Figure 8's thermal
+  profiles), one multi-RHS solve for a batch of power vectors.
+
+The analytic bounds and the mesh-convergence study that stand in for
+HotSpot's validation live with their checks in
+``tests/test_thermal_verification.py``.
 """
 
 from repro.thermal.config import ThermalConfig, PAPER_THERMAL_CONFIG
@@ -23,12 +30,7 @@ from repro.thermal.model import ThermalModel
 from repro.thermal.builder import as_layer_stack, build_thermal_model
 from repro.thermal.steady_state import SteadyStateSolver
 from repro.thermal.transient import TransientSimulator, TransientResult
-from repro.thermal.analysis import (
-    peak_core_temperature,
-    thermal_headroom,
-    temperature_map,
-    temperature_maps,
-)
+from repro.thermal.analysis import temperature_maps
 
 __all__ = [
     "ThermalConfig",
@@ -41,8 +43,5 @@ __all__ = [
     "SteadyStateSolver",
     "TransientSimulator",
     "TransientResult",
-    "peak_core_temperature",
-    "thermal_headroom",
-    "temperature_map",
     "temperature_maps",
 ]

@@ -1,8 +1,4 @@
-"""Convenience analyses over steady-state thermal solutions.
-
-Small helpers shared by the dark-silicon estimator, the mapping policies
-and the Figure 8 thermal-map reproduction.
-"""
+"""Steady-state temperature maps for the Figure 8 thermal profiles."""
 
 from __future__ import annotations
 
@@ -14,40 +10,9 @@ from repro.errors import ConfigurationError
 from repro.thermal.model import ThermalModel
 
 
-def peak_core_temperature(
-    model: ThermalModel, core_powers: Sequence[float]
-) -> float:
-    """Steady-state peak core temperature (degC) for per-core powers."""
-    return float(np.max(model.core_steady_state(core_powers)))
-
-
-def thermal_headroom(
-    model: ThermalModel, core_powers: Sequence[float], t_dtm: float | None = None
-) -> float:
-    """Kelvin between the hottest core and the DTM threshold.
-
-    Positive values mean the chip is thermally safe; negative values
-    quantify the violation.
-    """
-    threshold = model.config.t_dtm if t_dtm is None else t_dtm
-    return threshold - peak_core_temperature(model, core_powers)
-
-
-def _layer_count(model: ThermalModel, rows: int, cols: int, layer: int) -> slice:
-    """The flat-core slice of ``layer``, after checking the grid shape."""
-    sl = model.layer_slice(layer)
-    count = sl.stop - sl.start
-    if rows * cols != count:
-        raise ConfigurationError(
-            f"{rows}x{cols} grid does not match {count} cores"
-            + (f" in layer {layer}" if model.n_layers > 1 else "")
-        )
-    return sl
-
-
-def temperature_map(
+def temperature_maps(
     model: ThermalModel,
-    core_powers: Sequence[float],
+    core_power_batch: Sequence[Sequence[float]],
     rows: int,
     cols: int,
     layer: int = 0,
@@ -56,27 +21,10 @@ def temperature_map(
 
     Assumes the floorplan was produced by
     :func:`repro.floorplan.generator.grid_floorplan` (row-major core
-    order), which is how all the paper's chips are built.  Used to render
-    Figure 8's thermal-profile comparison.  On a stacked model, ``layer``
-    selects which silicon layer's grid to render; ``core_powers`` always
-    spans the whole stack.
-    """
-    sl = _layer_count(model, rows, cols, layer)
-    temps = model.core_steady_state(core_powers)
-    return temps[sl].reshape(rows, cols)
-
-
-def temperature_maps(
-    model: ThermalModel,
-    core_power_batch: Sequence[Sequence[float]],
-    rows: int,
-    cols: int,
-    layer: int = 0,
-) -> np.ndarray:
-    """Batched :func:`temperature_map`: ``k`` grids from one solve.
-
-    All ``k`` power vectors go through a single multi-right-hand-side
-    solve against the model's shared factorisation.
+    order), which is how all the paper's chips are built.  Renders
+    Figure 8's thermal-profile comparison.  All ``k`` power vectors go
+    through a single multi-right-hand-side solve against the model's
+    shared factorisation.
 
     Args:
         core_power_batch: shape ``(k, n_cores)`` per-core powers, W
@@ -87,6 +35,12 @@ def temperature_maps(
     Returns:
         Temperatures (degC) of shape ``(k, rows, cols)``.
     """
-    sl = _layer_count(model, rows, cols, layer)
+    sl = model.layer_slice(layer)
+    count = sl.stop - sl.start
+    if rows * cols != count:
+        raise ConfigurationError(
+            f"{rows}x{cols} grid does not match {count} cores"
+            + (f" in layer {layer}" if model.n_layers > 1 else "")
+        )
     temps = model.core_steady_state_batch(core_power_batch)
     return temps[:, sl].reshape(-1, rows, cols)

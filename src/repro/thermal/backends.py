@@ -122,11 +122,6 @@ class SparseFactorization:
         )
         obs.incr("solver.cost.factorizations")
 
-    @property
-    def superlu(self):
-        """The underlying :class:`scipy.sparse.linalg.SuperLU` object."""
-        return self._lu
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         r = np.asarray(rhs, dtype=float)
         if r.ndim == 2:

@@ -19,6 +19,7 @@ artefacts every experiment reuses:
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -116,11 +117,6 @@ class ThermalModel:
         return self._backend
 
     @property
-    def backend_name(self) -> str:
-        """The backend's registry name (e.g. ``"sparse"``)."""
-        return self._backend.name
-
-    @property
     def n_cores(self) -> int:
         """Number of cores (silicon power-input nodes)."""
         return len(self._core_indices)
@@ -149,22 +145,6 @@ class ThermalModel:
                 f"layer index {layer} out of range [0, 1)"
             )
         return slice(0, self.n_cores)
-
-    def core_index(self, layer: int, block: int) -> int:
-        """Flat core index of ``(layer, block)``."""
-        if self._stack is not None:
-            return self._stack.flat_index(layer, block)
-        sl = self.layer_slice(layer)
-        if not 0 <= block < sl.stop:
-            raise ConfigurationError(
-                f"block index {block} out of range [0, {sl.stop}) "
-                f"in layer {layer}"
-            )
-        return block
-
-    def layer_core_node_indices(self, layer: int) -> np.ndarray:
-        """Network node indices of ``layer``'s silicon blocks."""
-        return self._core_indices[self.layer_slice(layer)]
 
     def interlayer_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The vertical conductances crossing bonding interfaces.
@@ -213,10 +193,10 @@ class ThermalModel:
         cell) factorise once instead of once each.
 
         Raises:
-            ConfigurationError: on a non-positive ``dt``.
+            ConfigurationError: on a non-positive or non-finite ``dt``.
         """
-        if dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {dt}")
         key = float(dt)
         cached = self._step_factorizations.get(key)
         if cached is None:

@@ -22,6 +22,7 @@ blocks), in which case each step is one multi-RHS solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -81,13 +82,16 @@ def step_plan(
         The number of steps and the recording stride in steps.
 
     Raises:
-        ConfigurationError: on a non-positive duration, a duration
-            shorter than one step, one that is not an integer multiple of
-            ``dt``, a ``record_interval`` shorter than ``dt``, or one that
-            is not an integer multiple of ``dt``.
+        ConfigurationError: on a non-positive or non-finite duration, a
+            duration shorter than one step, one that is not an integer
+            multiple of ``dt``, a non-finite ``record_interval``, one
+            shorter than ``dt``, or one that is not an integer multiple
+            of ``dt``.
     """
-    if duration <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ConfigurationError(
+            f"duration must be positive and finite, got {duration}"
+        )
     n_steps = int(round(duration / dt))
     if n_steps < 1:
         raise ConfigurationError(
@@ -101,9 +105,10 @@ def step_plan(
         )
     if record_interval is None:
         return n_steps, 1
-    if record_interval < dt:
+    if not dt <= record_interval < math.inf:
         raise ConfigurationError(
-            f"record_interval ({record_interval} s) must be >= dt ({dt} s)"
+            f"record_interval ({record_interval} s) must be finite and "
+            f">= dt ({dt} s)"
         )
     every = int(round(record_interval / dt))
     if abs(every * dt - record_interval) > _WHOLE_STEP_RTOL * record_interval:
@@ -137,8 +142,8 @@ class TransientSimulator:
     """
 
     def __init__(self, model: ThermalModel, dt: Seconds = 1e-3) -> None:
-        if dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {dt}")
         self._model = model
         self._dt = dt
         self._c_over_dt = model.capacitances / dt
@@ -166,27 +171,6 @@ class TransientSimulator:
     def peak_temperature(self) -> float:
         """Current hottest-core temperature (over every trajectory), degC."""
         return float(np.max(self.core_temperatures))
-
-    def reset(self, core_temperatures: Optional[Sequence[float]] = None) -> None:
-        """Reset the state to ambient.
-
-        The full network state cannot be reconstructed from core
-        temperatures alone (the package nodes are unobserved), so this
-        method only supports the ambient reset.
-
-        Args:
-            core_temperatures: must be ``None``; to begin from the steady
-                state of a known power vector use :meth:`warm_start`.
-
-        Raises:
-            ConfigurationError: if ``core_temperatures`` is given.
-        """
-        if core_temperatures is not None:
-            raise ConfigurationError(
-                "reset() only supports returning to ambient; use "
-                "warm_start(core_powers) to begin from a steady state"
-            )
-        self._state = np.zeros(self._model.n_nodes)
 
     def _core_powers(self, core_powers) -> np.ndarray:
         """``core_powers`` as a ``(n_cores,)`` vector or ``(k, n_cores)`` block."""

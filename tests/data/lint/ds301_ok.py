@@ -5,4 +5,4 @@ from repro import obs
 
 def record(counter, seconds):
     obs.incr("thermal.model.solves")
-    obs.observe(f"store.{counter}", seconds)
+    obs.histogram(f"store.{counter}", seconds)

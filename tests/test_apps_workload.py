@@ -78,26 +78,6 @@ class TestWorkload:
         names = [inst.app.name for inst in w]
         assert names == ["x264", "canneal"]
 
-    def test_truncated_to_cores(self):
-        w = Workload.replicate(PARSEC["x264"], 4, 8, 3.0 * GIGA)
-        t = w.truncated_to_cores(20)
-        assert len(t) == 2
-        assert t.total_cores == 16
-
-    def test_truncated_stops_at_first_overflow(self):
-        w = Workload()
-        w.add(ApplicationInstance(app=PARSEC["x264"], threads=8, frequency=1e9))
-        w.add(ApplicationInstance(app=PARSEC["x264"], threads=8, frequency=1e9))
-        w.add(ApplicationInstance(app=PARSEC["x264"], threads=1, frequency=1e9))
-        # Budget 9: first instance fits, second does not; mapping order
-        # is preserved so the third is not considered.
-        assert len(w.truncated_to_cores(9)) == 1
-
-    def test_truncated_negative_budget_rejected(self):
-        w = Workload.replicate(PARSEC["x264"], 1, 8, 1e9)
-        with pytest.raises(ConfigurationError, match="core_budget"):
-            w.truncated_to_cores(-1)
-
     def test_at_frequency(self):
         w = Workload.replicate(PARSEC["x264"], 3, 8, 3.0 * GIGA)
         w2 = w.at_frequency(2.0 * GIGA)

@@ -199,6 +199,10 @@ class TestTransients:
             ({"duration": 0.01, "record_interval": 0.4e-3}, "record_interval"),
             ({"duration": 0.01, "record_interval": 2.5e-3}, "record_interval .* whole number"),
             ({"duration": 0.01, "record_interval": 3.5e-3}, "record_interval .* whole number"),
+            ({"duration": float("nan")}, "duration must be positive and finite"),
+            ({"duration": float("inf")}, "duration must be positive and finite"),
+            ({"duration": 0.01, "record_interval": float("nan")}, "record_interval .* finite"),
+            ({"duration": 0.01, "record_interval": float("inf")}, "record_interval .* finite"),
         ],
     )
     def test_partial_steps_rejected(self, small_chip, placed, timing, match):

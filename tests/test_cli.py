@@ -379,6 +379,22 @@ class TestRegistrySubcommands:
         assert main(["run", "fig12", "--params", "duration=abc"]) == 2
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("fig11", "power_cap=nan"),
+            ("fig11", "power_cap=-inf"),
+            ("fig12", "duration=nan"),
+            ("fig12", "duration=inf"),
+        ],
+    )
+    def test_run_rejects_non_finite_float_param(self, capsys, name, param):
+        # A NaN cap used to run with a cap that never binds; a non-finite
+        # duration failed its cell inside the step plan.
+        assert main(["run", name, "--quick", "--params", param]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse" in err and param.split("=")[0] in err
+
     def test_run_rejects_unknown_param(self, capsys):
         assert main(["run", "fig1", "--params", "bogus=1"]) == 2
         assert "has no parameter" in capsys.readouterr().err
@@ -435,6 +451,26 @@ class TestRegistrySubcommands:
         ]
         assert main(argv) == 3
         assert "--expect-cached" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["batch", "fig1", "--workers", "0"], "--workers"),
+            (["batch", "fig1", "--workers", "two"], "--workers"),
+            (["report", "--top", "-1", "--out", "{tmp}"], "--top"),
+            (["report", "--recent", "-2", "--out", "{tmp}"], "--recent"),
+            (["report", "--recent", "0", "--out", "{tmp}"], "--recent"),
+        ],
+    )
+    def test_counts_below_one_rejected_at_parse_time(
+        self, tmp_path, capsys, argv, option
+    ):
+        # --workers 0 used to end in a traceback, and report --top -1
+        # exited 0 after dropping rows silently.
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path / "r.md") for a in argv])
+        assert exc.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
 
     def test_batch_unknown_experiment(self, capsys):
         assert main(["batch", "fig99"]) == 2

@@ -1,11 +1,17 @@
-"""CSV/JSON export of experiment results."""
+"""CSV export of experiment results."""
 
-import json
+import csv
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.io import read_csv_rows, result_to_csv, result_to_json, rows_to_csv
+from repro.io import result_to_csv, rows_to_csv
+
+
+def read_csv_rows(path):
+    """The rows of a CSV file, as strings."""
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
 
 
 class FakeResult:
@@ -43,13 +49,6 @@ class TestCsv:
     def test_header_width_mismatch_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="headers"):
             rows_to_csv([[1, 2]], tmp_path / "bad.csv", headers=["only"])
-
-
-class TestJson:
-    def test_roundtrip(self, tmp_path):
-        path = result_to_json(FakeResult(), tmp_path / "r.json")
-        data = json.loads(path.read_text())
-        assert data == [["16nm", 0.53, 100], ["11nm", 0.28, 198]]
 
 
 class TestExperimentIntegration:

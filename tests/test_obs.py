@@ -7,7 +7,7 @@ import pytest
 from repro import obs
 from repro.obs import Registry, diff_snapshots
 
-KINDS = ("counters", "timers", "spans", "gauges", "histograms")
+KINDS = ("counters", "spans", "gauges", "histograms")
 
 
 @pytest.fixture()
@@ -24,12 +24,10 @@ class TestCounters:
     def test_disabled_registry_records_nothing(self):
         registry = Registry()
         registry.incr("a.x")
-        registry.observe("a.t", 1.0)
         with registry.span("a.s"):
             pass
         snap = registry.snapshot()
         assert snap["counters"] == {}
-        assert snap["timers"] == {}
         assert snap["spans"] == {}
 
     def test_disable_keeps_data_reset_drops_it(self, registry):
@@ -41,15 +39,6 @@ class TestCounters:
 
 
 class TestTimersAndSpans:
-    def test_timer_counts_and_accumulates(self, registry):
-        with registry.timer("stage"):
-            pass
-        with registry.timer("stage"):
-            pass
-        agg = registry.snapshot()["timers"]["stage"]
-        assert agg["count"] == 2
-        assert agg["total_s"] >= 0.0
-
     def test_spans_nest_into_dotted_paths(self, registry):
         with registry.span("experiment"):
             with registry.span("sweep"):
@@ -78,7 +67,7 @@ class TestTimersAndSpans:
 
     def test_null_span_is_shared_and_inert(self):
         registry = Registry()
-        assert registry.span("x") is registry.timer("y")
+        assert registry.span("x") is registry.span("y") is obs.NULL_SPAN
 
     def test_stack_unwinds_when_span_bookkeeping_raises(self, registry):
         # Regression: __exit__ must pop the stack even when recording
@@ -190,16 +179,16 @@ class TestHistograms:
 class TestMergeDiff:
     def test_diff_is_exact_delta(self, registry):
         registry.incr("a.x", 5)
-        with registry.timer("t"):
+        with registry.span("t"):
             pass
         before = registry.snapshot()
         registry.incr("a.x", 2)
         registry.incr("a.y")
-        with registry.timer("t"):
+        with registry.span("t"):
             pass
         delta = registry.diff(before)
         assert delta["counters"] == {"a.x": 2, "a.y": 1}
-        assert delta["timers"]["t"]["count"] == 1
+        assert delta["spans"]["t"]["count"] == 1
 
     def test_diff_omits_unchanged(self, registry):
         registry.incr("a.x")
@@ -225,15 +214,28 @@ class TestMergeDiff:
 
     def test_merge_ignores_enabled_flag(self):
         registry = Registry()  # disabled
-        registry.merge({"counters": {"w.x": 3}, "timers": {}, "spans": {}})
+        registry.merge({"counters": {"w.x": 3}, "spans": {}})
         assert registry.snapshot()["counters"] == {"w.x": 3}
 
-    def test_subsystems_prefixes(self, registry):
-        registry.incr("thermal.model.solves")
-        registry.incr("tsp.table_builds")
-        with registry.span("sweep.stage"):
-            pass
-        assert registry.subsystems() == {"thermal", "tsp", "sweep"}
+    def test_version_2_timers_are_ignored(self, registry):
+        # Snapshots before version 3 carry a flat "timers" kind; merge,
+        # diff and both exports read past it.
+        old = {
+            "version": 2,
+            "counters": {"a.x": 1},
+            "timers": {"t": {"count": 1, "total_s": 0.5}},
+            "spans": {"s": {"count": 1, "total_s": 0.25}},
+            "gauges": {},
+            "histograms": {},
+        }
+        registry.merge(old)
+        snap = registry.snapshot()
+        assert snap["version"] == obs.SNAPSHOT_VERSION == 3
+        assert "timers" not in snap
+        assert snap["spans"] == old["spans"]
+        delta = diff_snapshots(old, {"version": 2, "timers": {}})
+        assert "timers" not in delta and delta["spans"] == old["spans"]
+        assert ",t," not in obs.to_csv(old)
 
 
 class TestDiffSnapshots:
@@ -253,7 +255,7 @@ class TestDiffSnapshots:
         registry.incr("tick.counter", 5)
         registry.histogram("pre.hist", -1.0)
         registry.gauge("tick.gauge", 2.5)
-        with registry.timer("tick.stage"):
+        with registry.span("tick.stage"):
             pass
         snaps.append(registry.snapshot())
 
@@ -272,7 +274,6 @@ class TestDiffSnapshots:
         before = {"histograms": {"h": {**hist, "buckets": {"0": 4}}}}
         now = {
             "counters": {},
-            "timers": {},
             "spans": {},
             "gauges": {},
             "histograms": {"h": {**hist, "sum": 5.0, "buckets": {"0": 5}}},
@@ -282,32 +283,25 @@ class TestDiffSnapshots:
             "h": {"count": 0, "sum": 1.0, "min": 0.5, "max": 1.0, "buckets": {"0": 1}}
         }
 
-    def test_torn_timer_and_span_deltas_telescope(self):
-        # snaps[1] caught a timer record and a span record after their
-        # count updates but before their total_s updates.  The totals are
-        # dyadic, so every float below is exact.
-        def snap(timer, span):
+    def test_torn_span_deltas_telescope(self):
+        # snaps[1] and snaps[2] each caught a span record between its
+        # count update and its total_s update.  The totals are dyadic, so
+        # every float below is exact.
+        def snap(count, total_s):
             return {
                 "counters": {},
-                "timers": {"t": {"count": timer[0], "total_s": timer[1]}},
-                "spans": {"s": {"count": span[0], "total_s": span[1]}},
+                "spans": {"s": {"count": count, "total_s": total_s}},
                 "gauges": {},
                 "histograms": {},
             }
 
-        snaps = [
-            snap((2, 0.5), (1, 0.25)),
-            snap((3, 0.5), (2, 0.25)),
-            snap((3, 0.75), (2, 1.5)),
-            snap((5, 1.125), (4, 2.0)),
-        ]
+        snaps = [snap(2, 0.5), snap(3, 0.5), snap(3, 0.75), snap(5, 1.125)]
         deltas = [diff_snapshots(now, before) for before, now in zip(snaps, snaps[1:])]
-        for kind, name in (("timers", "t"), ("spans", "s")):
-            count = sum(d[kind][name]["count"] for d in deltas if name in d[kind])
-            total = sum(d[kind][name]["total_s"] for d in deltas if name in d[kind])
-            first, last = snaps[0][kind][name], snaps[-1][kind][name]
-            assert count == last["count"] - first["count"], kind
-            assert total == last["total_s"] - first["total_s"], kind
+        assert all("s" in d["spans"] for d in deltas)
+        count = sum(d["spans"]["s"]["count"] for d in deltas)
+        total = sum(d["spans"]["s"]["total_s"] for d in deltas)
+        assert count == snaps[-1]["spans"]["s"]["count"] - snaps[0]["spans"]["s"]["count"]
+        assert total == snaps[-1]["spans"]["s"]["total_s"] - snaps[0]["spans"]["s"]["total_s"]
 
     def test_diff_snapshots_matches_registry_diff(self, registry):
         before = registry.snapshot()
@@ -345,8 +339,6 @@ class TestExport:
 
     def test_csv_flattens_all_kinds(self, registry, tmp_path):
         registry.incr("a.x", 2)
-        with registry.timer("t"):
-            pass
         with registry.span("s"):
             pass
         registry.gauge("g", 0.5)
@@ -356,5 +348,5 @@ class TestExport:
         lines = text.strip().splitlines()
         assert lines[0] == "kind,name,count,total_s,value"
         kinds = {line.split(",")[0] for line in lines[1:]}
-        assert kinds == {"counter", "timer", "span", "gauge", "histogram"}
+        assert kinds == {"counter", "span", "gauge", "histogram"}
         assert target.read_text() == text

@@ -38,9 +38,8 @@ def _write_budgets(tmp_path, budgets: list[dict]) -> Path:
 
 def _snapshot(**kinds) -> dict:
     base = {
-        "version": 2,
+        "version": 3,
         "counters": {},
-        "timers": {},
         "spans": {},
         "gauges": {},
         "histograms": {},
@@ -150,13 +149,17 @@ class TestPredicates:
         assert evaluate(budgets, _snapshot(gauges={"g": 0.5}))[0].ok
         assert not evaluate(budgets, _snapshot(gauges={"g": 0.49}))[0].ok
 
-    def test_timers_and_spans_resolve_total_seconds(self):
+    def test_spans_resolve_total_seconds(self):
         budgets = [Budget(metric="t", predicate="max", threshold=1.0)]
-        snap = _snapshot(timers={"t": {"count": 3, "total_s": 2.0}})
+        snap = _snapshot(spans={"t": {"count": 3, "total_s": 2.0}})
         verdict = evaluate(budgets, snap)[0]
         assert not verdict.ok and verdict.value == 2.0
         snap = _snapshot(spans={"t": {"count": 1, "total_s": 0.5}})
         assert evaluate(budgets, snap)[0].ok
+        # A version-2 snapshot's flat timers are not read: the budget is
+        # not measured.
+        snap = _snapshot(version=2, timers={"t": {"count": 3, "total_s": 2.0}})
+        assert evaluate(budgets, snap)[0].value is None
 
     def test_histogram_max_and_min_read_recorded_extremes(self):
         hist = {"count": 3, "sum": 9.0, "min": 1.0, "max": 7.0, "buckets": {"3": 3}}

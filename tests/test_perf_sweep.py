@@ -1,4 +1,4 @@
-"""Sweep runner: grids, serial/parallel execution, timing metrics."""
+"""Sweep runner: serial/parallel execution and its registry metrics."""
 
 import pytest
 
@@ -10,11 +10,6 @@ from repro.perf import SweepRunner
 def _square(x):
     """Module-level so the parallel path can pickle it."""
     return x * x
-
-
-def _square_batch(cells):
-    """Whole-chunk counterpart of :func:`_square` for map_batched."""
-    return [x * x for x in cells]
 
 
 def _instrumented_square(x):
@@ -31,15 +26,6 @@ def _spanned_square(x):
     return x * x
 
 
-class TestGrid:
-    def test_cartesian_product(self):
-        cells = SweepRunner.grid([1, 2], ["a", "b"])
-        assert cells == [(1, "a"), (1, "b"), (2, "a"), (2, "b")]
-
-    def test_single_axis(self):
-        assert SweepRunner.grid([1, 2, 3]) == [(1,), (2,), (3,)]
-
-
 class TestSerial:
     def test_preserves_order(self):
         runner = SweepRunner()
@@ -49,57 +35,24 @@ class TestSerial:
         assert not SweepRunner().parallel
         assert not SweepRunner(max_workers=1).parallel
 
-    def test_metrics_recorded(self):
-        runner = SweepRunner()
-        runner.map([1, 2, 3], _square, stage="demo")
-        counters = runner.metrics["demo"]
-        assert counters["cells"] == 3
-        assert len(counters["cell_s"]) == 3
-        assert counters["wall_s"] >= 0.0
-        assert counters["workers"] == 1
+    def test_metrics_recorded(self, global_obs):
+        SweepRunner().map([1, 2, 3], _square, stage="demo")
+        snap = obs.snapshot()
+        assert snap["counters"]["sweep.cells"] == 3
+        assert snap["spans"]["sweep.demo"]["count"] == 1
+        assert snap["spans"]["sweep.demo"]["total_s"] >= 0.0
 
-    def test_stage_counters_accumulate(self):
+    def test_stage_counters_accumulate(self, global_obs):
         runner = SweepRunner()
         runner.map([1], _square, stage="demo")
         runner.map([2, 3], _square, stage="demo")
-        assert runner.metrics["demo"]["cells"] == 3
+        snap = obs.snapshot()
+        assert snap["counters"]["sweep.cells"] == 3
+        assert snap["spans"]["sweep.demo"]["count"] == 2
 
     def test_empty_grid(self):
         runner = SweepRunner()
         assert runner.map([], _square) == []
-
-
-class TestMapBatched:
-    def test_serial_matches_map(self):
-        runner = SweepRunner()
-        assert runner.map_batched([3, 1, 2], _square_batch) == [9, 1, 4]
-
-    def test_parallel_matches_serial(self):
-        runner = SweepRunner(max_workers=2)
-        cells = list(range(10))
-        got = runner.map_batched(cells, _square_batch, stage="par_batch")
-        assert got == [x * x for x in cells]
-        assert runner.metrics["par_batch"]["cells"] == 10
-
-    def test_single_cell_stays_in_process(self):
-        runner = SweepRunner(max_workers=4)
-        assert runner.map_batched([7], _square_batch) == [49]
-
-    def test_metrics_count_cells_not_batches(self):
-        runner = SweepRunner()
-        runner.map_batched([1, 2, 3], _square_batch, stage="batched")
-        counters = runner.metrics["batched"]
-        assert counters["cells"] == 3
-        # One timing entry per batch call, not per cell.
-        assert len(counters["cell_s"]) == 1
-
-    def test_wrong_result_length_rejected(self):
-        runner = SweepRunner()
-        with pytest.raises(ConfigurationError, match="batch_fn"):
-            runner.map_batched([1, 2, 3], lambda cells: [0])
-
-    def test_empty_grid(self):
-        assert SweepRunner().map_batched([], _square_batch) == []
 
 
 class TestParallel:
@@ -113,9 +66,6 @@ class TestParallel:
     def test_parallel_map_matches_serial(self):
         runner = SweepRunner(max_workers=2)
         assert runner.map([4, 5, 6], _square, stage="par") == [16, 25, 36]
-        counters = runner.metrics["par"]
-        assert counters["cells"] == 3
-        assert counters["workers"] == 2
 
     def test_single_cell_stays_in_process(self):
         # One cell is not worth a worker pool; the result must match.
@@ -161,13 +111,16 @@ class TestConcurrencyObservability:
         )
 
     def test_runner_metrics_agree_across_modes(self, global_obs):
-        serial = SweepRunner(max_workers=1)
-        serial.map(self.CELLS, _instrumented_square, stage="m")
-        par = SweepRunner(max_workers=4)
-        par.map(self.CELLS, _instrumented_square, stage="m")
-        assert serial.metrics["m"]["cells"] == par.metrics["m"]["cells"]
-        assert len(par.metrics["m"]["cell_s"]) == len(self.CELLS)
-        assert par.metrics["m"]["workers"] == 4
+        snaps = []
+        for workers in (1, 4):
+            obs.reset()
+            SweepRunner(max_workers=workers).map(
+                self.CELLS, _instrumented_square, stage="m"
+            )
+            snaps.append(obs.snapshot())
+        for snap in snaps:
+            assert snap["counters"]["sweep.cells"] == len(self.CELLS)
+            assert snap["spans"]["sweep.m"]["count"] == 1
 
     def test_parallel_histograms_and_spans_merge_exactly(self, global_obs):
         serial = SweepRunner(max_workers=1)

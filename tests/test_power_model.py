@@ -9,7 +9,7 @@ from repro.power.leakage import LeakageModel
 from repro.power.model import CorePowerModel
 from repro.power.vf_curve import VFCurve
 from repro.tech.library import NODE_16NM, NODE_22NM
-from repro.units import GIGA, NANO
+from repro.units import F_GATED, GIGA, NANO
 
 
 @pytest.fixture
@@ -69,16 +69,18 @@ class TestTotalPower:
 
     def test_sum_of_terms(self, model):
         f = 3.0 * GIGA
-        b = model.power_breakdown(f, alpha=0.8, temperature=70.0)
-        assert b["total"] == pytest.approx(
-            b["dynamic"] + b["leakage"] + b["independent"]
+        terms = (
+            model.dynamic_power(f, alpha=0.8)
+            + model.leakage_power(f, temperature=70.0)
+            + model.pind
         )
-        assert model.power(f, alpha=0.8, temperature=70.0) == pytest.approx(b["total"])
+        assert model.power(f, alpha=0.8, temperature=70.0) == pytest.approx(terms)
 
     def test_breakdown_gated(self, model):
-        b = model.power_breakdown(0.0)
-        assert b["dynamic"] == 0.0
-        assert b["total"] == 0.0
+        # A gated core draws neither dynamic power nor, with the default
+        # inactive_power of 0, anything else.
+        assert model.dynamic_power(F_GATED) == 0.0
+        assert model.power(F_GATED) == 0.0
 
     def test_power_increases_with_temperature(self, model):
         f = 2.0 * GIGA

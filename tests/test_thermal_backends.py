@@ -117,7 +117,7 @@ class TestRegistry:
     def test_model_reports_backend_name(self, model_sets):
         for models in model_sets:
             for name, model in models.items():
-                assert model.backend_name == name
+                assert model.backend.name == name
 
 
 def _random_spd(rng, n=30, density=0.2):

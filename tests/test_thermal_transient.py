@@ -40,6 +40,15 @@ class TestStep:
         with pytest.raises(ConfigurationError, match="dt"):
             TransientSimulator(model, dt=0.0)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_dt_rejected(self, model, dt):
+        # A NaN step used to pass the dt <= 0 check and fail inside the
+        # factorisation as "Factor is exactly singular".
+        with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+            TransientSimulator(model, dt=dt)
+        with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+            model.step_factorization(dt)
+
 
 class TestBlockSteps:
     """k trajectories in one (n_nodes, k) state, one solve per step."""
@@ -118,19 +127,6 @@ class TestConvergenceToSteadyState:
         before = sim.core_temperatures.copy()
         sim.step(powers)
         assert np.allclose(sim.core_temperatures, before, atol=1e-9)
-
-
-class TestReset:
-    def test_reset_returns_to_ambient(self, model):
-        sim = TransientSimulator(model, dt=1e-3)
-        sim.step([5.0] * 9)
-        sim.reset()
-        assert np.allclose(sim.core_temperatures, model.ambient)
-
-    def test_reset_with_argument_rejected(self, model):
-        sim = TransientSimulator(model, dt=1e-3)
-        with pytest.raises(ConfigurationError, match="warm_start"):
-            sim.reset([50.0] * 9)
 
 
 class TestSimulate:
