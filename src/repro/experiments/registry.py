@@ -69,13 +69,22 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _reject_constant(name: str) -> Any:
+    raise ConfigurationError(f"not a finite number: {name}")
+
+
+def _parse_json(text: str) -> Any:
+    # NaN and +-Infinity are not JSON; json.loads takes them by default.
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 #: Parameter kinds and their CLI-string coercions.
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "str": str,
     "int": int,
     "float": _parse_float,
     "bool": _parse_bool,
-    "json": json.loads,
+    "json": _parse_json,
 }
 
 

@@ -15,11 +15,13 @@ This module implements that three-phase heuristic:
    the remaining power and cores, then upgrade frequencies with leftover
    power.  High-TLP applications naturally end up with many threads at
    moderate v/f; high-ILP applications with few threads at high v/f.
-   The upgrade pass takes one-level upgrades from a heap keyed on
+   The upgrade pass takes one-level upgrades in the order of
    (-performance gain per extra watt, instance index), so the best score
-   wins and the lowest index breaks ties; it tracks each instance's grid
-   level, computes each (table, threads, level) move once and rebuilds
-   every upgraded instance once when it ends.
+   wins and the lowest index breaks ties.  Instances on the same
+   (table, threads) ladder at the same level share one move, so the heap
+   holds one entry per (ladder, level) group, and a group whose next
+   level scores worse climbs its members in index order for as long as
+   it stays the best move.  Each instance is built once, after the pass.
 2. **Repair phase** — while the steady-state peak temperature exceeds
    T_DTM, step down the v/f of the instance heating the hottest core
    (removing it when already at the lowest level).
@@ -30,13 +32,16 @@ This module implements that three-phase heuristic:
    sort would give; only an upgraded or appended instance is re-entered,
    and a rejected candidate keeps its place.
 
-The mapping state caches the steady-state peak of its current power
-vector, and every mutation drops it, so each vector is solved at most
-once: the check after an accepted upgrade or addition also serves the
-next step, and the final result reuses the last check.  Peaks and the
-hottest core come from the chip's sparse solver: near-ties between
-mirror-image cores are decided by its rounding, and the batched engine's
-influence matvec can break them the other way.
+The mapping state caches the peaks of its current power vector, and
+every mutation drops them, so each vector is evaluated at most once per
+backend.  Every threshold test ("peak <= T_DTM", "peak > T_DTM - margin")
+is read from the chip's batched engine, one influence matvec, and is
+certified: only when the engine peak lies within ``_CERT`` of the limit
+does the sparse solver decide.  The RC model is linear, so the two peaks
+differ by rounding alone, far below ``_CERT``, and a certified test gives
+the solver's answer.  The reported peak and the hottest core still come
+from the solver, since near-ties between mirror-image cores are decided
+by its rounding and the matvec can break them the other way.
 
 Placement uses a dark-silicon-patterning placer by default, since DsRem
 builds on the DaSim insight that spreading active cores buys headroom.
@@ -119,6 +124,13 @@ class _Config(NamedTuple):
     performance: float  # instructions per second
 
 
+#: Half-width (K) of the band around a threshold in which an engine peak
+#: is re-checked on the solver.  The two peaks of one power vector differ
+#: by rounding only (below 1e-12 K on the paper's chips), so outside the
+#: band the engine answers a threshold test as the solver would.
+_CERT = 1e-9
+
+
 class _State:
     """Mutable mapping state shared by the three phases.
 
@@ -127,8 +139,8 @@ class _State:
     :meth:`add`, :meth:`replace` and :meth:`remove`.  Instances own
     disjoint cores, so assigning an instance's per-core power to its
     cores gives the same vector as summing every instance into zeros.
-    The steady-state peak of the current vector is solved at most once:
-    every mutation drops the cached value.
+    The engine and solver peaks of the current vector are each computed
+    at most once: every mutation drops both.
     """
 
     def __init__(
@@ -142,35 +154,63 @@ class _State:
         self.occupied: set[int] = set()
         self._powers = np.zeros(chip.n_cores)
         self._peak: Optional[float] = None
+        self._engine_peak: Optional[float] = None
 
     def core_powers(self) -> np.ndarray:
         return self._powers.copy()
 
     def peak_temperature(self) -> float:
+        """The solver's steady-state peak of the current vector."""
         if self._peak is None:
             self._peak = self.chip.solver.peak_temperature(self._powers)
         return self._peak
+
+    def peak_at_most(self, limit: float) -> bool:
+        """Whether :meth:`peak_temperature` is ``<= limit``, certified.
+
+        The engine's peak answers unless it lies within ``_CERT`` of
+        ``limit``; then the solver's peak does.
+        """
+        if self._peak is None:
+            if self._engine_peak is None:
+                self._engine_peak = self.chip.engine.peak_temperature(self._powers)
+            if abs(self._engine_peak - limit) > _CERT:
+                return self._engine_peak <= limit
+        return self.peak_temperature() <= limit
 
     def point(self, index: int) -> tuple[OperatingPoints, int]:
         """The table and grid level of placed instance ``index``."""
         return self.tables[self.placed[index].instance.app], self.levels[index]
 
-    def add(self, config: _Config) -> bool:
-        table, n, level = config.table, config.threads, config.level
+    def reserve(self, n: int) -> Optional[tuple[int, ...]]:
+        """Take ``n`` cores from the placer into the occupied set."""
         cores = self.placer.place(self.chip, n, self.occupied)
         if cores is None:
-            return False
+            return None
+        self.occupied.update(cores)
+        return tuple(cores)
+
+    def put(
+        self, table: OperatingPoints, n: int, level: int, cores: tuple[int, ...]
+    ) -> None:
+        """Append an ``n``-thread instance of ``table`` at ``level`` on
+        ``cores``, which :meth:`reserve` took."""
         instance = ApplicationInstance(
             app=table.app, threads=n, frequency=table.frequencies[level]
         )
         placed = PlacedInstance(
-            instance=instance, cores=tuple(cores), core_power=table.power[n - 1][level]
+            instance=instance, cores=cores, core_power=table.power[n - 1][level]
         )
         self.placed.append(placed)
         self.levels.append(level)
-        self.occupied.update(placed.cores)
         self._powers[list(placed.cores)] = placed.core_power
-        self._peak = None
+        self._peak = self._engine_peak = None
+
+    def add(self, config: _Config) -> bool:
+        cores = self.reserve(config.threads)
+        if cores is None:
+            return False
+        self.put(config.table, config.threads, config.level, cores)
         return True
 
     def replace(self, index: int, level: int) -> None:
@@ -186,14 +226,14 @@ class _State:
         self.placed[index] = placed
         self.levels[index] = level
         self._powers[list(placed.cores)] = placed.core_power
-        self._peak = None
+        self._peak = self._engine_peak = None
 
     def remove(self, index: int) -> None:
         cores = self.placed.pop(index).cores
         del self.levels[index]
         self.occupied.difference_update(cores)
         self._powers[list(cores)] = 0.0
-        self._peak = None
+        self._peak = self._engine_peak = None
 
     def hottest_instance(self) -> Optional[int]:
         """Index of the placed instance containing the hottest core."""
@@ -305,8 +345,11 @@ def _budget_phase(
     # sort is stable, so equal densities keep candidate order.  Free
     # cores and remaining power only fall, so a configuration that does
     # not fit once never fits again: each scan resumes at the last pick,
-    # which may be picked again.
+    # which may be picked again.  Picks take their cores now and become
+    # placed instances once the upgrade pass has set their levels.
     by_density = sorted(configs, key=lambda c: c.performance / c.power, reverse=True)
+    picks: list[_Config] = []
+    picked_cores: list[tuple[int, ...]] = []
     start: Optional[int] = 0
     while True:
         start = next(
@@ -317,57 +360,133 @@ def _budget_phase(
             ),
             None,
         )
-        if start is None or not state.add(by_density[start]):
+        if start is None:
             break
-        added = state.placed[-1]
-        remaining_power -= added.core_power * len(added.cores)
-        free_cores -= len(added.cores)
+        config = by_density[start]
+        cores = state.reserve(config.threads)
+        if cores is None:
+            break
+        picks.append(config)
+        picked_cores.append(cores)
+        remaining_power -= config.power
+        free_cores -= len(cores)
 
     # Upgrade pass: spend leftover power on one-level frequency increases,
     # largest performance gain per extra watt first, lowest index on ties.
-    # Levels are tracked here and each upgraded instance is rebuilt once
-    # at the end, since a placed instance depends only on its level.  A
-    # move depends only on (table, threads, level), so each (table,
+    # A move depends only on (table, threads, level), so each (table,
     # threads) ladder of moves is computed once per pass and shared.
-    ladders: dict[tuple[OperatingPoints, int], list] = {}
-    moves = []
-    for i, placed in enumerate(state.placed):
-        table, n = state.point(i)[0], placed.instance.threads
-        if (table, n) not in ladders:
-            ladders[table, n] = [
-                _upgrade_move(table, n, level) for level in range(len(table.frequencies))
-            ]
-        moves.append(ladders[table, n])
-    levels = list(state.levels)
-    heap: list[tuple[float, int, float]] = []
+    ladders: dict[tuple[OperatingPoints, int], int] = {}
+    moves: list[list[Optional[tuple[float, float]]]] = []
+    rungs = []
+    for config in picks:
+        key = (config.table, config.threads)
+        if key not in ladders:
+            ladders[key] = len(moves)
+            moves.append([
+                _upgrade_move(config.table, config.threads, level)
+                for level in range(len(config.table.frequencies))
+            ])
+        rungs.append(ladders[key])
+    levels = [config.level for config in picks]
+    _climb(moves, rungs, levels, remaining_power, cfg.max_steps)
+    for config, cores, level in zip(picks, picked_cores, levels):
+        state.put(config.table, config.threads, level, cores)
 
-    def push(i: int) -> None:
-        move = moves[i][levels[i]]
-        if move is not None:
-            heapq.heappush(heap, (move[0], i, move[1]))
 
-    for i in range(len(levels)):
-        push(i)
+def _climb(
+    moves: list[list[Optional[tuple[float, float]]]],
+    rungs: list[int],
+    levels: list[int],
+    remaining_power: float,
+    max_steps: int,
+) -> None:
+    """Raise ``levels`` by up to ``max_steps`` one-level upgrades.
+
+    Instance ``i`` climbs ladder ``moves[rungs[i]]``, whose entry at a
+    level is that level's (-score, extra W) move or None.  Each step
+    takes the fitting move with the least (-score, index), as a heap of
+    one entry per instance would; the instances on one (ladder, level)
+    share a move, so the heap holds one entry per such group, keyed on
+    its lowest member.  When the group's next level scores worse and the
+    move costs power, no member's next move can come first, so members
+    climb in index order while their key stays below the heap's least
+    and the move fits; anything else takes single steps.
+    """
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, (rung, level) in enumerate(zip(rungs, levels)):
+        if moves[rung][level] is not None:
+            members.setdefault((rung, level), []).append(i)
+    heap: list[tuple[float, int, float, tuple[int, int]]] = []
+    live: dict[tuple[int, int], tuple] = {}  # group -> its current heap entry
     # A move costing more than what remains is set aside: while upgrades
     # cost power the remainder only falls, so the move cannot fit again.
     # An upgrade that costs nothing or frees power puts them back.
-    set_aside = []
-    for _ in range(cfg.max_steps):
-        while heap and heap[0][2] > remaining_power:
-            set_aside.append(heapq.heappop(heap))
-        if not heap:
+    aside: set[tuple[int, int]] = set()
+
+    def sync(group: tuple[int, int]) -> None:
+        """Give ``group`` a heap entry keyed on its lowest member."""
+        queue = members.get(group)
+        if not queue or group in aside:
+            return
+        entry = live.get(group)
+        if entry is None or entry[1] != queue[0]:
+            score, extra = moves[group[0]][group[1]]
+            live[group] = entry = (score, queue[0], extra, group)
+            heapq.heappush(heap, entry)
+
+    def top() -> Optional[tuple]:
+        """The least live entry, after dropping stale ones."""
+        while heap and live.get(heap[0][3]) is not heap[0]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    for group in members:
+        sync(group)
+    steps = max_steps
+    while steps:
+        while (entry := top()) is not None and entry[2] > remaining_power:
+            heapq.heappop(heap)
+            del live[entry[3]]
+            aside.add(entry[3])
+        if entry is None:
             break
-        _, i, extra = heapq.heappop(heap)
-        levels[i] += 1
-        remaining_power -= extra
+        heapq.heappop(heap)
+        score, _, extra, group = entry
+        del live[group]
+        rung, level = group
+        queue = members[group]
+        upper = moves[rung][level + 1]
+        if extra > 0 and (upper is None or upper[0] > score):
+            # The group was the least entry, so its score is at most the
+            # next one's; on a tie, members below that entry's index lead.
+            bound = top()
+            if bound is None or score < bound[0]:
+                ahead = len(queue)
+            else:
+                ahead = bisect.bisect_left(queue, bound[1])
+            count = 0
+            while count < min(steps, ahead) and extra <= remaining_power:
+                remaining_power -= extra
+                count += 1
+        else:
+            count = 1
+            remaining_power -= extra
+        climbed = queue[:count]
+        del queue[:count]
+        steps -= count
+        for i in climbed:
+            levels[i] = level + 1
         if extra <= 0:
-            for move in set_aside:
-                heapq.heappush(heap, move)
-            set_aside.clear()
-        push(i)
-    for i, level in enumerate(state.levels):
-        if levels[i] != level:
-            state.replace(i, levels[i])
+            restored = list(aside)
+            aside.clear()
+            for other in restored:
+                sync(other)
+        if upper is not None:
+            above = members.setdefault((rung, level + 1), [])
+            above += climbed
+            above.sort()
+            sync((rung, level + 1))
+        sync(group)
 
 
 def _upgrade_move(
@@ -395,7 +514,7 @@ def _upgrade_move(
 def _repair_phase(state: _State, cfg: DsRemConfig) -> None:
     chip = state.chip
     for _ in range(cfg.max_steps):
-        if state.peak_temperature() <= chip.t_dtm + 1e-6:
+        if state.peak_at_most(chip.t_dtm + 1e-6):
             return
         index = state.hottest_instance()
         if index is None:
@@ -423,8 +542,7 @@ def _exploit_phase(state: _State, configs: list[_Config], cfg: DsRemConfig) -> N
     for i in range(len(state.placed)):
         _enter(state, order, i)
     for _ in range(cfg.max_steps):
-        peak = state.peak_temperature()
-        if peak > chip.t_dtm - cfg.exploit_margin:
+        if not state.peak_at_most(chip.t_dtm - cfg.exploit_margin):
             return
         if _try_upgrade(state, order):
             continue
@@ -449,7 +567,7 @@ def _try_upgrade(state: _State, order: list[tuple[float, int]]) -> bool:
         i = -neg_index
         level = state.levels[i]
         state.replace(i, level + 1)
-        if state.peak_temperature() <= chip.t_dtm + 1e-6:
+        if state.peak_at_most(chip.t_dtm + 1e-6):
             del order[k]
             _enter(state, order, i)
             return True
@@ -466,7 +584,7 @@ def _try_add(state: _State, by_performance: list[_Config]) -> bool:
     for config in by_performance:
         if config.threads > free or not state.add(config):
             continue
-        if state.peak_temperature() <= chip.t_dtm + 1e-6:
+        if state.peak_at_most(chip.t_dtm + 1e-6):
             return True
         state.remove(len(state.placed) - 1)
     return False

@@ -68,8 +68,9 @@ def test_traced_names_resolve_and_every_layer_metric_is_measured():
 
 def test_traced_dsrem_mixes_measures_every_per_layer_metric(tmp_path):
     # The benchmark's traced run reads a null per-layer value as a
-    # result it cannot use; DsRem's peak queries are this workload's
-    # only backend solves, so a query that skips the backend nulls
+    # result it cannot use.  This workload's only backend solves are
+    # DsRem's reported peaks (one per run; its threshold checks read the
+    # batched engine), so a peak that skips the backend nulls
     # thermal.solve.cols_per_call.
     with _e2e_module("layers") as layers, _e2e_module("workloads") as workloads:
         mixes = workloads.dsrem_inputs(0)

@@ -395,6 +395,21 @@ class TestRegistrySubcommands:
         err = capsys.readouterr().err
         assert "cannot parse" in err and param.split("=")[0] in err
 
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("sensitivity", "scales=[NaN]"),
+            ("fig12", "core_counts=[Infinity]"),
+            ("fig12", "core_counts=[-Infinity]"),
+        ],
+    )
+    def test_run_rejects_non_finite_json_param(self, capsys, name, param):
+        # A NaN scale failed late in the power constraints; an infinite
+        # core count failed its cell with a TypeError.
+        assert main(["run", name, "--quick", "--params", param]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse" in err and param.split("=")[0] in err
+
     def test_run_rejects_unknown_param(self, capsys):
         assert main(["run", "fig1", "--params", "bogus=1"]) == 2
         assert "has no parameter" in capsys.readouterr().err

@@ -13,6 +13,7 @@ the same final mapping.
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 import numpy as np
@@ -219,6 +220,151 @@ def test_upgrade_that_frees_power_returns_set_aside_moves(small_chip):
     assert actual.placed == expected.placed
     assert np.array_equal(actual.core_powers(), expected.core_powers())
     assert [table.level(p.instance.frequency) for p in actual.placed] == [3, 1]
+
+
+def _run_both(chip, tables, configs, tdp, cfg):
+    """Phase 1 by the reference and by production on fresh states;
+    asserts they agree and returns the reference's grid levels."""
+
+    def run(budget_phase):
+        state = dsrem._State(chip, ThermalSpreadPlacer(), tables)
+        budget_phase(state, configs, tdp, cfg)
+        return state
+
+    expected = run(reference_budget_phase)
+    actual = run(PRODUCTION_BUDGET_PHASE)
+    assert actual.placed == expected.placed
+    assert actual.levels == expected.levels
+    assert np.array_equal(actual.core_powers(), expected.core_powers())
+    return expected.levels
+
+
+def test_next_level_scoring_better_interleaves_the_group(small_chip):
+    """Level 1 -> 2 scores 20 against level 0 -> 1's 5, so each instance
+    climbs twice before the next one climbs once: a block climb of the
+    level-0 group would spend the 0.3 W on three first steps instead."""
+    app = PARSEC["x264"]
+    table = _Table(app, power=(1.0, 1.1, 1.15), performance=(1.0, 1.5, 2.5))
+    configs = [dsrem._Config(table, 1, 0, 1.0, 1.0)]
+    levels = _run_both(small_chip, {app: table}, configs, 3.3, DsRemConfig())
+    assert levels == [2, 2, 0]
+
+
+def test_equal_scores_on_two_ladders_go_to_the_lowest_index(small_chip):
+    """Both ladders' first move scores exactly 10.  The greedy places two
+    x264 instances, then one canneal; with 0.375 W left the x264 ones
+    climb first (0.125 W each) and canneal's (0.25 W) no longer fits.
+    Canneal first would leave one x264 instance behind instead."""
+    x264, canneal = PARSEC["x264"], PARSEC["canneal"]
+    cheap = _Table(x264, power=(1.0, 1.125), performance=(3.0, 4.25))
+    dear = _Table(canneal, power=(0.5, 0.75), performance=(1.0, 3.5))
+    configs = [
+        dsrem._Config(cheap, 1, 0, 1.0, 3.0),
+        dsrem._Config(dear, 1, 0, 0.5, 1.0),
+    ]
+    tables = {x264: cheap, canneal: dear}
+    levels = _run_both(small_chip, tables, configs, 2.875, DsRemConfig())
+    assert levels == [1, 1, 0]
+
+
+def test_zero_extra_move_returns_set_aside_moves(small_chip):
+    """A's upgrade (+0.5 W, score 2) is set aside on the 0.125 W left.
+    B's first upgrade costs nothing and puts it back, where it is set
+    aside again; B's second frees 0.375 W, after which A's fits."""
+    a_app, b_app = PARSEC["x264"], PARSEC["canneal"]
+    a_table = _Table(a_app, power=(1.0, 1.5), performance=(2.5, 3.5))
+    b_table = _Table(
+        b_app, power=(0.5, 0.5, 0.125), performance=(1.0, 1.0 + 1e-9, 1.0 + 2e-9)
+    )
+    configs = [
+        dsrem._Config(a_table, 1, 0, 1.0, 2.5),
+        dsrem._Config(b_table, 1, 0, 0.5, 1.0),
+    ]
+    tables = {a_app: a_table, b_app: b_table}
+    levels = _run_both(small_chip, tables, configs, 1.625, DsRemConfig())
+    assert levels == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "max_steps, expected", [(7, [1] * 7 + [0] * 3), (13, [2] * 3 + [1] * 7)]
+)
+def test_step_cap_inside_a_block(small_chip, max_steps, expected):
+    """Ten identical instances climb a ladder whose scores fall level by
+    level, so each level is one block; the cap ends a block part-way."""
+    app = PARSEC["x264"]
+    table = _Table(
+        app, power=(1.0, 1.01, 1.03, 1.06), performance=(1.0, 2.0, 2.5, 2.7)
+    )
+    configs = [dsrem._Config(table, 1, 0, 1.0, 1.0)]
+    levels = _run_both(
+        small_chip, {app: table}, configs, 10.5, DsRemConfig(max_steps=max_steps)
+    )
+    assert levels == expected
+
+
+# -- the block climb against a heap of one entry per instance ----------
+
+
+def one_step_climb(moves, rungs, levels, remaining_power, max_steps) -> None:
+    """The upgrade pass as it was before group entries: one heap entry
+    per instance, one level per pop."""
+    heap = []
+
+    def push(i):
+        move = moves[rungs[i]][levels[i]]
+        if move is not None:
+            heapq.heappush(heap, (move[0], i, move[1]))
+
+    for i in range(len(levels)):
+        push(i)
+    set_aside = []
+    for _ in range(max_steps):
+        while heap and heap[0][2] > remaining_power:
+            set_aside.append(heapq.heappop(heap))
+        if not heap:
+            break
+        _, i, extra = heapq.heappop(heap)
+        levels[i] += 1
+        remaining_power -= extra
+        if extra <= 0:
+            for move in set_aside:
+                heapq.heappush(heap, move)
+            set_aside.clear()
+        push(i)
+
+
+def _random_climb(rng):
+    """Ladders with few distinct scores and extras (so ties, blocks and
+    zero or negative moves all occur), instances on them at random
+    levels, a random budget and step cap."""
+    scores = -rng.choice([1.0, 2.0, 4.0], size=3)
+    extras = rng.choice(
+        [-0.25, 0.0, 0.125, 0.25, 0.5], size=3, p=[0.05, 0.05, 0.3, 0.3, 0.3]
+    )
+    moves = []
+    for _ in range(rng.integers(1, 4)):
+        n_levels = int(rng.integers(2, 6))
+        ladder = [
+            (float(rng.choice(scores)), float(rng.choice(extras)))
+            if rng.random() < 0.9 else None
+            for _ in range(n_levels - 1)
+        ]
+        moves.append(ladder + [None])
+    n = int(rng.integers(1, 30))
+    rungs = [int(rng.integers(len(moves))) for _ in range(n)]
+    levels = [int(rng.integers(len(moves[r]))) for r in rungs]
+    return moves, rungs, levels, float(rng.uniform(0.0, 4.0)), int(rng.integers(1, 60))
+
+
+def test_block_climb_matches_one_step_heap():
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        moves, rungs, levels, remaining, max_steps = _random_climb(rng)
+        expected = list(levels)
+        one_step_climb(moves, rungs, expected, remaining, max_steps)
+        actual = list(levels)
+        dsrem._climb(moves, rungs, actual, remaining, max_steps)
+        assert actual == expected, (moves, rungs, levels, remaining, max_steps)
 
 
 # -- the exploit phase against its rebuild-and-sort loop ---------------
