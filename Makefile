@@ -14,15 +14,12 @@ test:
 	$(MAKE) figures-smoke
 	$(MAKE) obs-smoke
 
-# Project-specific static analysis (repro.lint), two-phase: per-file
-# rules (unit-literal, float-eq, exception, metric-name, spawn-safety)
-# plus whole-program spawn/file-handle/stale-manifest checks over the
-# project call graph.  Module summaries are cached content-addressed under
-# .lint-cache, so warm runs only re-summarize edited files.  Exits
-# non-zero on any finding not ratified in lint_baseline.json; see
-# docs/linting.md.
+# Project-specific static analysis (repro.lint): one pass of per-file
+# rules (unit-literal, float-eq, exception, metric-name, spawn-safety,
+# file-handle) over every file, then the stale-manifest check.  Exits
+# non-zero on any finding; see docs/linting.md.
 lint:
-	python -m repro.cli lint src tests --cache .lint-cache
+	python -m repro.cli lint src tests
 
 # Cold + warm batch pass against a throwaway artifact store: the first
 # run computes every registered experiment in quick mode across two
@@ -75,5 +72,5 @@ examples:
 	for f in examples/*.py; do echo "== $$f =="; python $$f; done
 
 clean:
-	rm -rf build dist src/*.egg-info .figures-smoke-store .lint-cache
+	rm -rf build dist src/*.egg-info .figures-smoke-store
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -329,13 +329,12 @@ def _cmd_lint(args) -> int:
     """``lint``: the project-specific static analysis pass."""
     from repro import lint
     from repro.lint.engine import iter_python_files
-    from repro.lint.rules import collect_metric_names
+    from repro.lint.rules import metric_usage
 
     paths = args.paths or ["src"]
     select = args.select.split(",") if args.select else None
     if select is not None:
-        known = {r.code for r in (*lint.all_rules(), *lint.all_program_rules())}
-        unknown = sorted(set(select) - known)
+        unknown = sorted(set(select) - lint.all_codes())
         if unknown:
             print(f"unknown rule code(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
@@ -343,11 +342,14 @@ def _cmd_lint(args) -> int:
     if args.emit_manifest:
         import ast as ast_mod
 
-        trees = [
-            (str(f), ast_mod.parse(f.read_text(), filename=str(f)))
-            for f in iter_python_files(paths)
-        ]
-        names, prefixes = collect_metric_names(trees)
+        names: set[str] = set()
+        prefixes: set[str] = set()
+        for f in iter_python_files(paths):
+            file_names, file_prefixes = metric_usage(
+                ast_mod.parse(f.read_text(), filename=str(f))
+            )
+            names |= file_names
+            prefixes |= file_prefixes
         print("# Metric-name manifest (generated by "
               "`darksilicon lint --emit-manifest`, then curated).")
         print("# One name per line; a trailing `*` is a prefix wildcard.")
@@ -363,8 +365,6 @@ def _cmd_lint(args) -> int:
     elif args.manifest and args.manifest != str(Path("docs") / "metrics.txt"):
         print(f"no metric manifest at {args.manifest}", file=sys.stderr)
         return 2
-
-    two_phase = dict(cache_dir=args.cache, program=not args.no_program)
 
     if args.prune_manifest:
         if manifest is None:
@@ -386,18 +386,7 @@ def _cmd_lint(args) -> int:
               f"from {args.manifest}]")
         return 0
 
-    if args.write_baseline:
-        report = lint.lint_paths(
-            paths, manifest=manifest, select=select, **two_phase
-        )
-        count = lint.write_baseline(args.baseline, report.findings)
-        print(f"[baseline: ratified {count} finding(s) to {args.baseline}]")
-        return 0
-
-    baseline = lint.Baseline.load_if_exists(args.baseline)
-    report = lint.lint_paths(
-        paths, manifest=manifest, baseline=baseline, select=select, **two_phase
-    )
+    report = lint.lint_paths(paths, manifest=manifest, select=select)
     if args.format == "json":
         import json
 
@@ -588,34 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     p_lint.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="summary-cache artifact store; warm runs skip "
-        "re-summarizing files whose content hash is cached",
-    )
-    p_lint.add_argument(
-        "--no-program",
-        action="store_true",
-        help="skip phase 2 (the whole-program DS302/DS5xx/DS602/DS702 "
-        "analysis)",
-    )
-    p_lint.add_argument(
         "--prune-manifest",
         action="store_true",
         help="rewrite the metric manifest dropping entries DS302 "
         "reports as stale, then exit",
-    )
-    p_lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default="lint_baseline.json",
-        help="ratified-baseline file; matching findings do not gate "
-        "(default: lint_baseline.json, ignored when absent)",
-    )
-    p_lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="ratify the current findings into the baseline file and exit",
     )
     p_lint.add_argument(
         "--manifest",

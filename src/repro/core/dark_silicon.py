@@ -84,20 +84,13 @@ def sweep_frequencies(
     constraint: Constraint,
     threads: int = 8,
     placer: Optional[Placer] = None,
-    runner: Optional[SweepRunner] = None,
 ) -> list[FrequencySweepPoint]:
     """Figure 5: dark silicon vs v/f level for one application.
 
-    Args:
-        runner: sweep executor (its wall clock lands in the
-            ``sweep.sweep_frequencies`` span); a private serial runner
-            by default.
-            Chips do not pickle, so this sweep is always in-process even
-            on a parallel runner — each cell still reuses the chip
-            engine's cached influence operator.
+    The cells run in-process (chips do not pickle), each reusing the
+    chip engine's cached influence operator; the pass's wall clock
+    lands in the ``sweep.sweep_frequencies`` span.
     """
-    if runner is None or runner.parallel:
-        runner = SweepRunner()
     cell = partial(
         estimate_dark_silicon,
         chip,
@@ -106,7 +99,9 @@ def sweep_frequencies(
         threads=threads,
         placer=placer,
     )
-    results = runner.map(list(frequencies), cell, stage="sweep_frequencies")
+    results = SweepRunner().map(
+        list(frequencies), cell, stage="sweep_frequencies"
+    )
     return [
         FrequencySweepPoint.from_result(f, result)
         for f, result in zip(frequencies, results)

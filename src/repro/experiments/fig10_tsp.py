@@ -107,9 +107,8 @@ def _node_cell(
     app_names: Sequence[str],
     threads: int,
 ) -> Fig10NodeResult:
-    """One (node, dark share) grid cell — module-level so a parallel
-    :class:`SweepRunner` can ship it to worker processes (the chip is
-    obtained inside the worker via the per-process cache)."""
+    """One (node, dark share) grid cell; the chip comes from the
+    per-process cache."""
     node_name, dark = cell
     chip = get_chip(node_name)
     instances = int(round(chip.n_cores * (1.0 - dark))) // threads
@@ -146,19 +145,14 @@ def run(
     dark_shares: Optional[Mapping[str, float]] = None,
     app_names: Sequence[str] = PARSEC_ORDER,
     threads: int = 8,
-    runner: Optional[SweepRunner] = None,
 ) -> Fig10Result:
     """Evaluate TSP-governed performance for every node and application.
 
-    Args:
-        runner: sweep executor for the per-node cells; pass a parallel
-            one to fan nodes out across processes (cells only exchange
-            picklable inputs/results).  Its wall clock lands in the
-            ``sweep.fig10_nodes`` span.
+    The per-node cells run in-process; the pass's wall clock lands in
+    the ``sweep.fig10_nodes`` span.
     """
     shares = dict(PAPER_DARK_SHARES if dark_shares is None else dark_shares)
-    runner = runner or SweepRunner()
-    nodes = runner.map(
+    nodes = SweepRunner().map(
         list(shares.items()),
         partial(_node_cell, app_names=tuple(app_names), threads=threads),
         stage="fig10_nodes",

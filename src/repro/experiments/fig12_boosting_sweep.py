@@ -164,8 +164,8 @@ SPEC = register(
             Param(
                 "core_counts",
                 "json",
-                None,
-                help="active-core counts (null: 8,16,..,n_cores)",
+                tuple(range(8, 97, 8)),
+                help="active-core counts",
             ),
             Param("threads", "int", 8, help="threads per instance"),
             duration_param(

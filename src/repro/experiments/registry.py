@@ -78,6 +78,25 @@ def _parse_json(text: str) -> Any:
     return json.loads(text, parse_constant=_reject_constant)
 
 
+#: Item type of a ``json`` default -> the item types a parsed value may hold.
+_ITEM_TYPES: dict[type, tuple[type, ...]] = {
+    int: (int,),
+    float: (int, float),
+    str: (str,),
+}
+
+
+def _item_type(default: Any) -> Optional[type]:
+    """The one scalar type of a non-empty sequence default, else ``None``."""
+    if not isinstance(default, (list, tuple)) or not default:
+        return None
+    kinds = {type(item) for item in default}
+    if len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    return kind if kind in _ITEM_TYPES else None
+
+
 #: Parameter kinds and their CLI-string coercions.
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "str": str,
@@ -116,14 +135,29 @@ class Param:
             )
 
     def parse(self, text: str) -> Any:
-        """Coerce a CLI ``key=value`` string by this parameter's kind."""
+        """Coerce a CLI ``key=value`` string by this parameter's kind.
+
+        A ``json`` value whose default is a non-empty sequence of one
+        scalar type must be a list of that type (ints also pass where
+        the default holds floats; bools never pass as ints).
+        """
         try:
-            return _PARSERS[self.kind](text)
+            value = _PARSERS[self.kind](text)
         except (ValueError, json.JSONDecodeError, ConfigurationError) as exc:
             raise ConfigurationError(
                 f"cannot parse {text!r} as {self.kind} for parameter "
                 f"{self.name!r}"
             ) from exc
+        kind = _item_type(self.default) if self.kind == "json" else None
+        if kind is not None and not (
+            isinstance(value, list)
+            and all(type(item) in _ITEM_TYPES[kind] for item in value)
+        ):
+            raise ConfigurationError(
+                f"cannot parse {text!r} as a list of {kind.__name__} for "
+                f"parameter {self.name!r}"
+            )
+        return value
 
 
 @dataclass(frozen=True)

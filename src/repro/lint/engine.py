@@ -4,9 +4,9 @@ A :class:`Rule` subclass declares the node types it wants
 (:attr:`Rule.visits`); :func:`lint_source` parses the file once, walks
 the tree once, and dispatches each node to every subscribed rule.  Rules
 yield :class:`Finding` objects; the engine then drops findings silenced
-by an inline ``# repro-lint: disable=DSxxx`` comment on the same line,
-and — at the :func:`lint_paths` level — findings ratified in the
-baseline file (see :mod:`repro.lint.baseline`).
+by an inline ``# repro-lint: disable=DSxxx`` comment on the same line.
+:func:`lint_paths` runs that pass over every file, then the one check
+no single file can witness: DS302, stale metric-manifest entries.
 
 Scoping: conventions like "no magic unit literals" only bind *library*
 code, not tests or fixtures, so every rule sees a :class:`FileContext`
@@ -20,12 +20,10 @@ rather than emitted).
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
-import time
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -39,8 +37,17 @@ _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable(?:=(?P<codes>[A-Z0-9,\s]+?))?(?:\s+-.*)?$"
 )
 
+#: Text every suppression comment contains; files without it skip the
+#: tokenizer.
+_SUPPRESS_MARKER = "repro-lint:"
+
 #: Marker meaning "every code" in a suppression set.
 SUPPRESS_ALL = "*"
+
+#: The stale-manifest check.  It runs once over the metric names
+#: harvested from every file (:func:`lint_paths`), so it is not a
+#: per-file :class:`Rule`.
+STALE_MANIFEST = "DS302"
 
 
 @dataclass(frozen=True)
@@ -52,14 +59,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    def fingerprint(self) -> str:
-        """Line-independent identity used for baseline matching.
-
-        Line numbers drift with every unrelated edit, so the baseline
-        matches on path + code + message instead.
-        """
-        return f"{self.path}:{self.code}:{self.message}"
 
     def to_dict(self) -> dict:
         return {
@@ -123,14 +122,6 @@ class MetricManifest:
                 keep = comment.split()[:1] == ["keep"]
                 entries.append((line, lineno, keep))
         return cls(entries, path=path)
-
-    def digest(self) -> str:
-        """Content hash of the entries (part of the summary-cache key:
-        DS301 findings cached per file depend on the manifest)."""
-        blob = "\n".join(
-            f"{entry}\t{keep}" for entry, _, keep in self.entries
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     def stale_entries(
         self, names: set[str], prefixes: set[str]
@@ -200,8 +191,6 @@ class FileContext:
     #: (``"power/model.py"``), else ``None``.
     library_rel: Optional[str]
     manifest: Optional[MetricManifest] = None
-    #: Scratch space for per-file rule state (keyed by rule code).
-    state: dict = field(default_factory=dict)
 
 
 class Rule:
@@ -247,9 +236,16 @@ def all_rules() -> list[type[Rule]]:
     return list(_RULES)
 
 
+def all_codes() -> set[str]:
+    """Every code ``--select`` accepts: the rules plus DS302."""
+    return {cls.code for cls in _RULES} | {STALE_MANIFEST}
+
+
 def _suppressions(source: str) -> dict[int, set[str]]:
     """Map line number -> codes silenced by an inline comment there."""
     silenced: dict[int, set[str]] = {}
+    if _SUPPRESS_MARKER not in source:
+        return silenced
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:
@@ -301,7 +297,7 @@ def lint_source(
     Returns:
         Findings not silenced by inline suppressions, in source order.
     """
-    _, _, kept = _lint_file(source, Path(path), manifest, library, select)
+    _, kept = _lint_file(source, Path(path), manifest, library, select)
     return kept
 
 
@@ -311,11 +307,11 @@ def _lint_file(
     manifest: Optional[MetricManifest],
     library: Optional[bool],
     select: Optional[Sequence[str]],
-) -> tuple[FileContext, dict[int, set[str]], list[Finding]]:
-    """Parse one file and run the per-file rules over it.
+) -> tuple[ast.AST, list[Finding]]:
+    """Parse one file and run the rules over it.
 
-    Returns its context, its inline suppressions and the findings they
-    do not silence, in source order.
+    Returns its tree and the findings its inline suppressions do not
+    silence, in source order.
     """
     rel = _library_rel(path)
     in_library = rel is not None if library is None else library
@@ -332,16 +328,16 @@ def _lint_file(
         manifest=manifest,
     )
     findings = _run_rules(ctx, select)
-    silenced = _suppressions(source)
-    kept = _apply_suppressions(findings, silenced)
-    kept.sort(key=lambda f: (f.line, f.col, f.code))
-    return ctx, silenced, kept
+    if findings:
+        findings = _apply_suppressions(findings, _suppressions(source))
+        findings.sort(key=lambda f: (f.line, f.col, f.code))
+    return tree, findings
 
 
 def _run_rules(
     ctx: FileContext, select: Optional[Sequence[str]] = None
 ) -> list[Finding]:
-    """Dispatch one parsed file through every registered per-file rule."""
+    """Dispatch one parsed file through every registered rule."""
     dispatch: dict[type, list[Rule]] = {}
     for cls in _RULES:
         if select is not None and cls.code not in select:
@@ -371,25 +367,6 @@ def _apply_suppressions(
             and (SUPPRESS_ALL in silenced[f.line] or f.code in silenced[f.line])
         )
     ]
-
-
-def _phase1_file(
-    path_str: str,
-    source: str,
-    manifest: Optional[MetricManifest],
-    select: Optional[Sequence[str]],
-) -> tuple[list[Finding], "ModuleSummary"]:
-    """Phase 1 for one file: per-file findings plus its module summary."""
-    ctx, silenced, kept = _lint_file(source, Path(path_str), manifest, None, select)
-    summary = summarize_source(
-        source,
-        ctx.path,
-        ctx.tree,
-        library_rel=ctx.library_rel,
-        in_library=ctx.in_library,
-        suppressions=silenced,
-    )
-    return kept, summary
 
 
 #: Directories containing this marker file are excluded from directory
@@ -428,10 +405,6 @@ class LintReport:
 
     findings: list[Finding]
     files: int
-    baseline_suppressed: int = 0
-    #: Two-phase instrumentation: ``phase1_s``/``phase2_s`` wall clock,
-    #: ``cache_hits``/``cache_misses`` when a summary cache was used.
-    timings: dict = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -444,13 +417,11 @@ class LintReport:
         return dict(sorted(out.items()))
 
     def to_dict(self) -> dict:
-        """The ``--format json`` document (schema version 1)."""
+        """The ``--format json`` document (schema version 2)."""
         return {
-            "version": 1,
+            "version": 2,
             "files": self.files,
             "counts": self.counts(),
-            "baseline_suppressed": self.baseline_suppressed,
-            "timings": self.timings,
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -462,23 +433,7 @@ class LintReport:
             if self.findings
             else "clean"
         )
-        suffix = (
-            f", {self.baseline_suppressed} baselined"
-            if self.baseline_suppressed
-            else ""
-        )
-        lines.append(f"[lint] {self.files} file(s): {verdict}{suffix}")
-        if self.timings:
-            bits = [
-                f"phase1 {self.timings.get('phase1_s', 0.0):.3f}s",
-                f"phase2 {self.timings.get('phase2_s', 0.0):.3f}s",
-            ]
-            if "cache_hits" in self.timings:
-                bits.append(
-                    f"cache {self.timings['cache_hits']} hit(s) / "
-                    f"{self.timings['cache_misses']} miss(es)"
-                )
-            lines.append(f"[lint] {', '.join(bits)}")
+        lines.append(f"[lint] {self.files} file(s): {verdict}")
         return "\n".join(lines)
 
 
@@ -492,101 +447,62 @@ def lint_paths(
     paths: Sequence[str | Path],
     *,
     manifest: Optional[MetricManifest] = None,
-    baseline: Optional["Baseline"] = None,
     select: Optional[Sequence[str]] = None,
-    cache_dir: Optional[str | Path] = None,
-    program: bool = True,
     stale_manifest: Optional[bool] = None,
 ) -> LintReport:
-    """Lint every python file under ``paths`` — the two-phase pass.
+    """Lint every python file under ``paths``.
 
-    Phase 1 runs the per-file rules and builds module summaries,
-    content-addressed through the summary cache when ``cache_dir`` is
-    given (unchanged files are served findings + summary without
-    re-parsing).  Phase 2 links the summaries into a
-    :class:`~repro.lint.callgraph.Program` and runs the
-    interprocedural DS602/DS702 rules plus the DS302
-    stale-manifest check (auto-enabled on whole-tree runs with a
-    file-loaded manifest; force with ``stale_manifest=True/False``).
-
-    Baseline-ratified findings are dropped (counted in
-    :attr:`LintReport.baseline_suppressed`); inline suppressions are
-    handled per file in both phases.
+    Each file goes through :func:`lint_source`'s one pass.  The DS302
+    stale-manifest check then runs over the metric names harvested from
+    every file (:func:`repro.lint.rules.metric_usage`); it is
+    on for whole-tree runs with a file-loaded manifest (force it with
+    ``stale_manifest=True/False``).
     """
-    from repro.lint.dataflow import analyze_program
+    from repro.lint.rules import metric_usage
 
-    files = iter_python_files(paths)
-    manifest_digest = manifest.digest() if manifest is not None else ""
-    cache = None
-    if cache_dir is not None and select is None:
-        cache = SummaryCache(cache_dir)
-
-    t0 = time.perf_counter()
+    harvest = (
+        manifest is not None
+        and stale_manifest is not False
+        and (select is None or STALE_MANIFEST in select)
+    )
+    names: set[str] = set()
+    prefixes: set[str] = set()
     findings: list[Finding] = []
-    summaries: list[ModuleSummary] = []
+    files = iter_python_files(paths)
+    library_files = 0
     for f in files:
-        source = f.read_text()
-        if cache is not None:
-            digest = content_hash(source)
-            payload = cache.get(f.as_posix(), digest, manifest_digest)
-            if payload is not None:
-                findings.extend(
-                    Finding(**d) for d in payload["findings"]
-                )
-                summaries.append(
-                    ModuleSummary.from_payload(payload["summary"])
-                )
-                continue
-        file_findings, summary = _phase1_file(
-            f.as_posix(), source, manifest, select
-        )
+        tree, file_findings = _lint_file(f.read_text(), f, manifest, None, select)
         findings.extend(file_findings)
-        summaries.append(summary)
-        if cache is not None:
-            cache.put(
-                f.as_posix(), digest, manifest_digest, summary, file_findings
-            )
-    phase1_s = time.perf_counter() - t0
+        library_files += _library_rel(f) is not None
+        if harvest:
+            file_names, file_prefixes = metric_usage(tree)
+            names |= file_names
+            prefixes |= file_prefixes
 
-    t1 = time.perf_counter()
-    if program:
-        library_files = sum(1 for s in summaries if s.in_library)
-        if stale_manifest is None:
-            check_stale = (
-                manifest is not None
-                and manifest.path is not None
-                and library_files >= STALE_CHECK_MIN_LIBRARY_FILES
-            )
-        else:
-            check_stale = stale_manifest
-        findings.extend(
-            analyze_program(
-                summaries,
-                manifest=manifest,
-                stale_manifest=check_stale,
-                select=select,
-            )
+    if stale_manifest is None:
+        stale_manifest = (
+            manifest is not None
+            and manifest.path is not None
+            and library_files >= STALE_CHECK_MIN_LIBRARY_FILES
         )
-    phase2_s = time.perf_counter() - t1
+    if harvest and stale_manifest:
+        for entry, lineno in manifest.stale_entries(names, prefixes):
+            findings.append(
+                Finding(
+                    code=STALE_MANIFEST,
+                    path=manifest.path or "<manifest>",
+                    line=lineno or 0,
+                    col=0,
+                    message=(
+                        f"manifest entry '{entry}' matches no emitted metric "
+                        "name; prune it (lint --prune-manifest) or ratify "
+                        "with a '# keep' comment"
+                    ),
+                )
+            )
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    suppressed = 0
-    if baseline is not None:
-        findings, suppressed = baseline.filter(findings)
-    timings: dict = {
-        "phase1_s": phase1_s,
-        "phase2_s": phase2_s,
-    }
-    if cache is not None:
-        timings["cache_hits"] = cache.hits
-        timings["cache_misses"] = cache.misses
-
-    return LintReport(
-        findings=findings,
-        files=len(files),
-        baseline_suppressed=suppressed,
-        timings=timings,
-    )
+    return LintReport(findings=findings, files=len(files))
 
 
 def prune_manifest(
@@ -611,12 +527,3 @@ def prune_manifest(
     kept = [line for i, line in enumerate(lines) if i not in drop]
     path.write_text("\n".join(kept) + "\n")
     return len(drop)
-
-
-from repro.lint.baseline import Baseline  # noqa: E402  (cycle-free tail import)
-from repro.lint.summaries import (  # noqa: E402  (cycle-free tail import)
-    ModuleSummary,
-    SummaryCache,
-    content_hash,
-    summarize_source,
-)

@@ -35,6 +35,12 @@ METRIC_METHODS = frozenset({"incr", "gauge", "histogram", "span"})
 #: Receivers treated as the observability registry at a call site.
 METRIC_RECEIVERS = frozenset({"obs", "REGISTRY"})
 
+#: Receiver terminal names whose recordings count as emitted metric
+#: names (:func:`metric_usage`).  Wider than DS301's enforcement set on
+#: purpose: the obs layer itself records through locals named
+#: ``registry``/``_registry``, and those emissions must count as "used".
+HARVEST_RECEIVERS = METRIC_RECEIVERS | {"registry", "_registry"}
+
 #: Grammar for literal metric names: lowercase dotted, >= 2 components.
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9][a-z0-9_]*)+$")
 
@@ -51,12 +57,39 @@ POOL_NAME_HINTS = frozenset({"runner", "pool", "sweep", "executor"})
 #: np.random constructs that are fine (explicitly seeded generators).
 SEEDED_RANDOM_OK = frozenset({"default_rng", "Generator", "SeedSequence"})
 
+#: Function-name prefixes exempt from DS702: these *are* the lifecycle
+#: API, and handing back an open handle is their job.
+LIFECYCLE_PREFIXES = ("start", "enable", "open", "acquire", "serve")
+
 
 def _float_const(node: ast.AST) -> Optional[float]:
     """The node's value when it is a float literal, else ``None``."""
     if isinstance(node, ast.Constant) and type(node.value) is float:
         return node.value
     return None
+
+
+def _dotted_name(node: ast.AST) -> Optional[str]:
+    """The expression as a dotted name (``units.ghz``), when it is one."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _literal_prefix(node: ast.JoinedStr) -> str:
+    """The literal text an f-string starts with (``"store."``)."""
+    prefix = ""
+    for part in node.values:
+        if isinstance(part, ast.Constant) and isinstance(part.value, str):
+            prefix += part.value
+        else:
+            break
+    return prefix
 
 
 def _call_name(node: ast.AST) -> Optional[str]:
@@ -226,12 +259,7 @@ class MetricNameConvention(Rule):
                     "metric manifest (docs/metrics.txt)",
                 )
         elif isinstance(name_arg, ast.JoinedStr):
-            prefix = ""
-            for part in name_arg.values:
-                if isinstance(part, ast.Constant) and isinstance(part.value, str):
-                    prefix += part.value
-                else:
-                    break
+            prefix = _literal_prefix(name_arg)
             if not prefix or not METRIC_PREFIX_RE.match(prefix):
                 yield Finding(
                     self.code,
@@ -281,10 +309,19 @@ class SpawnUnsafeWorker(Rule):
         return True
 
     def begin_file(self, ctx: FileContext) -> None:
-        self.pool_names: set[str] = set()
+        self.tree = ctx.tree
+        #: Filled by :meth:`_scan` at the file's first ``.map``/``.submit``.
+        self.pool_names: Optional[set[str]] = None
+
+    def _scan(self) -> None:
+        """Collect pool names, nested defs and module defs in one walk."""
+        self.pool_names = set()
         self.nested_defs: set[str] = set()
         self.module_defs: dict[str, ast.AST] = {}
-        for node in ast.walk(ctx.tree):
+        # Each node carries whether a def encloses it.
+        stack: list[tuple[ast.AST, bool]] = [(self.tree, False)]
+        while stack:
+            node, in_def = stack.pop()
             if isinstance(node, ast.Assign):
                 if _call_name(node.value) in POOL_CONSTRUCTORS:
                     for target in node.targets:
@@ -296,13 +333,12 @@ class SpawnUnsafeWorker(Rule):
                 ):
                     self.pool_names.add(node.optional_vars.id)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for child in ast.walk(node):
-                    if child is not node and isinstance(
-                        child, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        self.nested_defs.add(child.name)
-        if isinstance(ctx.tree, ast.Module):
-            for stmt in ctx.tree.body:
+                if in_def:
+                    self.nested_defs.add(node.name)
+                in_def = True
+            stack.extend((child, in_def) for child in ast.iter_child_nodes(node))
+        if isinstance(self.tree, ast.Module):
+            for stmt in self.tree.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     self.module_defs[stmt.name] = stmt
 
@@ -312,6 +348,8 @@ class SpawnUnsafeWorker(Rule):
             isinstance(func, ast.Attribute) and func.attr in ("map", "submit")
         ):
             return False
+        if self.pool_names is None:
+            self._scan()
         recv = func.value
         if _call_name(recv) in POOL_CONSTRUCTORS:
             return True
@@ -431,43 +469,170 @@ class NondeterministicModelCode(Rule):
             )
 
 
-def collect_metric_names(
-    trees: list[tuple[str, ast.AST]],
-) -> tuple[set[str], set[str]]:
-    """Statically harvest metric names from obs call sites.
+class _HandleFacts(ast.NodeVisitor):
+    """One function body's file-handle facts for DS702.
 
-    Returns ``(literal_names, fstring_prefixes)`` across the given
-    ``(path, tree)`` pairs — the generator behind
-    ``darksilicon lint --emit-manifest``, which seeds
-    ``docs/metrics.txt``.
+    Records ``open()``/``.open()`` handles bound to names, the names
+    ``.close()`` is called on, names managed by ``with``, and names that
+    escape the function (returned, yielded, stored into an attribute or
+    container, or passed as an argument).  Nested defs and lambdas are
+    opaque.
+    """
+
+    def __init__(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        self.opens: list[tuple[str, int, int]] = []
+        self.released: set[str] = set()
+        for stmt in node.body:
+            self.visit(stmt)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        pass
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_Lambda = visit_FunctionDef
+
+    def _record_assign_target(self, target: ast.AST, value: ast.AST) -> None:
+        if isinstance(target, ast.Name):
+            if isinstance(value, ast.Call) and "open" in (
+                getattr(value.func, "id", None),
+                getattr(value.func, "attr", None),
+            ):
+                self.opens.append((target.id, value.lineno, value.col_offset))
+        elif isinstance(target, (ast.Attribute, ast.Subscript)):
+            # Stores into attributes/containers make the value escape.
+            if isinstance(value, ast.Name):
+                self.released.add(value.id)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._record_assign_target(element, value)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._record_assign_target(target, node.value)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if node.value is not None:
+            self._record_assign_target(node.target, node.value)
+        self.generic_visit(node)
+
+    def visit_Return(self, node: ast.Return) -> None:
+        if isinstance(node.value, ast.Name):
+            self.released.add(node.value.id)
+        elif isinstance(node.value, ast.Call):
+            # ``return self`` chains and wrapped handles escape too.
+            for arg in node.value.args:
+                if isinstance(arg, ast.Name):
+                    self.released.add(arg.id)
+        self.generic_visit(node)
+
+    def visit_Yield(self, node: ast.Yield) -> None:
+        if isinstance(node.value, ast.Name):
+            self.released.add(node.value.id)
+        self.generic_visit(node)
+
+    def visit_With(self, node: ast.With) -> None:
+        for item in node.items:
+            dotted = _dotted_name(item.context_expr)
+            if dotted is not None and not dotted.startswith("self."):
+                self.released.add(dotted)
+            if isinstance(item.optional_vars, ast.Name):
+                self.released.add(item.optional_vars.id)
+        self.generic_visit(node)
+
+    visit_AsyncWith = visit_With
+
+    def visit_Call(self, node: ast.Call) -> None:
+        callee = _dotted_name(node.func)
+        if callee is not None:
+            receiver, _, terminal = callee.rpartition(".")
+            if terminal == "close" and receiver:
+                self.released.add(receiver)
+        # Names passed as arguments escape the function's custody.
+        for arg in node.args:
+            if isinstance(arg, ast.Name):
+                self.released.add(arg.id)
+        for kw in node.keywords:
+            if isinstance(kw.value, ast.Name):
+                self.released.add(kw.value.id)
+        self.generic_visit(node)
+
+
+@rule
+class UnclosedResource(Rule):
+    """DS702: opened file handle neither closed nor handed off.
+
+    A handle from ``open()``/``.open()`` bound to a name must be closed
+    in the same function, handed off (returned, stored, passed on), or
+    managed by ``with``.  Checks module-level functions and the methods
+    of module-level classes; a function whose name starts with a
+    lifecycle verb (``start``/``enable``/``open``/``acquire``/``serve``)
+    *is* the lifecycle API and is exempt.  Applies to tests too.
+    """
+
+    code = "DS702"
+    visits = (ast.Module,)
+
+    def applies(self, ctx: FileContext) -> bool:
+        return True
+
+    def visit(self, node: ast.Module, ctx: FileContext) -> Iterator[Finding]:
+        functions: list[tuple[str, ast.AST]] = []
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.append((stmt.name, stmt))
+            elif isinstance(stmt, ast.ClassDef):
+                functions.extend(
+                    (f"{stmt.name}.{member.name}", member)
+                    for member in stmt.body
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+        for local, func in functions:
+            if func.name.lstrip("_").startswith(LIFECYCLE_PREFIXES):
+                continue
+            facts = _HandleFacts(func)
+            for var, line, col in facts.opens:
+                if var in facts.released:
+                    continue
+                yield Finding(
+                    self.code,
+                    ctx.path,
+                    line,
+                    col,
+                    f"open(...) opened as '{var}' in {local}() but never "
+                    "closed, handed off, or managed by 'with'",
+                )
+
+
+def metric_usage(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """Statically harvest the metric names one file records.
+
+    Returns ``(literal_names, fstring_prefixes)`` over every
+    ``incr``/``gauge``/``histogram``/``span`` call whose receiver ends
+    in one of :data:`HARVEST_RECEIVERS` — the one harvester behind both
+    ``darksilicon lint --emit-manifest`` (which seeds
+    ``docs/metrics.txt``) and the DS302 stale-entry check.
     """
     names: set[str] = set()
     prefixes: set[str] = set()
-    for _, tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and func.attr in METRIC_METHODS
-                and isinstance(func.value, ast.Name)
-                and func.value.id in METRIC_RECEIVERS
-                and node.args
-            ):
-                continue
-            arg = node.args[0]
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                names.add(arg.value)
-            elif isinstance(arg, ast.JoinedStr):
-                prefix = ""
-                for part in arg.values:
-                    if isinstance(part, ast.Constant) and isinstance(
-                        part.value, str
-                    ):
-                        prefix += part.value
-                    else:
-                        break
-                if prefix:
-                    prefixes.add(prefix)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (
+            isinstance(func, ast.Attribute)
+            and func.attr in METRIC_METHODS
+            and node.args
+        ):
+            continue
+        receiver = _dotted_name(func.value)
+        if receiver is None or receiver.rsplit(".", 1)[-1] not in HARVEST_RECEIVERS:
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            names.add(arg.value)
+        elif isinstance(arg, ast.JoinedStr):
+            prefix = _literal_prefix(arg)
+            if prefix:
+                prefixes.add(prefix)
     return names, prefixes

@@ -410,6 +410,20 @@ class TestRegistrySubcommands:
         err = capsys.readouterr().err
         assert "cannot parse" in err and param.split("=")[0] in err
 
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("fig12", 'core_counts=["a"]'),
+            ("fig12", "core_counts=[8.5]"),
+            ("sensitivity", 'scales=["x"]'),
+        ],
+    )
+    def test_run_rejects_wrongly_typed_json_param(self, capsys, name, param):
+        # Each used to fail its cell with a TypeError after parsing.
+        assert main(["run", name, "--quick", "--params", param]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse" in err and param.split("=")[0] in err
+
     def test_run_rejects_unknown_param(self, capsys):
         assert main(["run", "fig1", "--params", "bogus=1"]) == 2
         assert "has no parameter" in capsys.readouterr().err

@@ -1,10 +1,9 @@
-"""Engine mechanics of repro.lint: suppressions, baseline, output.
+"""Engine mechanics of repro.lint: suppressions, discovery, output.
 
 The per-rule behaviour is covered by ``tests/test_lint_rules.py``
 against the fixture corpus; this module pins down the machinery those
-rules plug into — inline suppression comments, the ratified baseline,
-file discovery, the manifest format, and the CLI's output/exit-code
-contract.
+rules plug into — inline suppression comments, file discovery, the
+manifest format, and the CLI's output/exit-code contract.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ def test_findings_carry_location_and_render():
     (finding,) = lint.lint_source(VIOLATION, LIB_PATH)
     assert (finding.code, finding.line) == ("DS102", 2)
     assert finding.render().startswith("src/repro/example.py:2:")
-    assert finding.fingerprint() == (
-        f"{finding.path}:{finding.code}:{finding.message}"
-    )
 
 
 def test_suppression_of_the_matching_code():
@@ -115,38 +111,6 @@ def test_iter_python_files_skips_marked_directories(tmp_path):
         iter_python_files([src / "repro" / "fixtures" / IGNORE_MARKER])
 
 
-def test_baseline_roundtrip_and_multiplicity(tmp_path):
-    src = _write_library_tree(
-        tmp_path, "def f(a, b):\n    return a == 0.0 or b == 0.0\n"
-    )
-    report = lint.lint_paths([src])
-    assert len(report.findings) == 2
-    # Both findings share a fingerprint (same path/code/message);
-    # ratifying the pair must record — and later absorb — both.
-    baseline_file = tmp_path / "lint_baseline.json"
-    lint.write_baseline(baseline_file, report.findings)
-    baseline = lint.Baseline.load(baseline_file)
-    ratified = lint.lint_paths([src], baseline=baseline)
-    assert ratified.clean
-    assert ratified.baseline_suppressed == 2
-    # A third identical violation exceeds the ratified multiplicity.
-    (src / "repro" / "example.py").write_text(
-        "def f(a, b, c):\n"
-        "    return a == 0.0 or b == 0.0 or c == 0.0\n"
-    )
-    grown = lint.lint_paths([src], baseline=baseline)
-    assert len(grown.findings) == 1
-    assert grown.baseline_suppressed == 2
-
-
-def test_baseline_load_rejects_malformed_files(tmp_path):
-    bad = tmp_path / "lint_baseline.json"
-    bad.write_text(json.dumps({"version": 99, "findings": []}))
-    with pytest.raises(ConfigurationError):
-        lint.Baseline.load(bad)
-    assert lint.Baseline.load_if_exists(tmp_path / "missing.json") is None
-
-
 def test_cli_text_output_and_exit_codes(tmp_path, capsys):
     src = _write_library_tree(tmp_path)
     assert main(["lint", str(src)]) == 1
@@ -165,29 +129,13 @@ def test_cli_json_output_schema(tmp_path, capsys):
     src = _write_library_tree(tmp_path)
     assert main(["lint", str(src), "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == 1
+    assert set(doc) == {"version", "files", "counts", "findings"}
+    assert doc["version"] == 2
     assert doc["files"] == 1
     assert doc["counts"] == {"DS102": 1}
-    assert doc["baseline_suppressed"] == 0
     (finding,) = doc["findings"]
     assert set(finding) == {"code", "path", "line", "col", "message"}
     assert finding["code"] == "DS102"
-
-
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
-    src = _write_library_tree(tmp_path)
-    baseline_file = tmp_path / "lint_baseline.json"
-    assert (
-        main(
-            ["lint", str(src), "--write-baseline",
-             "--baseline", str(baseline_file)]
-        )
-        == 0
-    )
-    assert json.loads(baseline_file.read_text())["version"] == 1
-    capsys.readouterr()
-    assert main(["lint", str(src), "--baseline", str(baseline_file)]) == 0
-    assert "baselined" in capsys.readouterr().out
 
 
 def test_cli_missing_manifest_is_a_usage_error(tmp_path, capsys):

@@ -8,7 +8,6 @@ the Makefile in the loop.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro import lint
@@ -21,7 +20,6 @@ def _repo_report() -> lint.LintReport:
     return lint.lint_paths(
         [REPO / "src", REPO / "tests"],
         manifest=lint.MetricManifest.load(REPO / "docs" / "metrics.txt"),
-        baseline=lint.Baseline.load_if_exists(REPO / "lint_baseline.json"),
     )
 
 
@@ -29,14 +27,6 @@ def test_repo_lints_clean():
     report = _repo_report()
     assert report.clean, "\n" + report.render_text()
     assert report.files > 150
-
-
-def test_committed_baseline_is_empty():
-    # The baseline is a mechanism for *introducing* rules over ratified
-    # debt; this repo carries none, and new findings must be fixed (or
-    # inline-annotated), not silently ratified.
-    doc = json.loads((REPO / "lint_baseline.json").read_text())
-    assert doc == {"version": 1, "findings": []}
 
 
 def test_fixture_corpus_is_skipped_by_the_walk():

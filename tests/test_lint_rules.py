@@ -29,24 +29,12 @@ PLANTED = {
     "DS301": 3,
     "DS401": 4,
     "DS402": 4,
-    # Whole-program rules (phase 2; dispatched via analyze_source).
-    "DS602": 2,
     "DS702": 2,
 }
-
-#: Program-rule codes routed through the phase-2 analyzer.  DS302 (the
-#: stale-manifest check) is also a program rule but needs a whole-tree
-#: walk plus a manifest file, so it is exercised in
-#: tests/test_lint_program.py rather than by a fixture pair here.
-PROGRAM_CODES = frozenset({"DS602", "DS702"})
 
 
 def lint_fixture(filename: str, code: str) -> list[lint.Finding]:
     path = DATA / filename
-    if code in PROGRAM_CODES:
-        return lint.analyze_source(
-            path.read_text(), str(path), library=True, select=[code]
-        )
     return lint.lint_source(
         path.read_text(),
         path,
@@ -138,10 +126,11 @@ def test_ds402_exempts_the_obs_layer():
 
 
 def test_every_rule_has_both_fixtures():
-    per_file = {cls.code for cls in lint.all_rules()}
-    program = {cls.code for cls in lint.all_program_rules()}
-    assert per_file | program == set(PLANTED) | {"DS302"}
-    assert program == PROGRAM_CODES | {"DS302"}
+    # DS302 (the stale-manifest check) needs a whole-tree walk plus a
+    # manifest file, so it is exercised in tests/test_lint_program.py
+    # rather than by a fixture pair here.
+    assert {cls.code for cls in lint.all_rules()} == set(PLANTED)
+    assert lint.all_codes() == set(PLANTED) | {"DS302"}
     for code in set(PLANTED):
         assert (DATA / f"{code.lower()}_bad.py").exists()
         assert (DATA / f"{code.lower()}_ok.py").exists()
@@ -153,6 +142,22 @@ def test_program_findings_respect_inline_suppressions():
         "    fh = open(path)  # repro-lint: disable=DS702 - test\n"
         "    return fh.readline()\n"
     )
-    assert lint.analyze_source(source, "x.py", select=["DS702"]) == []
+    assert lint.lint_source(source, "x.py", select=["DS702"]) == []
     unsuppressed = source.replace("  # repro-lint: disable=DS702 - test", "")
-    assert len(lint.analyze_source(unsuppressed, "x.py", select=["DS702"])) == 1
+    assert len(lint.lint_source(unsuppressed, "x.py", select=["DS702"])) == 1
+
+
+def test_ds702_exempts_lifecycle_functions_only():
+    body = "(self, path):\n        self.n = 0\n        fh = open(path)\n"
+    for name, flagged in (
+        ("_start_capture", False),
+        ("open_log", False),
+        ("serve", False),
+        ("capture", True),
+        ("restart", True),
+    ):
+        source = f"class Log:\n    def {name}{body}"
+        findings = lint.lint_source(source, "x.py", select=["DS702"])
+        assert len(findings) == flagged, name
+        if flagged:
+            assert f"in Log.{name}()" in findings[0].message

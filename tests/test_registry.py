@@ -161,6 +161,28 @@ class TestSchemas:
         with pytest.raises(ConfigurationError, match="cannot parse"):
             spec.parse_overrides(["duration=abc"])
 
+    def test_json_list_items_must_match_the_default(self):
+        ints = registry.Param("counts", "json", (4, 8))
+        floats = registry.Param("scales", "json", (0.9, 1.1))
+        names = registry.Param("apps", "json", ("x264",))
+        assert ints.parse("[16]") == [16]
+        assert floats.parse("[1, 1.5]") == [1, 1.5]
+        assert names.parse('["canneal"]') == ["canneal"]
+        for param, text in (
+            (ints, "[true]"),
+            (ints, "[8.0]"),
+            (ints, "8"),
+            (floats, '["0.9"]'),
+            (names, "[1]"),
+            (names, "null"),
+        ):
+            with pytest.raises(ConfigurationError, match="cannot parse"):
+                param.parse(text)
+        # Defaults that are not one scalar type leave the value as parsed.
+        mixed = registry.Param("workloads", "json", (("x264",), ("dedup",)))
+        assert mixed.parse('[["x264"], 3]') == [["x264"], 3]
+        assert registry.Param("shares", "json", None).parse("null") is None
+
     def test_canonical_params_is_key_order_independent(self):
         spec = registry.get("fig2")
         a = spec.canonical_params({"node_name": "22nm", "n_samples": 5})
